@@ -42,10 +42,8 @@ from .tasks import (
     Metrics,
     Split,
     auc,
-    deep_set_score,
     make_split,
     negative_sample,
-    relative_time,
     train_hyperlink_predictor,
     train_node_classifier,
 )

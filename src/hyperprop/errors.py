@@ -41,7 +41,9 @@ class ResourceLimitError(HyperpropError):
 
 
 class NumericalError(HyperpropError):
-    """An iterative solver failed to reach tolerance; message reports the residual."""
+    """A computation went numerically wrong: an iterative solver missed its
+    tolerance (the message reports the residual), or training produced a
+    non-finite loss, logits or scores (the message names which)."""
 
 
 class SamplingError(HyperpropError):

@@ -9,11 +9,12 @@ hash) that its propagation operator saw only train+val structure.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
+import scipy.sparse as sp
 
 from .core import Hypergraph, LabelVector
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     ContractViolation,
     DimensionError,
     DomainError,
+    NumericalError,
     SamplingError,
 )
 from .expansion import normalize_with_self_loops, weighted_clique_expansion
@@ -44,10 +46,8 @@ __all__ = [
     "Metrics",
     "make_split",
     "negative_sample",
-    "deep_set_score",
     "pool_candidates",
     "auc",
-    "relative_time",
     "train_node_classifier",
     "train_hyperlink_predictor",
     "trainval_adjacency_hash",
@@ -122,41 +122,49 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     round(alpha * |e|) members survive (round-half-to-even); the rest
     are redrawn uniformly from outside the hyperedge, without
     replacement.  A draw that collides with any real hyperedge is
-    retried up to 100 times before giving up.
+    retried up to 100 times before giving up.  Edges of one size are
+    corrupted together, so the cost is O(sum |e| * beta), independent
+    of n.  Negatives come out edge-major, then by draw.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"corruption alpha must lie in [0, 1], got {alpha}")
     if beta <= 0:
         raise DomainError(f"negatives per positive must be positive, got {beta}")
     rng = np.random.default_rng(seed)
-    positive_set = {e for e in h.edges}
-    all_nodes = np.arange(h.n)
-    negatives: list[NegativeSample] = []
-    for idx, edge in enumerate(h.edges):
-        size = len(edge)
+    positive_set = set(h.edges)
+    sizes = np.fromiter(map(len, h.edges), dtype=np.int64, count=h.m)
+    negatives: list = [None] * (h.m * beta)
+    failures: dict[int, str] = {}
+    for size in np.unique(sizes).tolist():
+        ids = np.flatnonzero(sizes == size)
         keep = int(round(alpha * size))
-        pool = np.setdiff1d(all_nodes, edge, assume_unique=False)
-        if len(pool) < size - keep:
-            raise SamplingError(
-                f"hyperedge {idx}: only {len(pool)} replacement nodes for {size - keep} slots"
+        if h.n - size < size - keep:
+            edge = int(ids[0])
+            failures[edge] = (
+                f"hyperedge {edge}: only {h.n - size} replacement nodes for {size - keep} slots"
             )
-        edge_arr = np.array(edge)
-        for _ in range(beta):
-            for _attempt in range(100):
-                kept = rng.choice(edge_arr, size=keep, replace=False)
-                drawn = rng.choice(pool, size=size - keep, replace=False)
-                candidate = tuple(sorted(np.concatenate([kept, drawn]).tolist()))
-                if candidate not in positive_set:
-                    negatives.append(
-                        NegativeSample(
-                            nodes=candidate, source=idx, kept=tuple(sorted(kept.tolist()))
-                        )
-                    )
-                    break
-            else:
-                raise SamplingError(
-                    f"hyperedge {idx}: no collision-free corruption in 100 tries"
-                )
+            continue
+        members = np.array([h.edges[i] for i in ids], dtype=np.int64).reshape(len(ids), size)
+        rows = np.repeat(members, beta, axis=0)
+        kept, cands = _corrupt(rows, keep, h.n, rng)
+        pending = np.flatnonzero(_collides(cands, positive_set))
+        for _attempt in range(99):
+            if pending.size == 0:
+                break
+            kept[pending], cands[pending] = _corrupt(rows[pending], keep, h.n, rng)
+            pending = pending[_collides(cands[pending], positive_set)]
+        if pending.size:  # rows are edge-major: the first is the lowest edge
+            edge = int(ids[pending[0] // beta])
+            failures[edge] = f"hyperedge {edge}: no collision-free corruption in 100 tries"
+            continue
+        slots = (ids[:, None] * beta + np.arange(beta)).ravel().tolist()
+        sources = np.repeat(ids, beta).tolist()
+        for slot, source, nodes, kept_nodes in zip(slots, sources, cands.tolist(), kept.tolist()):
+            negatives[slot] = NegativeSample(
+                nodes=tuple(nodes), source=source, kept=tuple(kept_nodes)
+            )
+    if failures:
+        raise SamplingError(failures[min(failures)])
     return HyperlinkDataset(
         positives=h.edges,
         negatives=tuple(negatives),
@@ -166,27 +174,66 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     )
 
 
-def pool_candidates(features: np.ndarray, candidates) -> np.ndarray:
-    """Mean-pool feature rows for each candidate node set."""
-    pooled = np.empty((len(candidates), features.shape[1]))
-    for i, members in enumerate(candidates):
-        if len(members) == 0:
-            raise DomainError(f"candidate {i} is empty")
-        idx = np.sort(np.fromiter(members, dtype=np.int64))  # canonical order: score
-        if idx[0] < 0 or idx[-1] >= features.shape[0]:  # depends on the set, not its listing
-            raise BoundsError(f"candidate {i} references a node outside the feature matrix")
-        pooled[i] = features[idx].mean(axis=0)
-    return pooled
+def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
+    """One corruption of every row of ``rows`` (sorted edges of one size).
 
-
-def deep_set_score(params: MlpParams, features: np.ndarray, members) -> float:
-    """Existence logit of a candidate hyperedge: MLP of the mean row.
-
-    Mean pooling makes the score invariant to member order by
-    construction.
+    Returns the sorted kept members and the sorted candidates.  The kept
+    members are a uniform ``keep``-subset (the first columns of a random
+    permutation per row).  The i-th replacement is a rank in the
+    complement of the edge and the earlier replacements, drawn from
+    [0, n - |e| - i) and shifted past each excluded value in ascending
+    order, so the replacements are distinct, outside the edge, and
+    uniform without replacement.
     """
-    pooled = pool_candidates(features, [tuple(members)])
-    return float(mlp_forward(params, pooled)[0, 0])
+    count, size = rows.shape
+    pick = rng.random((count, size)).argsort(axis=1)[:, :keep]
+    kept = np.sort(np.take_along_axis(rows, pick, axis=1), axis=1)
+    ranks = np.empty((count, size - keep), dtype=np.int64)
+    for i in range(size - keep):
+        v = rng.integers(0, n - size - i, size=count)
+        for earlier in np.sort(ranks[:, :i], axis=1).T:
+            v += v >= earlier
+        ranks[:, i] = v
+    for member in rows.T:  # complement rank -> node id, past the sorted edge
+        ranks += ranks >= member[:, None]
+    return kept, np.sort(np.concatenate([kept, ranks], axis=1), axis=1)
+
+
+def _collides(cands: np.ndarray, positive_set: set) -> np.ndarray:
+    return np.fromiter(
+        (c in positive_set for c in map(tuple, cands.tolist())), dtype=bool, count=len(cands)
+    )
+
+
+def pool_candidates(features: np.ndarray, candidates) -> np.ndarray:
+    """Mean-pool feature rows for each candidate node set.
+
+    One sparse product: row i of the candidate-incidence matrix holds a
+    one per member of candidate i, then each sum is divided by its
+    member count.  Columns are sorted within a row, so each row adds its
+    feature rows in ascending node order and the result depends on the
+    set, not on how it is listed.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    counts = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
+    members = np.fromiter(
+        itertools.chain.from_iterable(candidates), dtype=np.int64, count=int(counts.sum())
+    )
+    owner = np.repeat(np.arange(len(counts)), counts)
+    outside = np.zeros(len(counts), dtype=bool)
+    outside[owner[(members < 0) | (members >= x.shape[0])]] = True
+    bad = np.flatnonzero((counts == 0) | outside)
+    if bad.size:
+        i = int(bad[0])
+        if counts[i] == 0:
+            raise DomainError(f"candidate {i} is empty")
+        raise BoundsError(f"candidate {i} references a node outside the feature matrix")
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    incidence = sp.csr_matrix(
+        (np.ones(members.size), members, indptr), shape=(len(counts), x.shape[0])
+    )
+    incidence.sort_indices()
+    return (incidence @ x) / counts[:, None]
 
 
 def auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
@@ -199,18 +246,23 @@ def auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
     neg = np.asarray(scores_neg, dtype=np.float64).ravel()
     if pos.size == 0 or neg.size == 0:
         raise DomainError("AUC needs at least one score on each side")
-    ranks = rankdata(np.concatenate([pos, neg]))
-    rank_sum = float(ranks[: pos.size].sum())
+    scores = np.concatenate([pos, neg])
+    if np.isnan(scores).any():
+        raise NumericalError("AUC is undefined for NaN scores")
+    rank_sum = float(_midranks(scores)[: pos.size].sum())
     return (rank_sum - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
 
 
-def relative_time(t_f: float, t_s: float) -> float:
-    """Runtime of a baseline relative to ours: r = t_f / t_s."""
-    if t_s <= 0.0:
-        raise DomainError(f"reference time must be positive, got {t_s}")
-    if t_f < 0.0:
-        raise DomainError(f"compared time must be nonnegative, got {t_f}")
-    return t_f / t_s
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks where tied values share the mean of their positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.ones(values.size, dtype=bool)  # True where a tie group begins
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    dense = np.empty(values.size, dtype=np.int64)
+    dense[order] = np.cumsum(starts)
+    count = np.append(np.flatnonzero(starts), values.size)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 @dataclass(frozen=True)
@@ -220,7 +272,11 @@ class Metrics:
     accuracy: float | None
     auc: float | None
     train_seconds: float
-    relative_time: float = 1.0
+
+
+def _require_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"non-finite {what}; the head diverged or its inputs overflow")
 
 
 def _epoch_seconds_excluding_warmup(epoch_times: list[float]) -> float:
@@ -238,7 +294,8 @@ def train_node_classifier(
     ties) and reports that snapshot's test accuracy.  Test labels are
     read only after the loop; the loop sees train labels (loss) and
     val labels (selection).  Reported seconds exclude the first epoch,
-    which absorbs one-time allocation noise.
+    which absorbs one-time allocation noise.  A non-finite loss or
+    logits raise NumericalError instead of steering the selection.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = labels.labels
@@ -256,19 +313,22 @@ def train_node_classifier(
     state = AdamState.like(params)
     best_val, best_params = -1.0, params.copy()
     epoch_times: list[float] = []
-    for _epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         tic = time.perf_counter()
         logits, fwd = mlp_forward(params, x, dropout=cfg.dropout, train=True, rng=rng, cache=True)
-        _, grad = softmax_cross_entropy(logits, y, split.train)
+        loss, grad = softmax_cross_entropy(logits, y, split.train)
+        _require_finite(loss, f"training loss at epoch {epoch}")
         grads_w, grads_b = mlp_backward(params, fwd, grad)
         adam_step(params, grads_w, grads_b, state, cfg)
         val_logits = mlp_forward(params, x[split.val])
+        _require_finite(val_logits, f"validation logits at epoch {epoch}")
         val_acc = float(np.mean(val_logits.argmax(axis=1) == y[split.val]))
         epoch_times.append(time.perf_counter() - tic)
         if val_acc > best_val:
             best_val = val_acc
             best_params = params.copy()
     test_logits = mlp_forward(best_params, x[split.test])
+    _require_finite(test_logits, "test logits")
     test_acc = float(np.mean(test_logits.argmax(axis=1) == y[split.test]))
     metrics = Metrics(
         accuracy=test_acc,
@@ -306,7 +366,8 @@ def train_hyperlink_predictor(
     Selection is by validation AUC; test AUC is computed once, after
     the loop.  Raises if ``features`` were not propagated over the
     adjacency built from exactly the train+val positives (test edges
-    must not leak into message passing).
+    must not leak into message passing), and NumericalError on a
+    non-finite loss or scores.
     """
     for part in (split.train, split.val, split.test):
         if part.size == 0:
@@ -329,21 +390,24 @@ def train_hyperlink_predictor(
     state = AdamState.like(params)
     best_val, best_params = -1.0, params.copy()
     epoch_times: list[float] = []
-    for _epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         tic = time.perf_counter()
         logits, fwd = mlp_forward(
             params, pooled_train, dropout=cfg.dropout, train=True, rng=rng, cache=True
         )
-        _, grad = sigmoid_bce(logits, train_t)
+        loss, grad = sigmoid_bce(logits, train_t)
+        _require_finite(loss, f"training loss at epoch {epoch}")
         grads_w, grads_b = mlp_backward(params, fwd, grad.reshape(logits.shape))
         adam_step(params, grads_w, grads_b, state, cfg)
         val_scores = mlp_forward(params, pooled_val).ravel()
+        _require_finite(val_scores, f"validation scores at epoch {epoch}")
         val_auc = auc(val_scores[val_t == 1.0], val_scores[val_t == 0.0])
         epoch_times.append(time.perf_counter() - tic)
         if val_auc > best_val:
             best_val = val_auc
             best_params = params.copy()
     test_scores = mlp_forward(best_params, pooled_test).ravel()
+    _require_finite(test_scores, "test scores")
     test_auc = auc(test_scores[test_t == 1.0], test_scores[test_t == 0.0])
     metrics = Metrics(
         accuracy=None,

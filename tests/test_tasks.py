@@ -1,22 +1,31 @@
-"""Tests for splits, negative sampling, scoring, AUC, and the trainers."""
+"""Tests for splits, negative sampling, pooling, AUC, and the trainers."""
+
+import collections
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from hyperprop.core import Hypergraph, LabelVector
-from hyperprop.errors import BoundsError, ContractViolation, DomainError, SamplingError
+from hyperprop.errors import (
+    BoundsError,
+    ContractViolation,
+    DomainError,
+    NumericalError,
+    SamplingError,
+)
 from hyperprop.expansion import normalize_with_self_loops, weighted_clique_expansion
-from hyperprop.nn import MlpParams, TrainConfig, init_mlp, mlp_forward
+from hyperprop.nn import TrainConfig
 from hyperprop.propagation import PropagationConfig, propagate
 from hyperprop.synthetic import PlantedConfig, generate
 from hyperprop.tasks import (
     Split,
+    _midranks,
     auc,
-    deep_set_score,
     make_split,
     negative_sample,
     pool_candidates,
-    relative_time,
     train_hyperlink_predictor,
     train_node_classifier,
 )
@@ -55,6 +64,22 @@ class TestMakeSplit:
     def test_split_rejects_overlap(self):
         with pytest.raises(DomainError):
             Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]), seed=0)
+
+
+# 0.999 quantiles of the chi-square distribution, by degrees of freedom
+CHI2_999 = {2: 13.816, 5: 20.515, 8: 26.124}
+
+
+def valid_corruptions(h, edge, alpha):
+    """Every candidate with round(alpha |e|) members of ``edge`` and the
+    rest outside it, minus the real hyperedges."""
+    keep = round(alpha * len(edge))
+    outside = sorted(set(range(h.n)) - set(edge))
+    support = set()
+    for kept in itertools.combinations(edge, keep):
+        for drawn in itertools.combinations(outside, len(edge) - keep):
+            support.add(tuple(sorted(kept + drawn)))
+    return sorted(support - set(h.edges))
 
 
 class TestNegativeSample:
@@ -117,6 +142,43 @@ class TestNegativeSample:
         with pytest.raises(SamplingError, match="hyperedge 0"):
             negative_sample(h, alpha=0.5, beta=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "edges, n, alpha",
+        [
+            ([(0, 1, 2), (2, 3)], 5, 0.5),  # one kept subset and one draw each
+            ([(0, 1), (0, 2), (1, 2, 3)], 4, 0.5),  # a third of the outcomes collide
+            ([(1, 3), (2, 5)], 7, 0.0),  # two draws without replacement
+        ],
+    )
+    def test_uniform_over_valid_corruptions(self, edges, n, alpha):
+        """Each source's fakes are uniform over every corruption that is
+        not a real hyperedge, enumerated exhaustively."""
+        h = Hypergraph.from_edges(edges, n=n)
+        beta = 3000
+        data = negative_sample(h, alpha, beta, seed=11)
+        assert [neg.source for neg in data.negatives] == np.repeat(np.arange(h.m), beta).tolist()
+        for source, edge in enumerate(h.edges):
+            support = valid_corruptions(h, edge, alpha)
+            counts = collections.Counter(
+                neg.nodes for neg in data.negatives if neg.source == source
+            )
+            assert set(counts) <= set(support)
+            observed = np.array([counts[c] for c in support], dtype=float)
+            expected = beta / len(support)
+            statistic = float(((observed - expected) ** 2 / expected).sum())
+            assert statistic < CHI2_999[len(support) - 1], (source, statistic)
+
+    def test_lowest_failing_hyperedge_is_named(self):
+        # every corruption of a 3-node edge of K4 is another real edge, and
+        # the 4-node edge lacks replacement nodes; size 3 is sampled first
+        triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        h = Hypergraph.from_edges([(0, 1), *triangles, (0, 1, 2, 3)], n=4)
+        with pytest.raises(SamplingError, match="hyperedge 1: no collision-free"):
+            negative_sample(h, alpha=0.5, beta=2, seed=0)
+        h = Hypergraph.from_edges([(0, 1, 2, 3), *triangles], n=4)
+        with pytest.raises(SamplingError, match="hyperedge 0: only 0 replacement nodes for 2"):
+            negative_sample(h, alpha=0.5, beta=2, seed=0)
+
     def test_parameter_domains(self):
         h = Hypergraph.from_edges([(0, 1)], n=4)
         with pytest.raises(DomainError):
@@ -125,29 +187,41 @@ class TestNegativeSample:
             negative_sample(h, alpha=0.5, beta=0, seed=0)
 
 
-class TestDeepSetScore:
-    def test_equals_mlp_of_mean_row(self):
+def pool_reference(features, candidates):
+    """Per-candidate loop: mean of the member rows in ascending node order."""
+    pooled = np.empty((len(candidates), features.shape[1]))
+    for i, members in enumerate(candidates):
+        pooled[i] = features[np.sort(np.array(members, dtype=np.int64))].mean(axis=0)
+    return pooled
+
+
+class TestPoolCandidates:
+    def test_equals_per_candidate_loop(self):
         rng = np.random.default_rng(2)
-        params = init_mlp([3, 8, 1], rng)
-        x = rng.standard_normal((10, 3))
-        members = (1, 4, 7)
-        want = float(mlp_forward(params, x[list(members)].mean(axis=0, keepdims=True))[0, 0])
-        np.testing.assert_allclose(deep_set_score(params, x, members), want, rtol=1e-12)
+        x = rng.standard_normal((30, 5))
+        cands = [
+            tuple(rng.choice(30, size=int(rng.integers(1, 12)), replace=False).tolist())
+            for _ in range(200)
+        ]
+        assert np.array_equal(pool_candidates(x, cands), pool_reference(x, cands))
+        assert pool_candidates(x, []).shape == (0, 5)
 
     def test_invariant_to_member_order(self):
         rng = np.random.default_rng(3)
-        params = init_mlp([4, 6, 1], rng)
         x = rng.standard_normal((12, 4))
-        a = deep_set_score(params, x, (2, 5, 9, 0))
-        b = deep_set_score(params, x, (0, 9, 5, 2))
-        assert a == b
+        pooled = pool_candidates(x, [(2, 5, 9, 0), (0, 9, 5, 2)])
+        assert np.array_equal(pooled[0], pooled[1])
 
     def test_pool_candidates_validation(self):
         x = np.zeros((3, 2))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="candidate 0 is empty"):
             pool_candidates(x, [()])
-        with pytest.raises(BoundsError):
+        with pytest.raises(BoundsError, match="candidate 0"):
             pool_candidates(x, [(0, 5)])
+        with pytest.raises(BoundsError, match="candidate 1"):
+            pool_candidates(x, [(0, 1), (-1, 2), ()])
+        with pytest.raises(DomainError, match="candidate 1 is empty"):
+            pool_candidates(x, [(0, 1), (), (0, 3)])
 
 
 class TestAuc:
@@ -177,17 +251,24 @@ class TestAuc:
         with pytest.raises(DomainError):
             auc([], [1.0])
 
+    def test_nan_scores_rejected(self):
+        with pytest.raises(NumericalError):
+            auc([0.5, np.nan], [0.1])
 
-class TestRelativeTime:
-    def test_ratio(self):
-        assert relative_time(2.0, 1.0) == 2.0
-        assert relative_time(0.5, 2.0) == 0.25
+    def test_midranks_equal_scipy_rankdata(self):
+        from scipy.stats import rankdata
 
-    def test_domains(self):
-        with pytest.raises(DomainError):
-            relative_time(1.0, 0.0)
-        with pytest.raises(DomainError):
-            relative_time(-1.0, 2.0)
+        rng = np.random.default_rng(7)
+        for case in range(200):
+            size = int(rng.integers(1, 300))
+            if case % 2 == 0:  # a handful of distinct values: heavy ties
+                values = rng.integers(0, int(rng.integers(1, 6)), size=size).astype(float)
+            else:
+                values = np.round(rng.standard_normal(size), 1)
+            values[rng.random(size) < 0.05] = np.inf
+            got, want = _midranks(values), rankdata(values, method="average")
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 def planted_case(seed=0, n=200, noise=0.4):
@@ -213,7 +294,6 @@ class TestTrainNodeClassifier:
         assert metrics.accuracy is not None and metrics.accuracy >= 0.9
         assert metrics.auc is None
         assert metrics.train_seconds >= 0.0
-        assert metrics.relative_time == 1.0
 
     def test_seed_determinism(self):
         px, y, split = self.make_inputs()
@@ -253,6 +333,15 @@ class TestTrainNodeClassifier:
             _, metrics = train_node_classifier(x, y, split, cfg)
             accs.append(metrics.accuracy)
         assert abs(np.mean(accs) - 0.5) <= 0.1
+
+    def test_overflowing_features_raise_numerical_error(self):
+        px, y, split = self.make_inputs()
+        huge = np.full_like(px, 1e308)
+        cfg = TrainConfig(learning_rate=0.01, epochs=5, hidden_dims=(16,), seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match="non-finite"
+        ):
+            train_node_classifier(huge, y, split, cfg)
 
     def test_rejects_unlabeled_and_empty_parts(self):
         px, y, split = self.make_inputs()
@@ -303,6 +392,15 @@ class TestTrainHyperlinkPredictor:
         _, a = train_hyperlink_predictor(pf, data, split, cfg)
         _, b = train_hyperlink_predictor(pf, data, split, cfg)
         assert a.auc == b.auc
+
+    def test_overflowing_features_raise_numerical_error(self):
+        _, _, pf, data, split = self.make_inputs()
+        huge = dataclasses.replace(pf, matrix=np.full_like(pf.matrix, 1e308))
+        cfg = TrainConfig(learning_rate=0.01, epochs=5, hidden_dims=(16,), seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match="non-finite"
+        ):
+            train_hyperlink_predictor(huge, data, split, cfg)
 
     def test_negatives_follow_their_source_split(self):
         h, _, pf, data, split = self.make_inputs()
