@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,19 +96,25 @@ def adjacency_fingerprint(a: SparseAdjacency) -> str:
     mat = a.matrix
     hasher = hashlib.sha256()
     hasher.update(struct.pack("<QQ", *mat.shape))
-    hasher.update(np.asarray(mat.indptr, dtype=np.int64).tobytes())
-    hasher.update(np.asarray(mat.indices, dtype=np.int64).tobytes())
-    hasher.update(np.asarray(mat.data, dtype=np.float64).tobytes())
+    hasher.update(np.ascontiguousarray(mat.indptr, dtype=np.int64))
+    hasher.update(np.ascontiguousarray(mat.indices, dtype=np.int64))
+    hasher.update(np.ascontiguousarray(mat.data, dtype=np.float64))
     return hasher.hexdigest()
 
 
-def _provenance(x: np.ndarray, adj_hash: str, cfg: PropagationConfig) -> str:
+def _feature_hasher(x: np.ndarray) -> hashlib._Hash:
+    """sha256 state after the shape and raw bytes of ``x``, the first
+    part of the provenance digest."""
     hasher = hashlib.sha256()
     hasher.update(struct.pack("<QQ", *x.shape))
-    hasher.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
-    hasher.update(bytes.fromhex(adj_hash))
-    hasher.update(struct.pack("<Qd", cfg.layers, cfg.alpha))
-    return hasher.hexdigest()
+    hasher.update(np.ascontiguousarray(x, dtype=np.float64))
+    return hasher
+
+
+def _provenance(feature_hasher: hashlib._Hash, adj_hash: str, cfg: PropagationConfig) -> str:
+    feature_hasher.update(bytes.fromhex(adj_hash))
+    feature_hasher.update(struct.pack("<Qd", cfg.layers, cfg.alpha))
+    return feature_hasher.hexdigest()
 
 
 def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) -> PropagatedFeatures:
@@ -115,7 +122,11 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
 
     Z^0 = X,  Z^l = (1 - alpha) A~ Z^{l-1} + alpha X;  the result Z^L
     equals S @ X exactly (same polynomial, Horner-style evaluation).
-    Cost is L sparse-dense products; S itself is never formed.
+    Cost is L sparse-dense products; S itself is never formed.  The
+    update runs in place on each product, so a step allocates one
+    n x d array and the result is bit-identical to the expression above.
+    The features are hashed for the provenance on a worker thread while
+    the products run; both release the GIL.
     """
     _require_normalized(atilde)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -125,14 +136,23 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
         )
     if not np.all(np.isfinite(x)):
         raise DomainError("features contain non-finite entries")
-    z = x.copy()
-    for _ in range(cfg.layers):
-        z = (1.0 - cfg.alpha) * (atilde.matrix @ z) + cfg.alpha * x
-    adj_hash = adjacency_fingerprint(atilde)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        feature_hasher = pool.submit(_feature_hasher, x)
+        if cfg.layers == 0:
+            z = x.copy()
+        else:
+            anchor = cfg.alpha * x
+            z = x
+            for _ in range(cfg.layers):
+                z = atilde.matrix @ z
+                z *= 1.0 - cfg.alpha
+                z += anchor
+        adj_hash = adjacency_fingerprint(atilde)
+        provenance = _provenance(feature_hasher.result(), adj_hash, cfg)
     return PropagatedFeatures(
         matrix=z,
         config=cfg,
-        provenance=_provenance(x, adj_hash, cfg),
+        provenance=provenance,
         adjacency_hash=adj_hash,
     )
 
@@ -233,7 +253,7 @@ def save_propagated(path: str | Path, pf: PropagatedFeatures) -> None:
     with Path(path).open("wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQ", mat.shape[0], mat.shape[1]))
-        fh.write(mat.tobytes())
+        fh.write(mat)  # buffer protocol: the row-major bytes, no copy
         fh.write(bytes.fromhex(pf.provenance))
         fh.write(bytes.fromhex(pf.adjacency_hash))
         fh.write(struct.pack("<Qd", pf.config.layers, pf.config.alpha))

@@ -140,6 +140,34 @@ class TestProvenance:
         d = propagate(atilde, x + 1.0, cfg)
         assert d.provenance != a.provenance
 
+    def test_digests_follow_the_documented_byte_layout(self):
+        # sha256 over the shape, the raw bytes of x (a transposed view, so
+        # the digest sees its C-order copy), the adjacency digest and the
+        # config; the adjacency digest uses int64 indptr/indices.
+        import hashlib
+        import struct
+
+        rng = np.random.default_rng(8)
+        _, atilde = random_atilde(rng)
+        x = rng.standard_normal((4, atilde.n)).T
+        cfg = PropagationConfig(layers=2, alpha=0.3)
+        pf = propagate(atilde, x, cfg)
+        mat = atilde.matrix
+        adj = hashlib.sha256(
+            struct.pack("<QQ", *mat.shape)
+            + mat.indptr.astype(np.int64).tobytes()
+            + mat.indices.astype(np.int64).tobytes()
+            + mat.data.astype(np.float64).tobytes()
+        ).hexdigest()
+        assert pf.adjacency_hash == adj
+        prov = hashlib.sha256(
+            struct.pack("<QQ", *x.shape)
+            + np.ascontiguousarray(x).tobytes()
+            + bytes.fromhex(adj)
+            + struct.pack("<Qd", 2, 0.3)
+        ).hexdigest()
+        assert pf.provenance == prov
+
 
 class TestMaterializeOperator:
     def test_row_sums_behave_like_convex_mix(self):
@@ -258,6 +286,16 @@ class TestSerialization:
         assert again.config == pf.config
         assert again.provenance == pf.provenance
         assert again.adjacency_hash == pf.adjacency_hash
+
+    def test_round_trip_of_zero_width_features(self, tmp_path):
+        from hyperprop.propagation import save_propagated
+
+        pf = propagate(TWO_NODE, np.ones((2, 0)), PropagationConfig(layers=1, alpha=0.3))
+        path = tmp_path / "f.tfhn"
+        save_propagated(path, pf)
+        again = load_propagated(path)
+        assert again.matrix.shape == (2, 0)
+        assert again.provenance == pf.provenance
 
     def test_header_layout(self, tmp_path):
         pf = propagate(TWO_NODE, np.ones((2, 3)), PropagationConfig(layers=1, alpha=0.3))
