@@ -229,26 +229,43 @@ def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainC
 
     Weight decay subtracts lr * wd * param directly (biases included),
     independent of the moment estimates.  Mutates params/state in place
-    and returns them.
+    and returns them.  Each parameter is updated through two scratch
+    buffers, in the operation order of
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        p -= lr (m / corr1) / (sqrt(v / corr2) + eps);  p -= lr wd p
+
+    so the result is bit-identical to evaluating those expressions.
     """
     state.step += 1
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
+    decay = cfg.learning_rate * cfg.weight_decay
     for p, g, m, v in zip(
         params.weights + params.biases,
         list(grads_w) + list(grads_b),
         state.m_weights + state.m_biases,
         state.v_weights + state.v_biases,
     ):
+        update, denom = np.empty_like(p), np.empty_like(p)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(1.0 - b1, g, out=update)
+        m += update
         v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / corr1) / (np.sqrt(v / corr2) + eps)
-        p -= cfg.learning_rate * update
+        np.multiply(1.0 - b2, g, out=update)
+        update *= g
+        v += update
+        np.divide(v, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, corr1, out=update)
+        update /= denom
+        update *= cfg.learning_rate
+        p -= update
         if cfg.weight_decay > 0.0:
-            p -= cfg.learning_rate * cfg.weight_decay * p
+            np.multiply(decay, p, out=update)
+            p -= update
     return params, state
 
 

@@ -13,6 +13,7 @@ alpha X produces exactly S @ X in L sparse products.  The dense path
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,6 +49,10 @@ __all__ = [
 DENSE_CAP = 2000
 
 _MAGIC = b"TFHN"
+_HEADER_BYTES = 4 + 16  # magic, u64 rows, u64 cols
+_FOOTER_BYTES = 32 + 32 + 16  # provenance, adjacency hash, u64 layers + f64 alpha
+
+_BLOCK_BYTES = 4 << 20  # row block of the anchor term in `propagate`
 
 
 @dataclass(frozen=True)
@@ -117,16 +122,28 @@ def _provenance(feature_hasher: hashlib._Hash, adj_hash: str, cfg: PropagationCo
     return feature_hasher.hexdigest()
 
 
+def _add_scaled(z: np.ndarray, alpha: float, x: np.ndarray) -> None:
+    """z += alpha * x, elementwise as written, through one scratch block
+    of about _BLOCK_BYTES instead of a whole n x d product."""
+    rows = max(1, _BLOCK_BYTES // max(1, x.itemsize * x.shape[1]))
+    scratch = np.empty((min(rows, x.shape[0]), x.shape[1]))
+    for start in range(0, x.shape[0], rows):
+        block = scratch[: min(rows, x.shape[0] - start)]
+        np.multiply(alpha, x[start : start + rows], out=block)
+        z[start : start + rows] += block
+
+
 def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) -> PropagatedFeatures:
     """Apply the propagation polynomial to ``x`` via the L-step recurrence.
 
     Z^0 = X,  Z^l = (1 - alpha) A~ Z^{l-1} + alpha X;  the result Z^L
     equals S @ X exactly (same polynomial, Horner-style evaluation).
     Cost is L sparse-dense products; S itself is never formed.  The
-    update runs in place on each product, so a step allocates one
-    n x d array and the result is bit-identical to the expression above.
-    The features are hashed for the provenance on a worker thread while
-    the products run; both release the GIL.
+    update runs in place on each product, and alpha X is formed a row
+    block at a time, so a step allocates one n x d array and the result
+    is bit-identical to the expression above.  The features are hashed
+    for the provenance on a worker thread while the products run; both
+    release the GIL.
     """
     _require_normalized(atilde)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -141,12 +158,11 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
         if cfg.layers == 0:
             z = x.copy()
         else:
-            anchor = cfg.alpha * x
             z = x
             for _ in range(cfg.layers):
                 z = atilde.matrix @ z
                 z *= 1.0 - cfg.alpha
-                z += anchor
+                _add_scaled(z, cfg.alpha, x)
         adj_hash = adjacency_fingerprint(atilde)
         provenance = _provenance(feature_hasher.result(), adj_hash, cfg)
     return PropagatedFeatures(
@@ -260,25 +276,44 @@ def save_propagated(path: str | Path, pf: PropagatedFeatures) -> None:
 
 
 def load_propagated(path: str | Path) -> PropagatedFeatures:
+    """Inverse of `save_propagated`.  The file size is checked against
+    the header's shape before the matrix is allocated, and the payload
+    is read straight into it, so loading holds one copy of the matrix."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != _MAGIC:
-        raise ParseError(f"{path.name}: bad magic {blob[:4]!r}")
-    rows, cols = struct.unpack_from("<QQ", blob, 4)
-    offset = 4 + 16
-    nbytes = rows * cols * 8
-    expected = offset + nbytes + 32 + 32 + 16
-    if len(blob) != expected:
-        raise ParseError(f"{path.name}: file is {len(blob)} bytes, expected {expected}")
-    mat = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
-    mat = mat.reshape(rows, cols).copy()
-    offset += nbytes
-    provenance = blob[offset : offset + 32].hex()
-    adjacency_hash = blob[offset + 32 : offset + 64].hex()
-    layers, alpha = struct.unpack_from("<Qd", blob, offset + 64)
+    with path.open("rb") as fh:
+        header = fh.read(_HEADER_BYTES)
+        if header[:4] != _MAGIC:
+            raise ParseError(f"{path.name}: bad magic {header[:4]!r}")
+        size = os.fstat(fh.fileno()).st_size
+        if len(header) != _HEADER_BYTES:
+            raise ParseError(
+                f"{path.name}: file is {size} bytes, shorter than the {_HEADER_BYTES}-byte header"
+            )
+        rows, cols = struct.unpack_from("<QQ", header, 4)
+        expected = _HEADER_BYTES + rows * cols * 8 + _FOOTER_BYTES
+        if size != expected:
+            raise ParseError(f"{path.name}: file is {size} bytes, expected {expected}")
+        mat = np.empty((rows, cols), dtype="<f8")
+        _read_exactly(fh, mat.reshape(-1).view(np.uint8), path)
+        footer = bytearray(_FOOTER_BYTES)
+        _read_exactly(fh, footer, path)
+    provenance = footer[:32].hex()
+    adjacency_hash = footer[32:64].hex()
+    layers, alpha = struct.unpack_from("<Qd", footer, 64)
     return PropagatedFeatures(
         matrix=mat,
         config=PropagationConfig(layers=layers, alpha=alpha),
         provenance=provenance,
         adjacency_hash=adjacency_hash,
     )
+
+
+def _read_exactly(fh, buffer, path: Path) -> None:
+    """Fill ``buffer`` from ``fh``; a file that ends first is a ParseError."""
+    view = memoryview(buffer)
+    filled = 0
+    while filled < len(view):
+        got = fh.readinto(view[filled:])
+        if not got:
+            raise ParseError(f"{path.name}: file ended {len(view) - filled} bytes early")
+        filled += got

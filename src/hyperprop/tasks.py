@@ -291,11 +291,14 @@ def train_node_classifier(
     """Full-batch training of the classification head.
 
     Selects the epoch with the best validation accuracy (earliest on
-    ties) and reports that snapshot's test accuracy.  Test labels are
-    read only after the loop; the loop sees train labels (loss) and
-    val labels (selection).  Reported seconds exclude the first epoch,
-    which absorbs one-time allocation noise.  A non-finite loss or
-    logits raise NumericalError instead of steering the selection.
+    ties) and reports that snapshot's test accuracy.  Each epoch runs
+    the forward pass, loss, dropout masks and backward pass on the
+    train rows alone, and a forward pass on the val rows for selection;
+    both are gathered once, before the loop.  Test rows are read only
+    after the loop, and unlabeled rows never.  Reported seconds exclude
+    the first epoch, which absorbs one-time allocation noise.  A
+    non-finite loss or logits raise NumericalError instead of steering
+    the selection.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = labels.labels
@@ -308,6 +311,9 @@ def train_node_classifier(
             raise BoundsError("split references a row outside the feature matrix")
         if np.any(y[part] == -1):
             raise DomainError("split contains unlabeled nodes")
+    x_train, y_train = x[split.train], y[split.train]
+    x_val, y_val = x[split.val], y[split.val]
+    every_train_row = np.arange(len(y_train))
     rng = np.random.default_rng(cfg.seed)
     params = init_mlp([x.shape[1], *cfg.hidden_dims, labels.num_classes], rng)
     state = AdamState.like(params)
@@ -315,18 +321,21 @@ def train_node_classifier(
     epoch_times: list[float] = []
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        logits, fwd = mlp_forward(params, x, dropout=cfg.dropout, train=True, rng=rng, cache=True)
-        loss, grad = softmax_cross_entropy(logits, y, split.train)
+        logits, fwd = mlp_forward(
+            params, x_train, dropout=cfg.dropout, train=True, rng=rng, cache=True
+        )
+        loss, grad = softmax_cross_entropy(logits, y_train, every_train_row)
         _require_finite(loss, f"training loss at epoch {epoch}")
         grads_w, grads_b = mlp_backward(params, fwd, grad)
         adam_step(params, grads_w, grads_b, state, cfg)
-        val_logits = mlp_forward(params, x[split.val])
+        val_logits = mlp_forward(params, x_val)
         _require_finite(val_logits, f"validation logits at epoch {epoch}")
-        val_acc = float(np.mean(val_logits.argmax(axis=1) == y[split.val]))
+        val_acc = float(np.mean(val_logits.argmax(axis=1) == y_val))
         epoch_times.append(time.perf_counter() - tic)
         if val_acc > best_val:
             best_val = val_acc
             best_params = params.copy()
+    del x_train, x_val, fwd  # free the loop's gathers before the test gather
     test_logits = mlp_forward(best_params, x[split.test])
     _require_finite(test_logits, "test logits")
     test_acc = float(np.mean(test_logits.argmax(axis=1) == y[split.test]))

@@ -21,6 +21,20 @@ from hyperprop.nn import (
 from oracles import finite_difference_grads
 
 
+def adam_textbook_step(p, g, m, v, step, cfg):
+    """One Adam update of one parameter, written as plain expressions
+    with temporaries; `adam_step` must match it bit for bit."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + cfg.adam_eps)
+    p -= cfg.learning_rate * update
+    if cfg.weight_decay > 0.0:
+        p -= cfg.learning_rate * cfg.weight_decay * p
+
+
 def tiny_params():
     # [2 -> 2 -> 1] with fixed weights for hand-checkable outputs
     return MlpParams(
@@ -249,6 +263,29 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             p -= lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
         np.testing.assert_allclose(params.weights[0], [[p]], rtol=1e-12)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_bit_identical_to_textbook_expressions(self, weight_decay):
+        rng = np.random.default_rng(11)
+        params = init_mlp([37, 9, 3], rng)
+        want = params.copy()
+        state = AdamState.like(params)
+        want_m = [np.zeros_like(p) for p in want.weights + want.biases]
+        want_v = [np.zeros_like(p) for p in want.weights + want.biases]
+        cfg = TrainConfig(learning_rate=0.03, epochs=1, weight_decay=weight_decay)
+        for step in range(1, 8):
+            grads_w = [rng.standard_normal(w.shape) for w in params.weights]
+            grads_b = [rng.standard_normal(b.shape) for b in params.biases]
+            adam_step(params, grads_w, grads_b, state, cfg)
+            for p, g, m, v in zip(want.weights + want.biases, grads_w + grads_b, want_m, want_v):
+                adam_textbook_step(p, g, m, v, step, cfg)
+        assert state.step == 7
+        for got, ref in zip(params.weights + params.biases, want.weights + want.biases):
+            assert np.array_equal(got, ref)
+        for got, ref in zip(state.m_weights + state.m_biases, want_m):
+            assert np.array_equal(got, ref)
+        for got, ref in zip(state.v_weights + state.v_biases, want_v):
+            assert np.array_equal(got, ref)
 
     def test_config_domains(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,9 @@
 """Tests for the propagation operator, its recurrence, and its limits."""
 
+import io
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -109,6 +113,28 @@ class TestPropagateRecurrence:
         combo = propagate(atilde, 2.0 * x - 0.5 * y, cfg).matrix
         parts = 2.0 * propagate(atilde, x, cfg).matrix - 0.5 * propagate(atilde, y, cfg).matrix
         np.testing.assert_allclose(combo, parts, rtol=1e-10, atol=1e-12)
+
+    def test_bit_identical_to_the_literal_recurrence(self):
+        """The blockwise anchor term changes no bit: the features span
+        several row blocks, the last one partial."""
+        from hyperprop.propagation import _BLOCK_BYTES
+
+        rng = np.random.default_rng(7)
+        n, d = 1500, 1000
+        block_rows = _BLOCK_BYTES // (8 * d)
+        assert n > 2 * block_rows and n % block_rows != 0
+        edges = {tuple(sorted(rng.choice(n, size=int(rng.integers(2, 6)), replace=False)))
+                 for _ in range(900)}
+        atilde = normalize_with_self_loops(
+            weighted_clique_expansion(Hypergraph.from_edges(sorted(edges), n=n))
+        )
+        x = rng.standard_normal((n, d))
+        for layers, alpha in ((1, 0.3), (3, 0.15)):
+            z = x
+            for _ in range(layers):
+                z = (1.0 - alpha) * (atilde.matrix @ z) + alpha * x
+            got = propagate(atilde, x, PropagationConfig(layers=layers, alpha=alpha)).matrix
+            assert np.array_equal(got, z)
 
     def test_requires_normalized_operator(self):
         h = Hypergraph.from_edges([(0, 1)])
@@ -317,6 +343,30 @@ class TestSerialization:
         from hyperprop.propagation import save_propagated
 
         save_propagated(path, pf)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ParseError):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4])
+        with pytest.raises(ParseError, match="expected"):
             load_propagated(path)
+        path.write_bytes(blob + b"\x00")  # trailing bytes
+        with pytest.raises(ParseError, match="expected"):
+            load_propagated(path)
+        path.write_bytes(blob[:12])  # magic, then half a header
+        with pytest.raises(ParseError, match="header"):
+            load_propagated(path)
+
+    def test_huge_claimed_shape_is_a_parse_error_not_an_allocation(self, tmp_path):
+        """The size check runs before the matrix is allocated, so a
+        corrupt header cannot ask for 2**40 rows."""
+        path = tmp_path / "f.tfhn"
+        path.write_bytes(b"TFHN" + struct.pack("<QQ", 2**40, 3703) + b"\x00" * 80)
+        with pytest.raises(ParseError, match="expected"):
+            load_propagated(path)
+
+    def test_short_read_is_a_parse_error(self):
+        from hyperprop.propagation import _read_exactly
+
+        buffer = bytearray(8)
+        _read_exactly(io.BytesIO(bytes(range(8))), buffer, Path("f.tfhn"))
+        assert buffer == bytes(range(8))
+        with pytest.raises(ParseError, match="3 bytes early"):
+            _read_exactly(io.BytesIO(b"12345"), bytearray(8), Path("f.tfhn"))

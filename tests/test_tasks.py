@@ -16,7 +16,15 @@ from hyperprop.errors import (
     SamplingError,
 )
 from hyperprop.expansion import normalize_with_self_loops, weighted_clique_expansion
-from hyperprop.nn import TrainConfig
+from hyperprop.nn import (
+    AdamState,
+    TrainConfig,
+    adam_step,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+    softmax_cross_entropy,
+)
 from hyperprop.propagation import PropagationConfig, propagate
 from hyperprop.synthetic import PlantedConfig, generate
 from hyperprop.tasks import (
@@ -279,6 +287,37 @@ def planted_case(seed=0, n=200, noise=0.4):
     return generate(cfg)
 
 
+def reference_node_classifier(x, labels, split, cfg, all_rows):
+    """The classification head's training loop, written out.
+
+    With ``all_rows`` the forward and backward passes run over every row
+    and the loss is masked to the train rows; otherwise they run over
+    the gathered train rows.  Selection and the test metric are as in
+    `train_node_classifier`.
+    """
+    y = labels.labels
+    rng = np.random.default_rng(cfg.seed)
+    params = init_mlp([x.shape[1], *cfg.hidden_dims, labels.num_classes], rng)
+    state = AdamState.like(params)
+    if all_rows:
+        inputs, targets, loss_rows = x, y, split.train
+    else:
+        inputs, targets, loss_rows = x[split.train], y[split.train], np.arange(len(split.train))
+    best_val, best = -1.0, params.copy()
+    for _ in range(cfg.epochs):
+        logits, fwd = mlp_forward(
+            params, inputs, dropout=cfg.dropout, train=True, rng=rng, cache=True
+        )
+        _, grad = softmax_cross_entropy(logits, targets, loss_rows)
+        grads_w, grads_b = mlp_backward(params, fwd, grad)
+        adam_step(params, grads_w, grads_b, state, cfg)
+        val_acc = float(np.mean(mlp_forward(params, x[split.val]).argmax(axis=1) == y[split.val]))
+        if val_acc > best_val:
+            best_val, best = val_acc, params.copy()
+    test_logits = mlp_forward(best, x[split.test])
+    return best, float(np.mean(test_logits.argmax(axis=1) == y[split.test]))
+
+
 class TestTrainNodeClassifier:
     def make_inputs(self, seed=0):
         h, x, y = planted_case(seed)
@@ -317,6 +356,58 @@ class TestTrainNodeClassifier:
         )
         for wa, wb in zip(params_a.weights, params_b.weights):
             np.testing.assert_array_equal(wa, wb)
+
+    def test_matches_full_row_reference_without_dropout(self):
+        """Training on the gathered train rows is the full-row, masked-loss
+        loop up to the grouping of the first-layer gradient sum."""
+        px, y, split = self.make_inputs()
+        cfg = TrainConfig(learning_rate=0.01, epochs=40, hidden_dims=(16,), seed=3)
+        params, metrics = train_node_classifier(px, y, split, cfg)
+        want, want_acc = reference_node_classifier(px, y, split, cfg, all_rows=True)
+        assert metrics.accuracy == want_acc
+        for got, ref in zip(params.weights + params.biases, want.weights + want.biases):
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+
+    def test_dropout_masks_cover_train_rows_and_are_seed_determined(self):
+        px, y, split = self.make_inputs()
+        cfg = TrainConfig(learning_rate=0.01, epochs=30, dropout=0.4, hidden_dims=(16,), seed=5)
+        params_a, metrics_a = train_node_classifier(px, y, split, cfg)
+        params_b, metrics_b = train_node_classifier(px, y, split, cfg)
+        want, want_acc = reference_node_classifier(px, y, split, cfg, all_rows=False)
+        assert metrics_a.accuracy == metrics_b.accuracy == want_acc
+        for a, b, ref in zip(
+            params_a.weights + params_a.biases,
+            params_b.weights + params_b.biases,
+            want.weights + want.biases,
+        ):
+            assert np.array_equal(a, b) and np.array_equal(a, ref)
+        other, _ = train_node_classifier(px, y, split, dataclasses.replace(cfg, seed=6))
+        assert not np.array_equal(other.weights[0], params_a.weights[0])
+
+    def test_test_and_unlabeled_features_do_not_influence_training(self):
+        """The twin of the label check above: scrambling the feature rows
+        of the test part (finite noise, since test logits are checked)
+        and of unlabeled nodes (NaN, never read) leaves the selected
+        model bit-identical."""
+        px, y, _ = self.make_inputs()
+        labels = y.labels.copy()
+        unlabeled = np.arange(0, len(labels), 7)
+        labels[unlabeled] = -1
+        y = LabelVector(labels=labels, num_classes=y.num_classes)
+        labeled = np.flatnonzero(labels != -1)
+        idx = make_split(len(labeled), 2)
+        split = Split(
+            train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test], seed=2
+        )
+        cfg = TrainConfig(learning_rate=0.01, epochs=30, hidden_dims=(16,), seed=2)
+        params_a, _ = train_node_classifier(px, y, split, cfg)
+        scrambled = px.copy()
+        rng = np.random.default_rng(9)
+        scrambled[split.test] = 1e3 * rng.standard_normal((len(split.test), px.shape[1]))
+        scrambled[unlabeled] = np.nan
+        params_b, _ = train_node_classifier(scrambled, y, split, cfg)
+        for a, b in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
+            assert np.array_equal(a, b)
 
     def test_chance_level_on_permuted_labels(self):
         """With labels shuffled independently of features, test accuracy
