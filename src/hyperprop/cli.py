@@ -2,9 +2,10 @@
 
 Four commands: ``generate`` (synthetic dataset), ``precompute``
 (propagate features once, to disk), ``train`` (task head over seeds,
-JSONL metrics), and ``verify`` (randomized self-checks).  Settings
-come from a strict JSON config; the few repeated knobs (seed, output
-dir, task) can be overridden by flags, which win over the file.
+JSONL metrics), and ``verify`` (randomized self-checks).  The first
+three read their settings from a strict JSON config; the few repeated
+knobs (seed, output dir, task) can be overridden by flags, which win
+over the file.  ``verify`` takes only ``--cases`` and ``--seed``.
 
 Exit codes: 0 success, 1 usage, 2 bad data or config, 3 verification
 failure.
@@ -335,7 +336,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_all(cases=args.cases, seed=args.seed if args.seed is not None else 0)
+    reports = run_all(cases=args.cases, seed=args.seed)
     for report in reports:
         print(report.line())
     return 0 if all(r.passed for r in reports) else 3
@@ -354,20 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("generate", "write a planted-partition dataset"),
         ("precompute", "propagate features once and store them"),
         ("train", "train the task head over seeds"),
-        ("verify", "run randomized structural self-checks"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--seed", type=int, help="override the config's seed list")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--task", choices=("nc", "hp"), help="override the task")
-        p.add_argument(
-            "--inline-precompute",
-            action="store_true",
-            help="propagate in-process instead of reading a precomputed file",
-        )
-        if name == "verify":
-            p.add_argument("--cases", type=int, default=50, help="random cases per suite")
+        if name == "train":
+            p.add_argument(
+                "--inline-precompute",
+                action="store_true",
+                help="propagate in-process instead of reading a precomputed file",
+            )
+    p = sub.add_parser("verify", help="run randomized structural self-checks")
+    p.add_argument("--cases", type=int, default=50, help="random cases per suite")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random cases")
     return parser
 
 

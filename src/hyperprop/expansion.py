@@ -56,9 +56,10 @@ class SparseAdjacency:
         return self.matrix.shape[0]
 
 
-def _scaled_incidence(h: Hypergraph, row_scale: np.ndarray, col_scale: np.ndarray) -> sp.csr_matrix:
-    """diag(row_scale) @ H @ diag(col_scale) without forming diagonals."""
-    b = incidence_matrix(h).tocoo()
+def _scaled_incidence(b: sp.csr_matrix, row_scale: np.ndarray, col_scale: np.ndarray) -> sp.csr_matrix:
+    """diag(row_scale) @ B @ diag(col_scale) without forming diagonals,
+    for an incidence matrix B the caller has already built."""
+    b = b.tocoo()
     data = b.data * (row_scale[b.row] * col_scale[b.col])
     return sp.csr_matrix((data, (b.row, b.col)), shape=b.shape)
 
@@ -71,7 +72,7 @@ def weighted_clique_expansion(h: Hypergraph) -> SparseAdjacency:
     normalization step owns the (single) self-loop.
     """
     deg = degrees(h)
-    b = _scaled_incidence(h, np.ones(h.n), 1.0 / np.sqrt(deg.edge))
+    b = _scaled_incidence(incidence_matrix(h), np.ones(h.n), 1.0 / np.sqrt(deg.edge))
     w = (b @ b.T).tocsr()
     w.setdiag(0.0)
     w.eliminate_zeros()
@@ -86,7 +87,7 @@ def _unignn_base(h: Hypergraph) -> sp.csr_matrix:
     deg_sums = np.asarray(b.T @ deg.node).ravel()  # sum of node degrees per edge
     dtilde = deg_sums / deg.edge
     dtilde[dtilde == 0.0] = 1.0  # empty hyperedge: keep the factor finite
-    left = _scaled_incidence(h, 1.0 / np.sqrt(deg.node), 1.0 / (np.sqrt(dtilde) * deg.edge))
+    left = _scaled_incidence(b, 1.0 / np.sqrt(deg.node), 1.0 / (np.sqrt(dtilde) * deg.edge))
     return (left @ b.T).tocsr()
 
 
@@ -106,7 +107,7 @@ def unignn_expansion(h: Hypergraph, gamma: float) -> SparseAdjacency:
 
 def _deephgnn_base(h: Hypergraph) -> sp.csr_matrix:
     deg = degrees(h)
-    b = _scaled_incidence(h, 1.0 / np.sqrt(deg.node), 1.0 / np.sqrt(deg.edge))
+    b = _scaled_incidence(incidence_matrix(h), 1.0 / np.sqrt(deg.node), 1.0 / np.sqrt(deg.edge))
     return (b @ b.T).tocsr()
 
 
@@ -131,7 +132,7 @@ def star_norm_expansion(h: Hypergraph) -> SparseAdjacency:
     """
     deg = degrees(h)
     b = incidence_matrix(h)
-    left = _scaled_incidence(h, 1.0 / deg.node, 1.0 / deg.edge)
+    left = _scaled_incidence(b, 1.0 / deg.node, 1.0 / deg.edge)
     return SparseAdjacency(matrix=(left @ b.T).tocsr(), symmetric=False)
 
 

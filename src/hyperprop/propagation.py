@@ -182,18 +182,19 @@ def materialize_operator(
         raise ResourceLimitError(
             f"dense operator for n={atilde.n} exceeds cap {cap}"
         )
-    n = atilde.n
-    a = atilde.matrix.toarray()
-    alpha = cfg.alpha
+    return _dense_polynomial(atilde.matrix.toarray(), cfg.alpha, cfg.layers)
+
+
+def _dense_polynomial(w: np.ndarray, alpha: float, layers: int) -> np.ndarray:
+    """(1-a)^L W^L + a * sum_{l<L} (1-a)^l W^l for any dense square W,
+    evaluated term by term in increasing powers."""
+    n = w.shape[0]
+    s = np.zeros((n, n))
     power = np.eye(n)
-    s = alpha * np.eye(n) if cfg.layers > 0 else np.eye(n)
-    for l in range(1, cfg.layers):
-        power = power @ a
-        s = s + alpha * (1.0 - alpha) ** l * power
-    if cfg.layers > 0:
-        power = power @ a
-        s = s + (1.0 - alpha) ** cfg.layers * power
-    return s
+    for l in range(layers):
+        s += alpha * (1.0 - alpha) ** l * power
+        power = power @ w
+    return s + (1.0 - alpha) ** layers * power
 
 
 def operator_support(s: np.ndarray, tol: float = 0.0) -> set[tuple[int, int]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +42,9 @@ class ModelKind(str, Enum):
 class LinearizedModelSpec:
     """Which reference model to emulate, at what depth and residual weight.
 
-    ``gamma`` lives in [0, 1); AllDeepSets has no residual term, so its
-    gamma must be 0.
+    ``kind`` may be given by its string value; it is stored as a
+    ``ModelKind``.  ``gamma`` lives in [0, 1); AllDeepSets has no
+    residual term, so its gamma must be 0.
     """
 
     kind: ModelKind
@@ -50,6 +52,10 @@ class LinearizedModelSpec:
     gamma: float = 0.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", ModelKind(self.kind))
+        except ValueError:
+            raise DomainError(f"unknown model kind {self.kind!r}") from None
         if self.layers < 0:
             raise DomainError(f"layers must be nonnegative, got {self.layers}")
         if not 0.0 <= self.gamma < 1.0:
@@ -58,13 +64,24 @@ class LinearizedModelSpec:
             raise DomainError("AllDeepSets has no residual connection; gamma must be 0")
 
 
+@lru_cache(maxsize=len(ModelKind))
 def _base_matrix(kind: ModelKind, h: Hypergraph) -> SparseAdjacency:
-    """The model's expansion with the (1 - gamma) prefactor divided out."""
+    """The model's expansion with the (1 - gamma) prefactor divided out.
+
+    It depends on neither depth nor gamma, so the last len(ModelKind)
+    builds are memoised by (kind, hypergraph) and shared by every spec.
+    Its arrays are read-only: a caller that writes to one gets a
+    ValueError instead of changing later results.
+    """
     if kind is ModelKind.UNIGCNII:
-        return SparseAdjacency(matrix=_unignn_base(h), symmetric=False)
-    if kind is ModelKind.DEEPHGNN:
-        return SparseAdjacency(matrix=_deephgnn_base(h), symmetric=True)
-    return star_norm_expansion(h)  # AllDeepSets and ED-HNN share it
+        w = SparseAdjacency(matrix=_unignn_base(h), symmetric=False)
+    elif kind is ModelKind.DEEPHGNN:
+        w = SparseAdjacency(matrix=_deephgnn_base(h), symmetric=True)
+    else:
+        w = star_norm_expansion(h)  # AllDeepSets and ED-HNN share it
+    for array in (w.matrix.data, w.matrix.indices, w.matrix.indptr):
+        array.flags.writeable = False
+    return w
 
 
 def run_linearized(spec: LinearizedModelSpec, h: Hypergraph, x: np.ndarray) -> np.ndarray:
@@ -92,6 +109,6 @@ def unified_equivalent(spec: LinearizedModelSpec, h: Hypergraph) -> tuple[Sparse
 
     All residual weight is carried by alpha (the returned matrix has
     the (1 - gamma) prefactor divided out); AllDeepSets maps to
-    alpha = 0.
+    alpha = 0.  The matrix is the shared, read-only base operator.
     """
     return _base_matrix(spec.kind, h), spec.gamma

@@ -25,6 +25,7 @@ from .core import Hypergraph, khop_neighbours
 from .expansion import normalize_with_self_loops, weighted_clique_expansion
 from .propagation import (
     PropagationConfig,
+    _dense_polynomial,
     closed_form_limit,
     energy,
     materialize_operator,
@@ -85,17 +86,6 @@ def _rel_frobenius(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.linalg.norm(got - want)) / max(denom, 1e-300)
 
 
-def _unified_polynomial(w: np.ndarray, alpha: float, layers: int) -> np.ndarray:
-    """(1-a)^L W^L + a * sum_{l<L} (1-a)^l W^l, evaluated term by term."""
-    n = w.shape[0]
-    s = np.zeros((n, n))
-    power = np.eye(n)
-    for l in range(layers):
-        s += alpha * (1.0 - alpha) ** l * power
-        power = power @ w
-    return s + (1.0 - alpha) ** layers * power
-
-
 def check_unification(
     cases: int = 50,
     seed: int = 0,
@@ -116,7 +106,7 @@ def check_unification(
                     spec = LinearizedModelSpec(kind=kind, layers=layers, gamma=g)
                     got = run_linearized(spec, h, x)
                     w, alpha = unified_equivalent(spec, h)
-                    want = _unified_polynomial(w.matrix.toarray(), alpha, layers) @ x
+                    want = _dense_polynomial(w.matrix.toarray(), alpha, layers) @ x
                     err = _rel_frobenius(got, want)
                     worst = max(worst, err)
                     if err > tol:

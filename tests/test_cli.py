@@ -56,6 +56,21 @@ class TestUsageAndConfigErrors:
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["train", "--frobnicate"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--config", "x"],
+            ["verify", "--out", "x"],
+            ["verify", "--task", "nc"],
+            ["verify", "--inline-precompute"],
+            ["precompute", "--inline-precompute"],
+            ["generate", "--inline-precompute"],
+            ["train", "--cases", "3"],
+        ],
+    )
+    def test_flag_of_another_command_is_usage_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hyperprop.core import Hypergraph
+from hyperprop.core import Hypergraph, degrees, incidence_matrix
 from hyperprop.errors import ContractViolation, DomainError
 from hyperprop.expansion import (
     SparseAdjacency,
+    _deephgnn_base,
+    _unignn_base,
     deephgnn_expansion,
     normalize_with_self_loops,
     star_norm_expansion,
@@ -235,3 +237,65 @@ class TestSparseAdjacency:
             SparseAdjacency(sp.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]])), symmetric=False)
         with pytest.raises(DomainError):
             SparseAdjacency(sp.csr_matrix(np.array([[0.0, np.inf], [1.0, 0.0]])), symmetric=False)
+
+
+def _scaled_incidence_rebuilt(h, row_scale, col_scale):
+    """The former helper, which built the incidence again from ``h``."""
+    b = incidence_matrix(h).tocoo()
+    data = b.data * (row_scale[b.row] * col_scale[b.col])
+    return sp.csr_matrix((data, (b.row, b.col)), shape=b.shape)
+
+
+def clique_rebuilt(h):
+    deg = degrees(h)
+    b = _scaled_incidence_rebuilt(h, np.ones(h.n), 1.0 / np.sqrt(deg.edge))
+    w = (b @ b.T).tocsr()
+    w.setdiag(0.0)
+    w.eliminate_zeros()
+    return SparseAdjacency(matrix=w, symmetric=True).matrix
+
+
+def unignn_rebuilt(h):
+    deg = degrees(h)
+    b = incidence_matrix(h)
+    dtilde = np.asarray(b.T @ deg.node).ravel() / deg.edge
+    dtilde[dtilde == 0.0] = 1.0
+    left = _scaled_incidence_rebuilt(h, 1.0 / np.sqrt(deg.node), 1.0 / (np.sqrt(dtilde) * deg.edge))
+    return (left @ b.T).tocsr()
+
+
+def deephgnn_rebuilt(h):
+    deg = degrees(h)
+    b = _scaled_incidence_rebuilt(h, 1.0 / np.sqrt(deg.node), 1.0 / np.sqrt(deg.edge))
+    return (b @ b.T).tocsr()
+
+
+def star_rebuilt(h):
+    deg = degrees(h)
+    left = _scaled_incidence_rebuilt(h, 1.0 / deg.node, 1.0 / deg.edge)
+    return SparseAdjacency(matrix=(left @ incidence_matrix(h).T).tocsr(), symmetric=False).matrix
+
+
+class TestOneIncidenceBuild:
+    """Each builder builds the incidence once and hands it to the scaling
+    step; the CSR arrays equal those of the former route, which built it
+    a second time, bit for bit."""
+
+    BUILDERS = [
+        (lambda h: weighted_clique_expansion(h).matrix, clique_rebuilt),
+        (_unignn_base, unignn_rebuilt),
+        (_deephgnn_base, deephgnn_rebuilt),
+        (lambda h: star_norm_expansion(h).matrix, star_rebuilt),
+    ]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_csr_arrays_unchanged(self, index):
+        build, rebuilt = self.BUILDERS[index]
+        rng = np.random.default_rng(40 + index)
+        cases = [TWO_EDGES, Hypergraph.from_edges([(0, 1), (), (1, 2, 3)], n=6)]
+        cases += [random_h(rng) for _ in range(25)]
+        for h in cases:
+            got, want = build(h), rebuilt(h)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -19,10 +19,12 @@ from hyperprop.errors import (
 from hyperprop.expansion import (
     SparseAdjacency,
     normalize_with_self_loops,
+    star_norm_expansion,
     weighted_clique_expansion,
 )
 from hyperprop.propagation import (
     PropagationConfig,
+    _dense_polynomial,
     closed_form_limit,
     energy,
     load_propagated,
@@ -220,6 +222,45 @@ class TestMaterializeOperator:
                 got = operator_support(s, tol=0.0)
                 want = {(i, j) for i in range(h.n) for j in khop_neighbours(h, i, layers)}
                 assert got == want
+
+    def test_bit_identical_to_both_former_evaluators(self):
+        """The one dense evaluator equals, bit for bit, the loop that
+        materialize_operator ran before and the one verify ran on a raw
+        reference base."""
+
+        def former_materialize(a, alpha, layers):
+            n = a.shape[0]
+            power = np.eye(n)
+            s = alpha * np.eye(n) if layers > 0 else np.eye(n)
+            for l in range(1, layers):
+                power = power @ a
+                s = s + alpha * (1.0 - alpha) ** l * power
+            if layers > 0:
+                power = power @ a
+                s = s + (1.0 - alpha) ** layers * power
+            return s
+
+        def former_unified(w, alpha, layers):
+            n = w.shape[0]
+            s = np.zeros((n, n))
+            power = np.eye(n)
+            for l in range(layers):
+                s += alpha * (1.0 - alpha) ** l * power
+                power = power @ w
+            return s + (1.0 - alpha) ** layers * power
+
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            h, atilde = random_atilde(rng)
+            a = atilde.matrix.toarray()
+            raw = star_norm_expansion(h).matrix.toarray()
+            for layers in range(6):
+                for alpha in (0.0, 0.1, 0.3, 0.7):
+                    got = materialize_operator(atilde, PropagationConfig(layers, alpha))
+                    assert np.array_equal(got, former_materialize(a, alpha, layers))
+                    assert np.array_equal(
+                        _dense_polynomial(raw, alpha, layers), former_unified(raw, alpha, layers)
+                    )
 
     def test_operator_support_validation(self):
         with pytest.raises(DimensionError):

@@ -10,12 +10,19 @@ import pytest
 
 from hyperprop.core import Hypergraph
 from hyperprop.errors import DomainError
+from hyperprop.expansion import (
+    SparseAdjacency,
+    _deephgnn_base,
+    _unignn_base,
+    star_norm_expansion,
+)
 from hyperprop.reference import (
     LinearizedModelSpec,
     ModelKind,
     run_linearized,
     unified_equivalent,
 )
+from hyperprop.verify import PropertyReport, check_unification, random_hypergraph
 
 from oracles import (
     deephgnn_entrywise,
@@ -42,7 +49,53 @@ def entrywise_matrix(kind: ModelKind, h, gamma: float) -> np.ndarray:
     return star_entrywise(h)
 
 
+def fresh_base(kind: ModelKind, h):
+    """The model's base operator, built anew on every call."""
+    if kind is ModelKind.UNIGCNII:
+        return SparseAdjacency(matrix=_unignn_base(h), symmetric=False).matrix
+    if kind is ModelKind.DEEPHGNN:
+        return SparseAdjacency(matrix=_deephgnn_base(h), symmetric=True).matrix
+    return star_norm_expansion(h).matrix
+
+
+def uncached_unification(cases, seed, depths=(1, 2, 3, 4, 5), gammas=(0.1, 0.3, 0.5), tol=1e-9):
+    """check_unification as it ran before the memo: the base operator is
+    rebuilt for every (kind, depth, gamma), and the recursion and the
+    dense polynomial are spelled out here."""
+    rng = np.random.default_rng(seed)
+    failures, worst = 0, 0.0
+    for _ in range(cases):
+        h = random_hypergraph(rng)
+        x = rng.standard_normal((h.n, 5))
+        for kind in ModelKind:
+            for layers in depths:
+                for gamma in gammas:
+                    g = 0.0 if kind is ModelKind.ALLDEEPSETS else gamma
+                    w = fresh_base(kind, h)
+                    got = x.copy()
+                    for _ in range(layers):
+                        got = (1.0 - g) * (w @ got) + g * x
+                    wd = fresh_base(kind, h).toarray()
+                    s = np.zeros(wd.shape)
+                    power = np.eye(h.n)
+                    for l in range(layers):
+                        s += g * (1.0 - g) ** l * power
+                        power = power @ wd
+                    want = (s + (1.0 - g) ** layers * power) @ x
+                    err = float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-300)
+                    worst = max(worst, err)
+                    if err > tol:
+                        failures += 1
+    return PropertyReport("unification", cases, failures, worst)
+
+
 class TestModelSpec:
+    def test_kind_given_as_string_is_coerced(self):
+        spec = LinearizedModelSpec(kind="unigcnii", layers=1, gamma=0.2)
+        assert spec.kind is ModelKind.UNIGCNII
+        with pytest.raises(DomainError):
+            LinearizedModelSpec(kind="gcn", layers=1)
+
     def test_gamma_domain(self):
         with pytest.raises(DomainError):
             LinearizedModelSpec(kind=ModelKind.EDHNN, layers=2, gamma=1.0)
@@ -148,3 +201,47 @@ class TestUnifiedEquivalent:
                         got = run_linearized(spec, h, x)
                         rel = np.linalg.norm(got - s @ x) / max(np.linalg.norm(s @ x), 1e-300)
                         assert rel <= 1e-9
+
+
+class TestBaseOperatorMemo:
+    """Each base operator is built once per (kind, hypergraph) and shared
+    by every depth and gamma; sharing must change no result."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_check_unification_equals_uncached_loop(self, seed):
+        report = check_unification(cases=5, seed=seed)
+        assert report == uncached_unification(cases=5, seed=seed)
+        assert report.passed and report.worst > 0.0
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_returned_operator_is_read_only(self, kind):
+        h = Hypergraph.from_edges([(0, 1, 2), (1, 3), (2, 3, 4)])
+        spec = LinearizedModelSpec(kind=kind, layers=2)
+        w, _ = unified_equivalent(spec, h)
+        for name in ("data", "indices", "indptr"):
+            with pytest.raises(ValueError):
+                getattr(w.matrix, name)[0] = 5
+        with pytest.raises(ValueError):
+            w.matrix[0, 0] = 5.0
+        again, _ = unified_equivalent(spec, h)
+        assert np.array_equal(again.matrix.toarray(), fresh_base(kind, h).toarray())
+        x = np.arange(10.0).reshape(5, 2)
+        assert np.array_equal(run_linearized(spec, h, x), fresh_base(kind, h) @ (fresh_base(kind, h) @ x))
+
+    def test_each_hypergraph_gets_its_own_operator(self):
+        """Hypergraphs that share their edges but not n, or that come in
+        alternation, never see each other's operator."""
+        edges = [(0, 1, 2), (1, 2), (2, 3)]
+        rng = np.random.default_rng(5)
+        family = [Hypergraph.from_edges(edges, n=n) for n in (4, 5, 7)]
+        family += [random_hypergraph(rng) for _ in range(3)]
+        for _ in range(2):
+            for h in family + family[::-1]:
+                for kind in ModelKind:
+                    w, _ = unified_equivalent(LinearizedModelSpec(kind=kind, layers=1), h)
+                    want = fresh_base(kind, h)
+                    assert w.matrix.shape == (h.n, h.n)
+                    assert np.array_equal(w.matrix.toarray(), want.toarray())
+                    x = np.ones((h.n, 1))
+                    spec = LinearizedModelSpec(kind=kind, layers=1)
+                    assert np.array_equal(run_linearized(spec, h, x), want @ x)
