@@ -19,10 +19,8 @@ from .core import (
 )
 from .expansion import (
     SparseAdjacency,
-    deephgnn_expansion,
     normalize_with_self_loops,
     star_norm_expansion,
-    unignn_expansion,
     weighted_clique_expansion,
 )
 from .nn import AdamState, MlpParams, TrainConfig, adam_step, init_mlp, mlp_forward

@@ -27,10 +27,18 @@ from .core import Hypergraph, load_features, load_hypergraph, load_labels
 from .errors import ConfigError, HyperpropError
 from .expansion import normalize_with_self_loops, weighted_clique_expansion
 from .nn import TrainConfig
-from .propagation import PropagationConfig, load_propagated, propagate, save_propagated
+from .propagation import (
+    PropagatedFeatures,
+    PropagationConfig,
+    load_propagated,
+    propagate,
+    save_propagated,
+)
 from .synthetic import PlantedConfig, emit_dataset
 from .tasks import (
+    Metrics,
     Split,
+    _trainval_hypergraph,
     make_split,
     negative_sample,
     train_hyperlink_predictor,
@@ -40,14 +48,31 @@ from .verify import run_all
 
 __all__ = ["main"]
 
-_TOP_KEYS = {"dataset", "synthetic", "propagation", "train", "negative", "task", "seeds", "out_dir"}
-_DATASET_KEYS = {"name", "edges", "features", "labels", "propagated"}
-_SYNTHETIC_KEYS = {"n", "m", "classes", "size_min", "size_max", "p_in", "feature_dim", "feature_noise", "seed"}
-_PROPAGATION_KEYS = {"layers", "alpha"}
-_TRAIN_KEYS = {"learning_rate", "epochs", "dropout", "weight_decay", "hidden_dims"}
-_NEGATIVE_KEYS = {"alpha", "beta"}
+# Allowed keys of each config section, with the type each value must have:
+# float accepts any JSON number, list means a list of integers, and a
+# JSON boolean is never a number.
+_TOP_KEYS = {
+    "dataset": dict, "synthetic": dict, "propagation": dict, "train": dict,
+    "negative": dict, "task": str, "seeds": list, "out_dir": str,
+}
+_DATASET_KEYS = dict.fromkeys(("name", "edges", "features", "labels", "propagated"), str)
+_SYNTHETIC_KEYS = {
+    "n": int, "m": int, "classes": int, "size_min": int, "size_max": int,
+    "p_in": float, "feature_dim": int, "feature_noise": float, "seed": int,
+}
+_PROPAGATION_KEYS = {"layers": int, "alpha": float}
+_TRAIN_KEYS = {
+    "learning_rate": float, "epochs": int, "dropout": float, "weight_decay": float,
+    "hidden_dims": list,
+}
+_NEGATIVE_KEYS = {"alpha": float, "beta": int}
 
 _DEFAULT_SEEDS = {"nc": list(range(10)), "hp": list(range(5))}
+_METRIC = {"nc": "accuracy", "hp": "auc"}
+_KINDS = {
+    dict: "an object", str: "a string", int: "an integer", float: "a number",
+    list: "a list of integers",
+}
 
 
 @dataclass
@@ -90,10 +115,23 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _check_keys(section: str, mapping: dict, allowed: set[str]) -> None:
-    unknown = set(mapping) - allowed
+def _has_type(value: Any, want: type) -> bool:
+    if isinstance(value, bool):
+        return False
+    if want is float:
+        return isinstance(value, (int, float))
+    if want is list:
+        return isinstance(value, list) and all(_has_type(v, int) for v in value)
+    return isinstance(value, want)
+
+
+def _check_keys(section: str, mapping: dict, allowed: dict[str, type]) -> None:
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+    for key, value in mapping.items():
+        if not _has_type(value, allowed[key]):
+            raise ConfigError(f"{section}.{key} must be {_KINDS[allowed[key]]}, got {value!r}")
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -135,8 +173,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     seeds = raw.get("seeds", _DEFAULT_SEEDS[task])
     if getattr(args, "seed", None) is not None:
         seeds = [args.seed]
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError(f"seeds must be a nonempty list of integers, got {seeds!r}")
+    if not seeds:
+        raise ConfigError("seeds must be a nonempty list of integers, got []")
     out_dir = Path(raw.get("out_dir", "runs"))
     if getattr(args, "out", None):
         out_dir = Path(args.out)
@@ -196,14 +234,36 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
+def _propagate(h: Hypergraph, x, cfg: PropagationConfig) -> tuple[PropagatedFeatures, float]:
+    """Propagate ``x`` over the normalized clique expansion of ``h``;
+    also returns the seconds the expansion and propagation took."""
+    tic = time.perf_counter()
+    pf = propagate(normalize_with_self_loops(weighted_clique_expansion(h)), x, cfg)
+    return pf, time.perf_counter() - tic
+
+
+def _seed_record(cfg: RunConfig, seed: int, metrics: Metrics, preprocess_seconds: float) -> dict:
+    name = _METRIC[cfg.task]
+    return {
+        "payload": {
+            "dataset": _dataset_name(cfg),
+            "task": cfg.task,
+            "seed": seed,
+            "config_hash": cfg.hash(),
+            "metric": {name: getattr(metrics, name)},
+        },
+        "timing": {
+            "train_seconds": metrics.train_seconds,
+            "preprocess_seconds": preprocess_seconds,
+        },
+    }
+
+
 def cmd_precompute(cfg: RunConfig) -> int:
     paths = _require_paths(cfg, "edges", "features")
-    h = load_hypergraph(paths["edges"])
-    x = load_features(paths["features"])
-    tic = time.perf_counter()
-    atilde = normalize_with_self_loops(weighted_clique_expansion(h))
-    pf = propagate(atilde, x, cfg.propagation)
-    preprocess_seconds = time.perf_counter() - tic
+    pf, preprocess_seconds = _propagate(
+        load_hypergraph(paths["edges"]), load_features(paths["features"]), cfg.propagation
+    )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_file = cfg.out_dir / "propagated.tfhn"
     save_propagated(out_file, pf)
@@ -230,12 +290,9 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
     paths = _require_paths(cfg, "edges", "features", "labels")
     y = load_labels(paths["labels"])
     if cfg.inline_precompute:
-        h = load_hypergraph(paths["edges"])
-        x_raw = load_features(paths["features"])
-        tic = time.perf_counter()
-        atilde = normalize_with_self_loops(weighted_clique_expansion(h))
-        pf = propagate(atilde, x_raw, cfg.propagation)
-        preprocess_seconds = time.perf_counter() - tic
+        pf, preprocess_seconds = _propagate(
+            load_hypergraph(paths["edges"]), load_features(paths["features"]), cfg.propagation
+        )
     else:
         prop_paths = _require_paths(cfg, "propagated")
         pf = load_propagated(prop_paths["propagated"])
@@ -252,21 +309,7 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
             train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test], seed=seed
         )
         _, metrics = train_node_classifier(pf.matrix, y, split, cfg.train_config(seed))
-        records.append(
-            {
-                "payload": {
-                    "dataset": _dataset_name(cfg),
-                    "task": "nc",
-                    "seed": seed,
-                    "config_hash": cfg.hash(),
-                    "metric": {"accuracy": metrics.accuracy},
-                },
-                "timing": {
-                    "train_seconds": metrics.train_seconds,
-                    "preprocess_seconds": preprocess_seconds,
-                },
-            }
-        )
+        records.append(_seed_record(cfg, seed, metrics, preprocess_seconds))
     return records
 
 
@@ -278,34 +321,15 @@ def _train_hp(cfg: RunConfig) -> list[dict]:
     for seed in cfg.seeds:
         split = make_split(h.m, seed)
         data = negative_sample(h, cfg.negative["alpha"], cfg.negative["beta"], seed)
-        visible = sorted(set(split.train.tolist()) | set(split.val.tolist()))
-        sub = Hypergraph.from_edges([h.edges[i] for i in visible], n=h.n)
-        tic = time.perf_counter()
-        atilde = normalize_with_self_loops(weighted_clique_expansion(sub))
-        pf = propagate(atilde, x, cfg.propagation)
-        preprocess_seconds = time.perf_counter() - tic
+        pf, preprocess_seconds = _propagate(_trainval_hypergraph(data, split), x, cfg.propagation)
         _, metrics = train_hyperlink_predictor(pf, data, split, cfg.train_config(seed))
-        records.append(
-            {
-                "payload": {
-                    "dataset": _dataset_name(cfg),
-                    "task": "hp",
-                    "seed": seed,
-                    "config_hash": cfg.hash(),
-                    "metric": {"auc": metrics.auc},
-                },
-                "timing": {
-                    "train_seconds": metrics.train_seconds,
-                    "preprocess_seconds": preprocess_seconds,
-                },
-            }
-        )
+        records.append(_seed_record(cfg, seed, metrics, preprocess_seconds))
     return records
 
 
 def cmd_train(cfg: RunConfig) -> int:
     records = _train_nc(cfg) if cfg.task == "nc" else _train_hp(cfg)
-    metric_name = "accuracy" if cfg.task == "nc" else "auc"
+    metric_name = _METRIC[cfg.task]
     values = [r["payload"]["metric"][metric_name] for r in records]
     mean = statistics.mean(values)
     std = statistics.stdev(values) if len(values) > 1 else 0.0
@@ -342,6 +366,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -368,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="propagate in-process instead of reading a precomputed file",
             )
     p = sub.add_parser("verify", help="run randomized structural self-checks")
-    p.add_argument("--cases", type=int, default=50, help="random cases per suite")
+    p.add_argument("--cases", type=_positive_int, default=50, help="random cases per suite")
     p.add_argument("--seed", type=int, default=0, help="seed of the random cases")
     return parser
 

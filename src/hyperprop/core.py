@@ -186,32 +186,24 @@ class LabelVector:
 _HEADER_PREFIX = "#n="
 
 
-def load_hypergraph(path: str | Path, fmt: str = "edge-list") -> Hypergraph:
-    """Read a hypergraph from ``path``; only the edge-list format exists."""
-    if fmt != "edge-list":
-        raise DomainError(f"unknown hypergraph format {fmt!r}")
+def load_hypergraph(path: str | Path) -> Hypergraph:
+    """Read a hypergraph from an edge-list file at ``path``."""
     path = Path(path)
     edges: list[tuple[int, ...]] = []
     declared_n: int | None = None
     declared_m: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if lineno == 1 and line.startswith(_HEADER_PREFIX):
-                    declared_n, declared_m = _parse_header(line, lineno)
-                continue
-            members = []
-            for tok in line.split():
-                try:
-                    members.append(int(tok))
-                except ValueError:
-                    raise ParseError(
-                        f"{path.name}:{lineno}: malformed node id {tok!r}"
-                    ) from None
-            edges.append(tuple(members))
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            if lineno == 1 and line.startswith(_HEADER_PREFIX):
+                declared_n, declared_m = _parse_header(line, lineno)
+            continue
+        members = []
+        for tok in line.split():
+            try:
+                members.append(int(tok))
+            except ValueError:
+                raise ParseError(f"{path.name}:{lineno}: malformed node id {tok!r}") from None
+        edges.append(tuple(members))
     if declared_m is not None and declared_m != len(edges):
         raise ParseError(
             f"{path.name}: header declares m={declared_m} but file has {len(edges)} hyperedges"
@@ -220,6 +212,19 @@ def load_hypergraph(path: str | Path, fmt: str = "edge-list") -> Hypergraph:
         return Hypergraph.from_edges(edges, n=declared_n)
     except (BoundsError, DomainError) as exc:
         raise type(exc)(f"{path.name}: {exc}") from None
+
+
+def _text_lines(path: Path):
+    """(1-based line number, stripped line) for each nonblank line of a
+    UTF-8 text file; bytes that are not UTF-8 are a ParseError."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_header(line: str, lineno: int) -> tuple[int, int]:
@@ -245,12 +250,19 @@ def save_hypergraph(path: str | Path, h: Hypergraph) -> None:
 
 def load_features(path: str | Path) -> np.ndarray:
     """Load a dense feature matrix (``.npy``) as float64, checking finiteness."""
-    arr = np.load(Path(path))
+    path = Path(path)
+    try:
+        with path.open("rb") as fh:
+            arr = np.lib.format.read_array(fh)
+    except ValueError as exc:  # bad magic, short file, pickled objects
+        raise ParseError(f"{path.name}: not a readable .npy file: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ParseError(f"{path.name}: features must be real numbers, got dtype {arr.dtype}")
     if arr.ndim != 2:
-        raise DimensionError(f"{Path(path).name}: features must be 2-d, got {arr.ndim}-d")
+        raise DimensionError(f"{path.name}: features must be 2-d, got {arr.ndim}-d")
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{Path(path).name}: features contain non-finite entries")
+        raise DomainError(f"{path.name}: features contain non-finite entries")
     return arr
 
 
@@ -262,15 +274,13 @@ def load_labels(path: str | Path, num_classes: int | None = None) -> LabelVector
     """Read one integer label per line; -1 marks an unlabeled node."""
     path = Path(path)
     values: list[int] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ParseError(f"{path.name}:{lineno}: malformed label {line!r}") from None
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ParseError(f"{path.name}:{lineno}: malformed label {line!r}") from None
     labels = np.array(values, dtype=np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 1

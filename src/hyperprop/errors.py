@@ -37,13 +37,12 @@ class ContractViolation(HyperpropError):
 
 
 class ResourceLimitError(HyperpropError):
-    """A dense-path request exceeds the configured size cap."""
+    """A dense-path request exceeds the fixed size cap."""
 
 
 class NumericalError(HyperpropError):
-    """A computation went numerically wrong: an iterative solver missed its
-    tolerance (the message reports the residual), or training produced a
-    non-finite loss, logits or scores (the message names which)."""
+    """A computation went numerically wrong: training produced a non-finite
+    loss, logits or scores (the message names which)."""
 
 
 class SamplingError(HyperpropError):

@@ -19,8 +19,6 @@ from .errors import ContractViolation, DimensionError, DomainError
 __all__ = [
     "SparseAdjacency",
     "weighted_clique_expansion",
-    "unignn_expansion",
-    "deephgnn_expansion",
     "star_norm_expansion",
     "normalize_with_self_loops",
 ]
@@ -81,7 +79,8 @@ def weighted_clique_expansion(h: Hypergraph) -> SparseAdjacency:
 
 def _unignn_base(h: Hypergraph) -> sp.csr_matrix:
     # D_V^-1/2 H Dtilde_E^-1/2 D_E^-1 H^T where Dtilde_E[k] is the mean
-    # node degree inside hyperedge k.
+    # node degree inside hyperedge k.  Only the left side carries
+    # D_V^-1/2, so the result is not symmetric in general.
     deg = degrees(h)
     b = incidence_matrix(h)
     deg_sums = np.asarray(b.T @ deg.node).ravel()  # sum of node degrees per edge
@@ -91,36 +90,11 @@ def _unignn_base(h: Hypergraph) -> sp.csr_matrix:
     return (left @ b.T).tocsr()
 
 
-def unignn_expansion(h: Hypergraph, gamma: float) -> SparseAdjacency:
-    """Linearized UniGCNII message passing collapsed to one matrix.
-
-    Returns (1 - gamma) * D_V^-1/2 H Dtilde_E^-1/2 D_E^-1 H^T with
-    Dtilde_E[k] the average node degree over the members of hyperedge
-    k.  Only the left side carries D_V^-1/2, so the result is not
-    symmetric in general.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    w = _unignn_base(h)
-    return SparseAdjacency(matrix=w * (1.0 - gamma), symmetric=False)
-
-
 def _deephgnn_base(h: Hypergraph) -> sp.csr_matrix:
+    # D_V^-1/2 H D_E^-1 H^T D_V^-1/2, symmetric by construction.
     deg = degrees(h)
     b = _scaled_incidence(incidence_matrix(h), 1.0 / np.sqrt(deg.node), 1.0 / np.sqrt(deg.edge))
     return (b @ b.T).tocsr()
-
-
-def deephgnn_expansion(h: Hypergraph, gamma: float) -> SparseAdjacency:
-    """Linearized DeepHGNN propagation matrix.
-
-    Returns (1 - gamma) * D_V^-1/2 H D_E^-1 H^T D_V^-1/2, symmetric by
-    construction.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    w = _deephgnn_base(h)
-    return SparseAdjacency(matrix=w * (1.0 - gamma), symmetric=True)
 
 
 def star_norm_expansion(h: Hypergraph) -> SparseAdjacency:

@@ -9,13 +9,11 @@ an explicit generator, so training is bit-reproducible per seed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "MlpParams",
@@ -27,21 +25,20 @@ __all__ = [
     "softmax_cross_entropy",
     "sigmoid_bce",
     "adam_step",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class MlpParams:
-    """Weight/bias lists; layer i maps dims[i] -> dims[i+1]."""
+    """Weight/bias lists; layer i is weights[i], shaped (d_in, d_out), and biases[i]."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
 
     def copy(self) -> "MlpParams":
         return MlpParams(
@@ -60,9 +57,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     hidden_dims: tuple[int, ...] = (64,)
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -238,7 +232,7 @@ def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainC
     so the result is bit-identical to evaluating those expressions.
     """
     state.step += 1
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     decay = cfg.learning_rate * cfg.weight_decay
@@ -267,39 +261,3 @@ def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainC
             np.multiply(decay, p, out=update)
             p -= update
     return params, state
-
-
-_CKPT_MAGIC = b"MLPC"
-
-
-def save_checkpoint(path: str | Path, params: MlpParams) -> None:
-    """Layer dims then the f64 weight/bias payload, little-endian."""
-    dims = params.dims
-    with Path(path).open("wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Q", len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}Q", *dims))
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path: str | Path) -> MlpParams:
-    path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != _CKPT_MAGIC:
-        raise ParseError(f"{path.name}: bad magic {blob[:4]!r}")
-    (ndims,) = struct.unpack_from("<Q", blob, 4)
-    dims = struct.unpack_from(f"<{ndims}Q", blob, 12)
-    offset = 12 + 8 * ndims
-    weights, biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(blob, dtype="<f8", count=d_in * d_out, offset=offset)
-        offset += d_in * d_out * 8
-        b = np.frombuffer(blob, dtype="<f8", count=d_out, offset=offset)
-        offset += d_out * 8
-        weights.append(w.reshape(d_in, d_out).copy())
-        biases.append(b.copy())
-    if offset != len(blob):
-        raise ParseError(f"{path.name}: trailing bytes after payload")
-    return MlpParams(weights=weights, biases=biases)

@@ -20,14 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ContractViolation,
     DimensionError,
     DomainError,
-    NumericalError,
     ParseError,
     ResourceLimitError,
 )
@@ -173,16 +170,16 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
     )
 
 
-def materialize_operator(
-    atilde: SparseAdjacency, cfg: PropagationConfig, cap: int = DENSE_CAP
-) -> np.ndarray:
-    """Dense S for analysis; refuses n > cap to avoid O(n^2) surprises."""
+def materialize_operator(atilde: SparseAdjacency, cfg: PropagationConfig) -> np.ndarray:
+    """Dense S for analysis; refuses n > DENSE_CAP to avoid O(n^2) surprises."""
     _require_normalized(atilde)
-    if atilde.n > cap:
-        raise ResourceLimitError(
-            f"dense operator for n={atilde.n} exceeds cap {cap}"
-        )
+    _require_dense_size(atilde.n, "dense operator")
     return _dense_polynomial(atilde.matrix.toarray(), cfg.alpha, cfg.layers)
+
+
+def _require_dense_size(n: int, what: str) -> None:
+    if n > DENSE_CAP:
+        raise ResourceLimitError(f"{what} for n={n} exceeds cap {DENSE_CAP}")
 
 
 def _dense_polynomial(w: np.ndarray, alpha: float, layers: int) -> np.ndarray:
@@ -230,14 +227,12 @@ def energy(atilde: SparseAdjacency, x: np.ndarray, x0: np.ndarray, alpha: float)
     return smooth + alpha / (1.0 - alpha) * anchor
 
 
-def closed_form_limit(
-    atilde: SparseAdjacency, x0: np.ndarray, alpha: float, cap: int = DENSE_CAP
-) -> np.ndarray:
+def closed_form_limit(atilde: SparseAdjacency, x0: np.ndarray, alpha: float) -> np.ndarray:
     """Unique minimizer of the propagation objective.
 
     X* = alpha (I - (1-alpha) A~)^-1 X0; the system matrix is positive
     definite because A~ has unit spectral radius and alpha > 0.  Solved
-    densely up to ``cap`` nodes, by conjugate gradients above.
+    densely; refuses n > DENSE_CAP.
     """
     _require_normalized(atilde)
     if not 0.0 < alpha < 1.0:
@@ -245,22 +240,9 @@ def closed_form_limit(
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] != atilde.n:
         raise DimensionError(f"features must be ({atilde.n}, d), got {x0.shape}")
-    n = atilde.n
-    if n <= cap:
-        system = np.eye(n) - (1.0 - alpha) * atilde.matrix.toarray()
-        return np.linalg.solve(system, alpha * x0)
-    system = sp.identity(n, format="csr") - (1.0 - alpha) * atilde.matrix
-    out = np.empty_like(x0)
-    for j in range(x0.shape[1]):
-        b = alpha * x0[:, j]
-        col, info = spla.cg(system, b, rtol=1e-10, atol=0.0)
-        if info != 0:
-            residual = float(np.linalg.norm(system @ col - b))
-            raise NumericalError(
-                f"conjugate gradients stalled on column {j}, residual {residual:.3e}"
-            )
-        out[:, j] = col
-    return out
+    _require_dense_size(atilde.n, "closed-form limit")
+    system = np.eye(atilde.n) - (1.0 - alpha) * atilde.matrix.toarray()
+    return np.linalg.solve(system, alpha * x0)
 
 
 def save_propagated(path: str | Path, pf: PropagatedFeatures) -> None:

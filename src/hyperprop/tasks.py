@@ -73,19 +73,15 @@ class Split:
             raise DomainError("split parts must be pairwise disjoint")
 
 
-def make_split(size: int, seed: int, ratios=(0.5, 0.25, 0.25)) -> Split:
-    """Seeded shuffle, then contiguous train/val/test partition.
+def make_split(size: int, seed: int) -> Split:
+    """Seeded shuffle, then contiguous 50/25/25 train/val/test partition.
 
     Val and test sizes are floored; the remainder goes to train, so
     every index is used exactly once.
     """
     if size <= 0:
         raise DomainError(f"cannot split an empty universe (size={size})")
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DomainError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
-    n_val = int(np.floor(ratios[1] * size))
-    n_test = int(np.floor(ratios[2] * size))
+    n_val = n_test = size // 4
     n_train = size - n_val - n_test
     perm = np.random.default_rng(seed).permutation(size)
     return Split(
@@ -347,11 +343,17 @@ def train_node_classifier(
     return best_params, metrics
 
 
+def _trainval_hypergraph(data: HyperlinkDataset, split: Split) -> Hypergraph:
+    """The hypergraph the hyperlink pipeline's operator may see: the
+    train+val positives only, in ascending index order, over all n nodes."""
+    visible = sorted(set(split.train.tolist()) | set(split.val.tolist()))
+    return Hypergraph.from_edges([data.positives[i] for i in visible], n=data.n)
+
+
 def trainval_adjacency_hash(data: HyperlinkDataset, split: Split) -> str:
     """Fingerprint of the operator the hyperlink pipeline must use:
     clique expansion of the train+val positives only, normalized."""
-    visible = sorted(set(split.train.tolist()) | set(split.val.tolist()))
-    sub = Hypergraph.from_edges([data.positives[i] for i in visible], n=data.n)
+    sub = _trainval_hypergraph(data, split)
     return adjacency_fingerprint(normalize_with_self_loops(weighted_clique_expansion(sub)))
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line front end (run in-process via main())."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,12 @@ def workspace(tmp_path):
     return tmp_path, cfg_file
 
 
+def npy_bytes(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 def read_payloads(path: Path) -> list[str]:
     lines = path.read_text().splitlines()
     return [json.dumps(json.loads(line)["payload"], sort_keys=True) for line in lines]
@@ -71,6 +81,11 @@ class TestUsageAndConfigErrors:
     def test_flag_of_another_command_is_usage_error(self, argv, capsys):
         assert cli.main(argv) == 1
 
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_verify_cases_below_one_is_usage_error(self, cases, capsys):
+        assert cli.main(["verify", "--cases", cases]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
@@ -91,6 +106,42 @@ class TestUsageAndConfigErrors:
         file = tmp_path / "c.json"
         file.write_text("{not json")
         assert cli.main(["train", "--config", str(file)]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"propagation": {"layers": "2"}}, "propagation.layers", id="layers-str"),
+            pytest.param({"propagation": {"layers": 2.5}}, "propagation.layers", id="layers-float"),
+            pytest.param({"train": {"epochs": "5"}}, "train.epochs", id="epochs-str"),
+            pytest.param({"train": {"hidden_dims": 16}}, "train.hidden_dims", id="hidden_dims-int"),
+            pytest.param({"train": {"learning_rate": None}}, "train.learning_rate", id="lr-null"),
+            pytest.param({"negative": {"beta": 2.5}, "task": "hp"}, "negative.beta", id="beta-float"),
+            pytest.param({"dataset": "x"}, "config.dataset", id="dataset-str"),
+            pytest.param({"seeds": [True]}, "config.seeds", id="seeds-bool"),
+        ],
+    )
+    def test_wrongly_typed_value_is_config_error(self, tmp_path, capsys, overrides, key):
+        file = write_config(tmp_path, **overrides)
+        assert cli.main(["train", "--config", str(file)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, blob",
+        [
+            ("edges", b"0 1\n0 \xff 2\n"),
+            ("features", b"not a .npy file\n"),
+            ("features", npy_bytes(np.array([["a", "b"]]))),
+            ("labels", b"0\n\xfe\n"),
+        ],
+        ids=["edges", "features", "features-dtype", "labels"],
+    )
+    def test_unreadable_input_file_is_data_error(self, workspace, capsys, key, blob):
+        tmp_path, cfg_file = workspace
+        path = Path(json.loads(cfg_file.read_text())["dataset"][key])
+        path.write_bytes(blob)
+        argv = ["train", "--config", str(cfg_file), "--inline-precompute"]
+        assert cli.main([*argv, "--out", str(tmp_path / "r")]) == 2
+        assert f"error: {path.name}: " in capsys.readouterr().err
 
     def test_missing_dataset_path_is_data_error(self, tmp_path, capsys):
         file = write_config(tmp_path, dataset={"edges": str(tmp_path / "absent.txt")})
@@ -235,3 +286,15 @@ class TestVerify:
             cli, "run_all", lambda cases, seed: [PropertyReport("unification", 5, 2, 1.0)]
         )
         assert cli.main(["verify", "--cases", "5"]) == 3
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_module():
+    heavy = ("scipy.sparse.linalg", "scipy.linalg", "scipy.stats")
+    code = f"import sys, hyperprop.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -164,10 +164,6 @@ class TestEdgeListLoader:
         h = load_hypergraph(path)
         assert h.n == 0 and h.m == 0
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(DomainError):
-            load_hypergraph(tmp_path / "whatever", fmt="matrix-market")
-
 
 class TestFeatureAndLabelFiles:
     def test_features_round_trip(self, tmp_path):

@@ -15,12 +15,11 @@ from hyperprop.expansion import (
     SparseAdjacency,
     _deephgnn_base,
     _unignn_base,
-    deephgnn_expansion,
     normalize_with_self_loops,
     star_norm_expansion,
-    unignn_expansion,
     weighted_clique_expansion,
 )
+from hyperprop.reference import LinearizedModelSpec, ModelKind, unified_equivalent
 
 from oracles import (
     clique_expansion_entrywise,
@@ -37,6 +36,13 @@ TWO_EDGES = Hypergraph.from_edges([(0, 1, 2), (0, 1)])
 def random_h(rng):
     n, edges = random_hypergraph_edges(rng)
     return Hypergraph.from_edges(edges, n=n)
+
+
+def scaled_expansion(kind, h, gamma):
+    """The model's propagation matrix with its (1 - gamma) prefactor, as
+    the papers write it: the unified base operator times (1 - gamma)."""
+    w, _ = unified_equivalent(LinearizedModelSpec(kind=kind, layers=1, gamma=gamma), h)
+    return (1.0 - gamma) * w.matrix
 
 
 class TestWeightedCliqueExpansion:
@@ -92,13 +98,13 @@ class TestWeightedCliqueExpansion:
 class TestUniGnnExpansion:
     def test_single_edge_example(self):
         h = Hypergraph.from_edges([(0, 1)])
-        w = unignn_expansion(h, gamma=0.5).matrix.toarray()
+        w = scaled_expansion(ModelKind.UNIGCNII, h, 0.5).toarray()
         np.testing.assert_allclose(w[0, 1], 0.25, rtol=1e-12)
 
     def test_hand_computed_two_edge_entry(self):
         # row 0: degree-2 node; shares the size-3 edge (mean member degree
         # 5/3) and the size-2 edge (mean member degree 2) with node 1
-        w = unignn_expansion(TWO_EDGES, gamma=0.3).matrix.toarray()
+        w = scaled_expansion(ModelKind.UNIGCNII, TWO_EDGES, 0.3).toarray()
         want = 0.7 * (1.0 / (np.sqrt(2.0) * np.sqrt(5.0 / 3.0) * 3.0) + 0.25)
         np.testing.assert_allclose(w[0, 1], want, rtol=1e-12)
 
@@ -106,23 +112,18 @@ class TestUniGnnExpansion:
         rng = np.random.default_rng(9)
         for gamma in (0.1, 0.5, 0.9):
             h = random_h(rng)
-            got = unignn_expansion(h, gamma).matrix.toarray()
+            got = scaled_expansion(ModelKind.UNIGCNII, h, gamma).toarray()
             np.testing.assert_allclose(got, unignn_entrywise(h, gamma), atol=1e-12)
 
     def test_asymmetric_in_general(self):
-        w = unignn_expansion(TWO_EDGES, gamma=0.3).matrix.toarray()
+        w = scaled_expansion(ModelKind.UNIGCNII, TWO_EDGES, 0.3).toarray()
         assert abs(w[0, 2] - w[2, 0]) > 1e-3
-
-    def test_gamma_domain(self):
-        for gamma in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(DomainError):
-                unignn_expansion(TWO_EDGES, gamma)
 
 
 class TestDeepHgnnExpansion:
     def test_hand_computed_entry(self):
         # (1-g) * (1/(sqrt(2)sqrt(2)*3) + 1/(sqrt(2)sqrt(2)*2)) = 0.8 * 5/12
-        w = deephgnn_expansion(TWO_EDGES, gamma=0.2).matrix.toarray()
+        w = scaled_expansion(ModelKind.DEEPHGNN, TWO_EDGES, 0.2).toarray()
         np.testing.assert_allclose(w[0, 1], 0.8 * 5.0 / 12.0, rtol=1e-12)
         np.testing.assert_allclose(w[2, 2], 0.8 / 3.0, rtol=1e-12)  # diagonal kept
 
@@ -130,15 +131,9 @@ class TestDeepHgnnExpansion:
         rng = np.random.default_rng(17)
         for gamma in (0.2, 0.6):
             h = random_h(rng)
-            got = deephgnn_expansion(h, gamma)
-            np.testing.assert_allclose(
-                got.matrix.toarray(), deephgnn_entrywise(h, gamma), atol=1e-12
-            )
-            assert (got.matrix != got.matrix.T).nnz == 0
-
-    def test_gamma_domain(self):
-        with pytest.raises(DomainError):
-            deephgnn_expansion(TWO_EDGES, 0.0)
+            got = scaled_expansion(ModelKind.DEEPHGNN, h, gamma)
+            np.testing.assert_allclose(got.toarray(), deephgnn_entrywise(h, gamma), atol=1e-12)
+            assert (got != got.T).nnz == 0
 
 
 class TestStarNormExpansion:

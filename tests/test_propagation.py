@@ -23,6 +23,7 @@ from hyperprop.expansion import (
     weighted_clique_expansion,
 )
 from hyperprop.propagation import (
+    DENSE_CAP,
     PropagationConfig,
     _dense_polynomial,
     closed_form_limit,
@@ -40,6 +41,12 @@ def random_atilde(rng, **kw):
     n, edges = random_hypergraph_edges(rng, **kw)
     h = Hypergraph.from_edges(edges, n=n)
     return h, normalize_with_self_loops(weighted_clique_expansion(h))
+
+
+def over_cap_atilde():
+    """A normalized operator one node past the dense size cap."""
+    h = Hypergraph.from_edges([(0, 1)], n=DENSE_CAP + 1)
+    return normalize_with_self_loops(weighted_clique_expansion(h))
 
 
 TWO_NODE = SparseAdjacency(
@@ -209,7 +216,7 @@ class TestMaterializeOperator:
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
-            materialize_operator(TWO_NODE, PropagationConfig(layers=1, alpha=0.3), cap=1)
+            materialize_operator(over_cap_atilde(), PropagationConfig(layers=1, alpha=0.3))
 
     def test_support_equals_khop_neighbourhoods(self):
         rng = np.random.default_rng(7)
@@ -329,13 +336,10 @@ class TestEnergyAndLimit:
         with pytest.raises(DomainError):
             closed_form_limit(TWO_NODE, x, 0.0)
 
-    def test_iterative_path_matches_dense_path(self):
-        rng = np.random.default_rng(12)
-        _, atilde = random_atilde(rng, n_range=(20, 40))
-        x0 = rng.standard_normal((atilde.n, 3))
-        dense = closed_form_limit(atilde, x0, 0.4)
-        iterative = closed_form_limit(atilde, x0, 0.4, cap=5)  # force conjugate gradients
-        np.testing.assert_allclose(iterative, dense, rtol=1e-7, atol=1e-9)
+    def test_cap_enforced(self):
+        atilde = over_cap_atilde()
+        with pytest.raises(ResourceLimitError):
+            closed_form_limit(atilde, np.ones((atilde.n, 2)), 0.3)
 
 
 class TestSerialization:

@@ -43,10 +43,9 @@ from oracles import auc_bruteforce
 
 class TestMakeSplit:
     def test_small_sizes_floor_val_test(self):
-        s = make_split(4, seed=0)
-        assert (len(s.train), len(s.val), len(s.test)) == (2, 1, 1)
-        s = make_split(10, seed=0)
-        assert (len(s.train), len(s.val), len(s.test)) == (6, 2, 2)
+        for size, want in ((3, (3, 0, 0)), (4, (2, 1, 1)), (7, (5, 1, 1)), (10, (6, 2, 2))):
+            s = make_split(size, seed=0)
+            assert (len(s.train), len(s.val), len(s.test)) == want
 
     def test_partition_covers_universe_disjointly(self):
         rng = np.random.default_rng(0)
@@ -66,8 +65,6 @@ class TestMakeSplit:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             make_split(0, seed=0)
-        with pytest.raises(DomainError):
-            make_split(10, seed=0, ratios=(0.5, 0.2, 0.2))
 
     def test_split_rejects_overlap(self):
         with pytest.raises(DomainError):
