@@ -30,6 +30,7 @@ from .nn import TrainConfig
 from .propagation import (
     PropagatedFeatures,
     PropagationConfig,
+    _replacing,
     load_propagated,
     propagate,
     save_propagated,
@@ -164,6 +165,10 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     _check_keys("train", train, _TRAIN_KEYS)
     negative = {"alpha": 0.5, "beta": 5, **raw.get("negative", {})}
     _check_keys("negative", negative, _NEGATIVE_KEYS)
+    if synthetic.get("seed", 0) < 0:
+        raise ConfigError(f"synthetic.seed must be nonnegative, got {synthetic['seed']}")
+    if any(seed < 0 for seed in raw.get("seeds", ())):
+        raise ConfigError(f"config.seeds must be nonnegative integers, got {raw['seeds']!r}")
 
     task = raw.get("task", "nc")
     if getattr(args, "task", None):
@@ -279,7 +284,8 @@ def cmd_precompute(cfg: RunConfig) -> int:
         },
         "timing": {"preprocess_seconds": preprocess_seconds},
     }
-    (cfg.out_dir / "precompute.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+    with _replacing(cfg.out_dir / "precompute.json") as fh:
+        fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
     print(f"propagated {pf.matrix.shape[0]}x{pf.matrix.shape[1]} -> {out_file}")
     print(f"provenance {pf.provenance}")
     print(f"preprocess_seconds {preprocess_seconds:.4f}")
@@ -366,11 +372,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_from(low: int):
+    """argparse type for an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON run config")
-        p.add_argument("--seed", type=int, help="override the config's seed list")
+        p.add_argument("--seed", type=_int_from(0), help="override the config's seed list")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--task", choices=("nc", "hp"), help="override the task")
         if name == "train":
@@ -399,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="propagate in-process instead of reading a precomputed file",
             )
     p = sub.add_parser("verify", help="run randomized structural self-checks")
-    p.add_argument("--cases", type=_positive_int, default=50, help="random cases per suite")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random cases")
+    p.add_argument("--cases", type=_int_from(1), default=50, help="random cases per suite")
+    p.add_argument("--seed", type=_int_from(0), default=0, help="seed of the random cases")
     return parser
 
 

@@ -16,6 +16,7 @@ import hashlib
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,7 +50,7 @@ _MAGIC = b"TFHN"
 _HEADER_BYTES = 4 + 16  # magic, u64 rows, u64 cols
 _FOOTER_BYTES = 32 + 32 + 16  # provenance, adjacency hash, u64 layers + f64 alpha
 
-_BLOCK_BYTES = 4 << 20  # row block of the anchor term in `propagate`
+_BLOCK_BYTES = 2 << 20  # column panel of `propagate`, about one core's L2 cache
 
 
 @dataclass(frozen=True)
@@ -119,15 +120,21 @@ def _provenance(feature_hasher: hashlib._Hash, adj_hash: str, cfg: PropagationCo
     return feature_hasher.hexdigest()
 
 
-def _add_scaled(z: np.ndarray, alpha: float, x: np.ndarray) -> None:
-    """z += alpha * x, elementwise as written, through one scratch block
-    of about _BLOCK_BYTES instead of a whole n x d product."""
-    rows = max(1, _BLOCK_BYTES // max(1, x.itemsize * x.shape[1]))
-    scratch = np.empty((min(rows, x.shape[0]), x.shape[1]))
-    for start in range(0, x.shape[0], rows):
-        block = scratch[: min(rows, x.shape[0] - start)]
-        np.multiply(alpha, x[start : start + rows], out=block)
-        z[start : start + rows] += block
+def _panel(a, x: np.ndarray, cols: slice, cfg: PropagationConfig) -> np.ndarray:
+    """Z^L of the columns ``cols`` of ``x``, as a new C-ordered array.
+
+    The panel is copied out of ``x`` and checked for non-finite entries
+    before the L steps run, in the operation order of `propagate`.
+    """
+    xp = x[:, cols].copy()
+    if not np.isfinite(xp).all():
+        raise DomainError("features contain non-finite entries")
+    z = xp
+    for _ in range(cfg.layers):
+        z = a @ z
+        z *= 1.0 - cfg.alpha
+        z += cfg.alpha * xp
+    return z
 
 
 def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) -> PropagatedFeatures:
@@ -135,12 +142,17 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
 
     Z^0 = X,  Z^l = (1 - alpha) A~ Z^{l-1} + alpha X;  the result Z^L
     equals S @ X exactly (same polynomial, Horner-style evaluation).
-    Cost is L sparse-dense products; S itself is never formed.  The
-    update runs in place on each product, and alpha X is formed a row
-    block at a time, so a step allocates one n x d array and the result
-    is bit-identical to the expression above.  The features are hashed
-    for the provenance on a worker thread while the products run; both
-    release the GIL.
+    Cost is L sparse-dense products; S itself is never formed.
+
+    The columns of S X are independent, and the sparse product does the
+    same operations in the same order per column at any width, so the
+    recurrence runs on column panels of about _BLOCK_BYTES each, all L
+    steps on one panel before the next, and the result is bit-identical
+    to the expression above.  Beyond ``x`` only the output and a few
+    panel-sized arrays per worker are alive.  With more than one panel,
+    the panels and the feature hash (for the provenance) run on one
+    worker thread per available core; the sparse product and sha256
+    release the GIL.  A single panel runs on the calling thread.
     """
     _require_normalized(atilde)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -148,24 +160,29 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
         raise DimensionError(
             f"features must be ({atilde.n}, d), got {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise DomainError("features contain non-finite entries")
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        feature_hasher = pool.submit(_feature_hasher, x)
-        if cfg.layers == 0:
-            z = x.copy()
-        else:
-            z = x
-            for _ in range(cfg.layers):
-                z = atilde.matrix @ z
-                z *= 1.0 - cfg.alpha
-                _add_scaled(z, cfg.alpha, x)
+    n, d = x.shape
+    width = max(1, _BLOCK_BYTES // (8 * max(1, n)))
+    if d <= width:
+        z = _panel(atilde.matrix, x, slice(0, d), cfg)
+        feature_hasher = _feature_hasher(x)
         adj_hash = adjacency_fingerprint(atilde)
-        provenance = _provenance(feature_hasher.result(), adj_hash, cfg)
+    else:
+        z = np.empty_like(x)
+
+        def fill(cols: slice) -> None:
+            z[:, cols] = _panel(atilde.matrix, x, cols, cfg)
+
+        with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+            hashing = pool.submit(_feature_hasher, x)
+            panels = [pool.submit(fill, slice(lo, lo + width)) for lo in range(0, d, width)]
+            adj_hash = adjacency_fingerprint(atilde)
+            for panel in panels:
+                panel.result()
+            feature_hasher = hashing.result()
     return PropagatedFeatures(
         matrix=z,
         config=cfg,
-        provenance=provenance,
+        provenance=_provenance(feature_hasher, adj_hash, cfg),
         adjacency_hash=adj_hash,
     )
 
@@ -245,11 +262,29 @@ def closed_form_limit(atilde: SparseAdjacency, x0: np.ndarray, alpha: float) -> 
     return np.linalg.solve(system, alpha * x0)
 
 
+@contextmanager
+def _replacing(path: str | Path):
+    """Binary file handle on a temporary file beside ``path``.  When the
+    block ends normally the file replaces ``path`` in one rename; when it
+    raises, the file is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_propagated(path: str | Path, pf: PropagatedFeatures) -> None:
     """Binary layout: magic "TFHN", u64 rows, u64 cols, row-major f64
-    payload, then a footer with both hex digests and the config."""
+    payload, then a footer with both hex digests and the config.  The
+    file is written beside ``path`` and renamed into place, so ``path``
+    never holds a partial file."""
     mat = np.ascontiguousarray(pf.matrix, dtype=np.float64)
-    with Path(path).open("wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQ", mat.shape[0], mat.shape[1]))
         fh.write(mat)  # buffer protocol: the row-major bytes, no copy

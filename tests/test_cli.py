@@ -1,8 +1,11 @@
 """Tests for the command-line front end (run in-process via main())."""
 
+import filecmp
+import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,16 @@ import numpy as np
 import pytest
 
 import hyperprop.cli as cli
-from hyperprop.propagation import load_propagated
+from hyperprop.core import load_features, load_hypergraph, save_features, save_hypergraph
+from hyperprop.expansion import normalize_with_self_loops, weighted_clique_expansion
+from hyperprop.propagation import (
+    PropagatedFeatures,
+    PropagationConfig,
+    adjacency_fingerprint,
+    load_propagated,
+    save_propagated,
+)
+from hyperprop.synthetic import PlantedConfig, generate
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -85,6 +97,32 @@ class TestUsageAndConfigErrors:
     def test_verify_cases_below_one_is_usage_error(self, cases, capsys):
         assert cli.main(["verify", "--cases", cases]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "train"])
+    def test_negative_seed_flag_is_usage_error(self, workspace, capsys, command):
+        tmp_path, cfg_file = workspace
+        argv = {
+            "verify": ["verify", "--cases", "1"],
+            "train": ["train", "--config", str(cfg_file), "--out", str(tmp_path / "r")],
+        }[command]
+        assert cli.main([*argv, "--seed", "-1"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_negative_config_seed_is_config_error(self, workspace, capsys):
+        tmp_path, cfg_file = workspace
+        cfg = json.loads(cfg_file.read_text())
+        file = write_config(tmp_path, dataset=cfg["dataset"], seeds=[0, -1])
+        argv = ["train", "--config", str(file), "--inline-precompute"]
+        assert cli.main([*argv, "--out", str(tmp_path / "r")]) == 2
+        assert "config.seeds must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_synthetic_seed_is_config_error(self, tmp_path, capsys):
+        file = write_config(tmp_path)
+        cfg = json.loads(file.read_text())
+        cfg["synthetic"]["seed"] = -1
+        file.write_text(json.dumps(cfg))
+        assert cli.main(["generate", "--config", str(file), "--out", str(tmp_path / "d")]) == 2
+        assert "synthetic.seed must be nonnegative" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
@@ -206,6 +244,40 @@ class TestPrecompute:
         raw = np.load(cfg["dataset"]["features"])
         blob = (pre / "propagated.tfhn").read_bytes()
         assert blob[20 : 20 + raw.nbytes] == raw.tobytes()
+
+    def test_tfhn_bytes_equal_the_literal_recurrence(self, tmp_path):
+        """On the criterion-09 instance (n=3312, d=3703), the file that
+        `precompute` writes at L = 0-3 is the one `save_propagated` writes
+        for the literal recurrence and the documented digests."""
+        h, x, _ = generate(PlantedConfig(
+            n=3312, m=1079, classes=6, size_range=(2, 5), p_in=0.9,
+            feature_dim=3703, feature_noise=1.0, seed=0,
+        ))
+        save_hypergraph(tmp_path / "edges.txt", h)
+        save_features(tmp_path / "features.npy", x)
+        atilde = normalize_with_self_loops(weighted_clique_expansion(load_hypergraph(tmp_path / "edges.txt")))
+        x = load_features(tmp_path / "features.npy")
+        adj_hash = adjacency_fingerprint(atilde)
+        features = hashlib.sha256(struct.pack("<QQ", *x.shape))
+        features.update(x)
+        alpha = 0.3
+        z = x
+        for layers in range(4):
+            prov = features.copy()
+            prov.update(bytes.fromhex(adj_hash) + struct.pack("<Qd", layers, alpha))
+            want = tmp_path / "want.tfhn"
+            save_propagated(want, PropagatedFeatures(
+                z, PropagationConfig(layers, alpha), prov.hexdigest(), adj_hash
+            ))
+            cfg_file = tmp_path / "config.json"
+            cfg_file.write_text(json.dumps({
+                "dataset": {"edges": str(tmp_path / "edges.txt"), "features": str(tmp_path / "features.npy")},
+                "propagation": {"layers": layers, "alpha": alpha},
+            }))
+            pre = tmp_path / "pre"
+            assert cli.main(["precompute", "--config", str(cfg_file), "--out", str(pre)]) == 0
+            assert filecmp.cmp(pre / "propagated.tfhn", want, shallow=False), f"L={layers}"
+            z = (1.0 - alpha) * (atilde.matrix @ z) + alpha * x
 
 
 class TestTrain:

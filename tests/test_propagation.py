@@ -1,13 +1,19 @@
 """Tests for the propagation operator, its recurrence, and its limits."""
 
+import dataclasses
 import io
+import os
 import struct
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hyperprop.propagation as propagation
 from hyperprop.core import Hypergraph, khop_neighbours
 from hyperprop.errors import (
     ContractViolation,
@@ -32,6 +38,7 @@ from hyperprop.propagation import (
     materialize_operator,
     operator_support,
     propagate,
+    save_propagated,
 )
 
 from oracles import propagation_polynomial, random_hypergraph_edges
@@ -47,6 +54,13 @@ def over_cap_atilde():
     """A normalized operator one node past the dense size cap."""
     h = Hypergraph.from_edges([(0, 1)], n=DENSE_CAP + 1)
     return normalize_with_self_loops(weighted_clique_expansion(h))
+
+
+def literal_recurrence(atilde, x, layers, alpha):
+    z = x
+    for _ in range(layers):
+        z = (1.0 - alpha) * (atilde.matrix @ z) + alpha * x
+    return z
 
 
 TWO_NODE = SparseAdjacency(
@@ -158,6 +172,81 @@ class TestPropagateRecurrence:
             propagate(
                 TWO_NODE, np.array([[np.nan], [0.0]]), PropagationConfig(layers=1, alpha=0.3)
             )
+
+
+class TestColumnPanels:
+    """`propagate` runs the recurrence one column panel at a time.  The
+    panel budget is shrunk here so that a 40-node operator gets panels
+    of WIDTH columns."""
+
+    WIDTH = 3
+
+    @pytest.fixture()
+    def atilde(self, monkeypatch):
+        _, atilde = random_atilde(np.random.default_rng(20), n_range=(40, 40), m_range=(30, 30))
+        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * atilde.n * self.WIDTH)
+        return atilde
+
+    @pytest.mark.parametrize("d", [0, 1, WIDTH - 1, WIDTH, WIDTH + 1, 3 * WIDTH + 2])
+    def test_bit_identical_to_the_literal_recurrence_at_any_width(self, atilde, d):
+        x = np.random.default_rng(d).standard_normal((atilde.n, d))
+        for layers in range(4):
+            got = propagate(atilde, x, PropagationConfig(layers=layers, alpha=0.3)).matrix
+            assert got.shape == x.shape
+            assert np.array_equal(got, literal_recurrence(atilde, x, layers, 0.3))
+
+    def test_single_node(self, monkeypatch):
+        atilde = normalize_with_self_loops(weighted_clique_expansion(Hypergraph.from_edges([], n=1)))
+        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * 2)
+        x = np.random.default_rng(21).standard_normal((1, 5))
+        for layers in range(4):
+            got = propagate(atilde, x, PropagationConfig(layers=layers, alpha=0.4)).matrix
+            assert np.array_equal(got, literal_recurrence(atilde, x, layers, 0.4))
+
+    def test_output_does_not_alias_the_features(self, atilde):
+        x = np.ones((atilde.n, 2))
+        out = propagate(atilde, x, PropagationConfig(layers=0, alpha=0.3)).matrix
+        out[0, 0] = 5.0
+        assert x[0, 0] == 1.0
+
+    def test_worker_count_changes_no_byte(self, atilde, monkeypatch):
+        x = np.random.default_rng(22).standard_normal((atilde.n, 4 * self.WIDTH + 1))
+        cfg = PropagationConfig(layers=3, alpha=0.2)
+        results = []
+        for workers in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=workers: set(range(k)))
+            pf = propagate(atilde, x, cfg)
+            results.append((pf.matrix.tobytes(), pf.provenance))
+        assert results[0] == results[1]
+        assert results[0][0] == literal_recurrence(atilde, x, 3, 0.2).tobytes()
+
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_nan_in_the_last_column_is_a_domain_error(self, atilde, layers):
+        x = np.zeros((atilde.n, 3 * self.WIDTH + 1))
+        x[-1, -1] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            propagate(atilde, x, PropagationConfig(layers=layers, alpha=0.3))
+
+    def test_no_thread_outlives_the_call(self, atilde):
+        before = threading.active_count()
+        x = np.ones((atilde.n, 4 * self.WIDTH))
+        propagate(atilde, x, PropagationConfig(layers=2, alpha=0.3))
+        assert threading.active_count() == before
+        x[0, 0] = np.inf
+        with pytest.raises(DomainError):
+            propagate(atilde, x, PropagationConfig(layers=2, alpha=0.3))
+        assert threading.active_count() == before
+
+
+def test_importing_the_cli_starts_no_thread():
+    code = "import threading, hyperprop.cli; print(threading.active_count())"
+    paths = [str(Path(propagation.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 class TestProvenance:
@@ -367,6 +456,23 @@ class TestSerialization:
         again = load_propagated(path)
         assert again.matrix.shape == (2, 0)
         assert again.provenance == pf.provenance
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        pf = propagate(TWO_NODE, np.ones((2, 3)), PropagationConfig(layers=1, alpha=0.3))
+        broken = dataclasses.replace(pf, provenance="not hex")  # fails after the payload
+        with pytest.raises(ValueError):
+            save_propagated(tmp_path / "f.tfhn", broken)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        pf = propagate(TWO_NODE, np.ones((2, 3)), PropagationConfig(layers=1, alpha=0.3))
+        path = tmp_path / "f.tfhn"
+        save_propagated(path, pf)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_propagated(path, dataclasses.replace(pf, provenance="not hex"))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_header_layout(self, tmp_path):
         pf = propagate(TWO_NODE, np.ones((2, 3)), PropagationConfig(layers=1, alpha=0.3))
