@@ -8,6 +8,9 @@ propagation, tasks) consume this type and never mutate it.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,6 +118,20 @@ def incidence_matrix(h: Hypergraph) -> sp.csr_matrix:
         cols.extend([k] * len(members))
     data = np.ones(len(rows), dtype=np.float64)
     return sp.csr_matrix((data, (rows, cols)), shape=(h.n, h.m))
+
+
+def _structure_digest(h: Hypergraph) -> str:
+    """sha256 of n, m, the hyperedge sizes and the members of every
+    hyperedge in order: equal exactly for equal hypergraphs, in
+    O(sum |e|).  Operators built from ``h`` carry it as their tag."""
+    sizes = np.fromiter(map(len, h.edges), dtype=np.int64, count=h.m)
+    members = np.fromiter(
+        itertools.chain.from_iterable(h.edges), dtype=np.int64, count=int(sizes.sum())
+    )
+    hasher = hashlib.sha256(struct.pack("<QQ", h.n, h.m))
+    hasher.update(sizes)
+    hasher.update(members)
+    return hasher.hexdigest()
 
 
 def khop_neighbours(h: Hypergraph, source: int, k: int) -> set[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Hypergraph, degrees, incidence_matrix
+from .core import Hypergraph, _structure_digest, degrees, incidence_matrix
 from .errors import ContractViolation, DimensionError, DomainError
 
 __all__ = [
@@ -31,13 +31,16 @@ class SparseAdjacency:
     ``symmetric`` is set at construction by the expansion that produced
     the matrix; ``normalized`` marks the output of
     :func:`normalize_with_self_loops` (unit spectral radius, self-loops
-    present), which the propagation module requires.  The wrapped CSR
-    matrix is treated as immutable.
+    present), which the propagation module requires.  ``structure`` is
+    the structure digest of the hypergraph a clique expansion was built
+    from, kept through normalization; None for any other matrix.  The
+    wrapped CSR matrix is treated as immutable.
     """
 
     matrix: sp.csr_matrix
     symmetric: bool
     normalized: bool = False
+    structure: str | None = None
 
     def __post_init__(self):
         mat = sp.csr_matrix(self.matrix)
@@ -67,14 +70,15 @@ def weighted_clique_expansion(h: Hypergraph) -> SparseAdjacency:
 
     W[i][j] = sum over hyperedges containing both i and j of
     1 / D_E[k], for i != j; the diagonal is fixed to zero so the
-    normalization step owns the (single) self-loop.
+    normalization step owns the (single) self-loop.  The result is
+    tagged with the structure digest of ``h``.
     """
     deg = degrees(h)
     b = _scaled_incidence(incidence_matrix(h), np.ones(h.n), 1.0 / np.sqrt(deg.edge))
     w = (b @ b.T).tocsr()
     w.setdiag(0.0)
     w.eliminate_zeros()
-    return SparseAdjacency(matrix=w, symmetric=True)
+    return SparseAdjacency(matrix=w, symmetric=True, structure=_structure_digest(h))
 
 
 def _unignn_base(h: Hypergraph) -> sp.csr_matrix:
@@ -117,7 +121,7 @@ def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
     A~ = D~^-1/2 W~ D~^-1/2 where D~ holds the row sums of W~.  The
     scale factors are paired per entry so the output stays bitwise
     symmetric; its spectrum lies in [-1, 1] with D~^1/2 1 an
-    eigenvector for eigenvalue 1.
+    eigenvector for eigenvalue 1.  The structure tag of ``w`` is kept.
     """
     if not w.symmetric:
         raise ContractViolation("normalization requires a symmetric adjacency")
@@ -128,4 +132,4 @@ def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
     s = 1.0 / np.sqrt(dtilde)
     data = wtilde.data * (s[wtilde.row] * s[wtilde.col])
     atilde = sp.csr_matrix((data, (wtilde.row, wtilde.col)), shape=wtilde.shape)
-    return SparseAdjacency(matrix=atilde, symmetric=True, normalized=True)
+    return SparseAdjacency(matrix=atilde, symmetric=True, normalized=True, structure=w.structure)

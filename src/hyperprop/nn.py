@@ -105,29 +105,32 @@ def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
 @dataclass
 class _ForwardCache:
     inputs: list[np.ndarray] = field(default_factory=list)  # layer inputs a_{i-1}
-    preacts: list[np.ndarray] = field(default_factory=list)  # hidden z_i
     masks: list[np.ndarray | None] = field(default_factory=list)  # dropout keep scale
 
 
 def _forward(params, x, dropout, train, rng):
+    """Layer loop of `mlp_forward`.  Each hidden layer holds one array:
+    the GEMM output takes the bias, the rectifier and the dropout scale
+    in place, and is cached as the next layer's input.  The values are
+    those of z = a @ w + b;  h = max(z, 0) * scale."""
     cache = _ForwardCache()
     a = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         cache.inputs.append(a)
-        z = a @ w + b
+        z = a @ w
+        z += b
         if i == last:
             return z, cache
-        cache.preacts.append(z)
-        h = np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)
         if train and dropout > 0.0:
-            keep = rng.random(h.shape) >= dropout
+            keep = rng.random(z.shape) >= dropout
             scale = keep / (1.0 - dropout)  # inverted dropout: eval path is identity
-            h = h * scale
+            z *= scale
             cache.masks.append(scale)
         else:
             cache.masks.append(None)
-        a = h
+        a = z
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -158,7 +161,13 @@ def mlp_forward(
 def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray):
     """Parameter gradients from the cached forward pass.
 
-    Returns (weight grads, bias grads) aligned with ``params``.
+    Returns (weight grads, bias grads) aligned with ``params``.  The
+    rectifier's mask is read off the cached post-activation h, since
+    max(z, 0) > 0 exactly where z > 0, for every z (NaN, signed zeros
+    and infinities included).  Where dropout zeroed h, the dropout mask
+    has already zeroed delta, so the product is unchanged.  Each fresh
+    delta is masked in place; ``grad_logits`` and the cache are not
+    written.
     """
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
@@ -171,8 +180,8 @@ def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray)
         delta = delta @ params.weights[i].T
         mask = fwd.masks[i - 1]
         if mask is not None:
-            delta = delta * mask
-        delta = delta * (fwd.preacts[i - 1] > 0.0)
+            delta *= mask
+        delta *= fwd.inputs[i] > 0.0
     return grads_w, grads_b
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,14 +77,17 @@ class PropagatedFeatures:
 
     ``provenance`` digests the raw features, the adjacency, and the
     config, so identical inputs always reproduce it; ``adjacency_hash``
-    is the adjacency part alone, used by the hyperlink pipeline to
-    prove its operator saw only train+val structure.
+    is the adjacency part alone.  ``structure`` is the operator's
+    structure tag (see `SparseAdjacency`), which the hyperlink pipeline
+    reads to prove its operator saw only train+val structure.  It is
+    not serialized, so loaded features carry None.
     """
 
     matrix: np.ndarray
     config: PropagationConfig
     provenance: str
     adjacency_hash: str
+    structure: str | None = None
 
 
 def _require_normalized(atilde: SparseAdjacency) -> None:
@@ -152,7 +155,8 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
     panel-sized arrays per worker are alive.  With more than one panel,
     the panels and the feature hash (for the provenance) run on one
     worker thread per available core; the sparse product and sha256
-    release the GIL.  A single panel runs on the calling thread.
+    release the GIL.  The first panel that fails cancels the panels
+    still queued.  A single panel runs on the calling thread.
     """
     _require_normalized(atilde)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -176,14 +180,19 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
             hashing = pool.submit(_feature_hasher, x)
             panels = [pool.submit(fill, slice(lo, lo + width)) for lo in range(0, d, width)]
             adj_hash = adjacency_fingerprint(atilde)
+            _, pending = wait(panels, return_when=FIRST_EXCEPTION)
+            for panel in pending:
+                panel.cancel()  # a panel failed: drop the ones still queued
             for panel in panels:
-                panel.result()
+                if not panel.cancelled():
+                    panel.result()
             feature_hasher = hashing.result()
     return PropagatedFeatures(
         matrix=z,
         config=cfg,
         provenance=_provenance(feature_hasher, adj_hash, cfg),
         adjacency_hash=adj_hash,
+        structure=atilde.structure,
     )
 
 

@@ -3,8 +3,9 @@
 Both tasks consume propagated features and train only a small MLP.
 Model selection is by validation metric; test labels are touched once,
 after the epoch loop, on the snapshot taken at the best validation
-epoch.  The hyperlink pipeline additionally proves (by provenance
-hash) that its propagation operator saw only train+val structure.
+epoch.  The hyperlink pipeline additionally proves (by the structure
+digest its operator carries) that propagation saw only train+val
+structure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Hypergraph, LabelVector
+from .core import Hypergraph, LabelVector, _structure_digest
 from .errors import (
     BoundsError,
     ContractViolation,
@@ -25,7 +26,6 @@ from .errors import (
     NumericalError,
     SamplingError,
 )
-from .expansion import normalize_with_self_loops, weighted_clique_expansion
 from .nn import (
     AdamState,
     MlpParams,
@@ -37,11 +37,11 @@ from .nn import (
     sigmoid_bce,
     softmax_cross_entropy,
 )
-from .propagation import PropagatedFeatures, adjacency_fingerprint
+from .propagation import PropagatedFeatures
 
 __all__ = [
     "Split",
-    "NegativeSample",
+    "NodeSets",
     "HyperlinkDataset",
     "Metrics",
     "make_split",
@@ -93,20 +93,28 @@ def make_split(size: int, seed: int) -> Split:
 
 
 @dataclass(frozen=True)
-class NegativeSample:
-    """A corrupted hyperedge, remembering where it came from."""
+class NodeSets:
+    """Node sets in CSR form: set i is ``indices[indptr[i]:indptr[i + 1]]``,
+    sorted ascending.  ``len`` is the number of sets."""
 
-    nodes: tuple[int, ...]
-    source: int  # index of the positive it corrupts
-    kept: tuple[int, ...]  # surviving members of that positive
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
 
 
 @dataclass(frozen=True)
 class HyperlinkDataset:
-    """Real hyperedges plus ``ratio_beta`` corrupted ones per real."""
+    """Real hyperedges plus ``ratio_beta`` corrupted ones per real.
+
+    Negative i corrupts positive ``source[i]``; its members of that
+    positive are the ones it kept.
+    """
 
     positives: tuple[tuple[int, ...], ...]
-    negatives: tuple[NegativeSample, ...]
+    negatives: NodeSets
+    source: np.ndarray
     corruption_alpha: float
     ratio_beta: int
     n: int
@@ -120,7 +128,8 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     replacement.  A draw that collides with any real hyperedge is
     retried up to 100 times before giving up.  Edges of one size are
     corrupted together, so the cost is O(sum |e| * beta), independent
-    of n.  Negatives come out edge-major, then by draw.
+    of n.  Negatives come out edge-major, then by draw, and each group's
+    draws are written straight into the CSR arrays.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"corruption alpha must lie in [0, 1], got {alpha}")
@@ -129,7 +138,9 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     rng = np.random.default_rng(seed)
     positive_set = set(h.edges)
     sizes = np.fromiter(map(len, h.edges), dtype=np.int64, count=h.m)
-    negatives: list = [None] * (h.m * beta)
+    indptr = np.zeros(h.m * beta + 1, dtype=np.int64)
+    np.cumsum(np.repeat(sizes, beta), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
     failures: dict[int, str] = {}
     for size in np.unique(sizes).tolist():
         ids = np.flatnonzero(sizes == size)
@@ -142,28 +153,25 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
             continue
         members = np.array([h.edges[i] for i in ids], dtype=np.int64).reshape(len(ids), size)
         rows = np.repeat(members, beta, axis=0)
-        kept, cands = _corrupt(rows, keep, h.n, rng)
+        cands = _corrupt(rows, keep, h.n, rng)
         pending = np.flatnonzero(_collides(cands, positive_set))
         for _attempt in range(99):
             if pending.size == 0:
                 break
-            kept[pending], cands[pending] = _corrupt(rows[pending], keep, h.n, rng)
+            cands[pending] = _corrupt(rows[pending], keep, h.n, rng)
             pending = pending[_collides(cands[pending], positive_set)]
         if pending.size:  # rows are edge-major: the first is the lowest edge
             edge = int(ids[pending[0] // beta])
             failures[edge] = f"hyperedge {edge}: no collision-free corruption in 100 tries"
             continue
-        slots = (ids[:, None] * beta + np.arange(beta)).ravel().tolist()
-        sources = np.repeat(ids, beta).tolist()
-        for slot, source, nodes, kept_nodes in zip(slots, sources, cands.tolist(), kept.tolist()):
-            negatives[slot] = NegativeSample(
-                nodes=tuple(nodes), source=source, kept=tuple(kept_nodes)
-            )
+        slots = (ids[:, None] * beta + np.arange(beta)).ravel()
+        indices[indptr[slots][:, None] + np.arange(size)] = cands
     if failures:
         raise SamplingError(failures[min(failures)])
     return HyperlinkDataset(
         positives=h.edges,
-        negatives=tuple(negatives),
+        negatives=NodeSets(indptr=indptr, indices=indices),
+        source=np.repeat(np.arange(h.m, dtype=np.int64), beta),
         corruption_alpha=alpha,
         ratio_beta=beta,
         n=h.n,
@@ -173,8 +181,8 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
 def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
     """One corruption of every row of ``rows`` (sorted edges of one size).
 
-    Returns the sorted kept members and the sorted candidates.  The kept
-    members are a uniform ``keep``-subset (the first columns of a random
+    Returns the sorted candidates, one per row.  The kept members are a
+    uniform ``keep``-subset (the first columns of a random
     permutation per row).  The i-th replacement is a rank in the
     complement of the edge and the earlier replacements, drawn from
     [0, n - |e| - i) and shifted past each excluded value in ascending
@@ -183,7 +191,7 @@ def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
     """
     count, size = rows.shape
     pick = rng.random((count, size)).argsort(axis=1)[:, :keep]
-    kept = np.sort(np.take_along_axis(rows, pick, axis=1), axis=1)
+    kept = np.take_along_axis(rows, pick, axis=1)
     ranks = np.empty((count, size - keep), dtype=np.int64)
     for i in range(size - keep):
         v = rng.integers(0, n - size - i, size=count)
@@ -192,7 +200,7 @@ def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
         ranks[:, i] = v
     for member in rows.T:  # complement rank -> node id, past the sorted edge
         ranks += ranks >= member[:, None]
-    return kept, np.sort(np.concatenate([kept, ranks], axis=1), axis=1)
+    return np.sort(np.concatenate([kept, ranks], axis=1), axis=1)
 
 
 def _collides(cands: np.ndarray, positive_set: set) -> np.ndarray:
@@ -201,20 +209,18 @@ def _collides(cands: np.ndarray, positive_set: set) -> np.ndarray:
     )
 
 
-def pool_candidates(features: np.ndarray, candidates) -> np.ndarray:
+def pool_candidates(features: np.ndarray, candidates: NodeSets) -> np.ndarray:
     """Mean-pool feature rows for each candidate node set.
 
     One sparse product: row i of the candidate-incidence matrix holds a
     one per member of candidate i, then each sum is divided by its
-    member count.  Columns are sorted within a row, so each row adds its
-    feature rows in ascending node order and the result depends on the
-    set, not on how it is listed.
+    member count.  Columns are sorted within a row (on a copy of the
+    arrays), so each row adds its feature rows in ascending node order
+    and the result depends on the set, not on how it is listed.
     """
     x = np.asarray(features, dtype=np.float64)
-    counts = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
-    members = np.fromiter(
-        itertools.chain.from_iterable(candidates), dtype=np.int64, count=int(counts.sum())
-    )
+    counts = np.diff(candidates.indptr)
+    members = candidates.indices
     owner = np.repeat(np.arange(len(counts)), counts)
     outside = np.zeros(len(counts), dtype=bool)
     outside[owner[(members < 0) | (members >= x.shape[0])]] = True
@@ -224,9 +230,10 @@ def pool_candidates(features: np.ndarray, candidates) -> np.ndarray:
         if counts[i] == 0:
             raise DomainError(f"candidate {i} is empty")
         raise BoundsError(f"candidate {i} references a node outside the feature matrix")
-    indptr = np.concatenate([[0], np.cumsum(counts)])
     incidence = sp.csr_matrix(
-        (np.ones(members.size), members, indptr), shape=(len(counts), x.shape[0])
+        (np.ones(members.size), members, candidates.indptr),
+        shape=(len(counts), x.shape[0]),
+        copy=True,
     )
     incidence.sort_indices()
     return (incidence @ x) / counts[:, None]
@@ -351,21 +358,33 @@ def _trainval_hypergraph(data: HyperlinkDataset, split: Split) -> Hypergraph:
 
 
 def trainval_adjacency_hash(data: HyperlinkDataset, split: Split) -> str:
-    """Fingerprint of the operator the hyperlink pipeline must use:
-    clique expansion of the train+val positives only, normalized."""
-    sub = _trainval_hypergraph(data, split)
-    return adjacency_fingerprint(normalize_with_self_loops(weighted_clique_expansion(sub)))
+    """Structure digest of the hypergraph the hyperlink pipeline's
+    operator must come from: the train+val positives only.  The clique
+    expansion tags its operator with the same digest of its input and
+    `propagate` carries the tag, so the check builds no operator."""
+    return _structure_digest(_trainval_hypergraph(data, split))
 
 
-def _split_candidates(data: HyperlinkDataset, part: np.ndarray):
-    part_set = set(part.tolist())
-    cands = [data.positives[i] for i in part]
-    targets = [1.0] * len(cands)
-    for neg in data.negatives:
-        if neg.source in part_set:
-            cands.append(neg.nodes)
-            targets.append(0.0)
-    return cands, np.array(targets)
+def _split_candidates(data: HyperlinkDataset, part: np.ndarray) -> tuple[NodeSets, np.ndarray]:
+    """The positives in ``part`` (in ``part`` order), then the negatives
+    whose source is in ``part`` (in sampling order), with targets 1.0
+    and 0.0."""
+    positives = [data.positives[i] for i in part.tolist()]
+    pos_sizes = np.fromiter(map(len, positives), dtype=np.int64, count=len(positives))
+    pos_members = np.fromiter(
+        itertools.chain.from_iterable(positives), dtype=np.int64, count=int(pos_sizes.sum())
+    )
+    in_part = np.zeros(len(data.positives), dtype=bool)
+    in_part[part] = True
+    chosen = in_part[data.source]
+    neg_sizes = np.diff(data.negatives.indptr)
+    sizes = np.concatenate([pos_sizes, neg_sizes[chosen]])
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.concatenate([pos_members, data.negatives.indices[np.repeat(chosen, neg_sizes)]])
+    targets = np.zeros(len(sizes))
+    targets[: len(positives)] = 1.0
+    return NodeSets(indptr=indptr, indices=indices), targets
 
 
 def train_hyperlink_predictor(
@@ -374,28 +393,31 @@ def train_hyperlink_predictor(
     """Full-batch training of the hyperlink scorer.
 
     The split indexes the positives; each negative follows its source.
-    Selection is by validation AUC; test AUC is computed once, after
-    the loop.  Raises if ``features`` were not propagated over the
-    adjacency built from exactly the train+val positives (test edges
+    Selection is by validation AUC.  The test candidates are pooled and
+    scored once, after the loop, once the train and val pools are
+    freed.  Raises ContractViolation unless ``features`` carry the
+    structure digest of exactly the train+val positives (test edges
     must not leak into message passing), and NumericalError on a
     non-finite loss or scores.
     """
     for part in (split.train, split.val, split.test):
         if part.size == 0:
             raise DomainError("every split part must be nonempty")
-        if int(part.max()) >= len(data.positives):
+        if part.min() < 0 or part.max() >= len(data.positives):
             raise BoundsError("split references a positive outside the dataset")
-    if features.adjacency_hash != trainval_adjacency_hash(data, split):
+    if features.structure is None:
+        raise ContractViolation(
+            "features carry no structure digest: propagate over a weighted_clique_expansion"
+        )
+    if features.structure != trainval_adjacency_hash(data, split):
         raise ContractViolation(
             "features were propagated over an adjacency that is not the train+val positives"
         )
     x = features.matrix
     train_cands, train_t = _split_candidates(data, split.train)
-    val_cands, val_t = _split_candidates(data, split.val)
-    test_cands, test_t = _split_candidates(data, split.test)
     pooled_train = pool_candidates(x, train_cands)
+    val_cands, val_t = _split_candidates(data, split.val)
     pooled_val = pool_candidates(x, val_cands)
-    pooled_test = pool_candidates(x, test_cands)
     rng = np.random.default_rng(cfg.seed)
     params = init_mlp([x.shape[1], *cfg.hidden_dims, 1], rng)
     state = AdamState.like(params)
@@ -417,7 +439,9 @@ def train_hyperlink_predictor(
         if val_auc > best_val:
             best_val = val_auc
             best_params = params.copy()
-    test_scores = mlp_forward(best_params, pooled_test).ravel()
+    del pooled_train, pooled_val, fwd  # free the loop's pools before the test pool
+    test_cands, test_t = _split_candidates(data, split.test)
+    test_scores = mlp_forward(best_params, pool_candidates(x, test_cands)).ravel()
     _require_finite(test_scores, "test scores")
     test_auc = auc(test_scores[test_t == 1.0], test_scores[test_t == 0.0])
     metrics = Metrics(

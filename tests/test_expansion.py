@@ -5,11 +5,14 @@ instances or recomputed by the entrywise loop oracles; the library's
 sparse-algebra route must agree with both.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hyperprop.core import Hypergraph, degrees, incidence_matrix
+from hyperprop.core import Hypergraph, _structure_digest, degrees, incidence_matrix
 from hyperprop.errors import ContractViolation, DomainError
 from hyperprop.expansion import (
     SparseAdjacency,
@@ -232,6 +235,38 @@ class TestSparseAdjacency:
             SparseAdjacency(sp.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]])), symmetric=False)
         with pytest.raises(DomainError):
             SparseAdjacency(sp.csr_matrix(np.array([[0.0, np.inf], [1.0, 0.0]])), symmetric=False)
+
+
+class TestStructureTag:
+    def test_clique_expansion_carries_the_digest_through_normalization(self):
+        h = Hypergraph.from_edges([(0, 1, 2), (2, 3)], n=5)
+        w = weighted_clique_expansion(h)
+        assert w.structure == _structure_digest(h)
+        assert normalize_with_self_loops(w).structure == w.structure
+        assert star_norm_expansion(h).structure is None
+
+    def test_digest_follows_the_documented_byte_layout(self):
+        h = Hypergraph.from_edges([(3, 1), (), (0, 2, 4)], n=6)
+        want = hashlib.sha256(
+            struct.pack("<QQ", 6, 3)
+            + np.array([2, 0, 3], dtype=np.int64).tobytes()
+            + np.array([1, 3, 0, 2, 4], dtype=np.int64).tobytes()
+        ).hexdigest()
+        assert _structure_digest(h) == want
+
+    def test_digest_separates_structures(self):
+        variants = [
+            [(0, 1, 2), (2, 3)],
+            [(2, 3), (0, 1, 2)],  # edge order
+            [(0, 1), (2, 3)],  # a member dropped
+            [(0, 1), (2,), (3,)],  # same members, other cuts
+            [(0, 1, 2), (2, 3), ()],  # an empty edge
+        ]
+        digests = {_structure_digest(Hypergraph.from_edges(e, n=5)) for e in variants}
+        digests.add(_structure_digest(Hypergraph.from_edges(variants[0], n=6)))  # isolated node
+        assert len(digests) == len(variants) + 1
+        again = Hypergraph.from_edges([[2, 1, 0], [3, 2]], n=5)
+        assert _structure_digest(again) == _structure_digest(Hypergraph.from_edges(variants[0], n=5))
 
 
 def _scaled_incidence_rebuilt(h, row_scale, col_scale):

@@ -1,5 +1,7 @@
 """Tests for the MLP head: forward, losses, gradients, Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,46 @@ def adam_textbook_step(p, g, m, v, step, cfg):
     p -= cfg.learning_rate * update
     if cfg.weight_decay > 0.0:
         p -= cfg.learning_rate * cfg.weight_decay * p
+
+
+def reference_forward(params, x, dropout=0.0, rng=None):
+    """The forward pass as plain expressions with temporaries: returns
+    the logits, the layer inputs, the hidden pre-activations and the
+    dropout scales."""
+    inputs, preacts, masks = [], [], []
+    a = x
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(a)
+        z = a @ w + b
+        if i == last:
+            return z, inputs, preacts, masks
+        preacts.append(z)
+        h = np.maximum(z, 0.0)
+        if dropout > 0.0:
+            scale = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+            h = h * scale
+            masks.append(scale)
+        else:
+            masks.append(None)
+        a = h
+
+
+def reference_backward(params, inputs, preacts, masks, grad_logits):
+    """Backprop as plain expressions, masking by the pre-activations."""
+    grads_w = [None] * len(params.weights)
+    grads_b = [None] * len(params.biases)
+    delta = grad_logits
+    for i in range(len(params.weights) - 1, -1, -1):
+        grads_w[i] = inputs[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i == 0:
+            break
+        delta = delta @ params.weights[i].T
+        if masks[i - 1] is not None:
+            delta = delta * masks[i - 1]
+        delta = delta * (preacts[i - 1] > 0.0)
+    return grads_w, grads_b
 
 
 def tiny_params():
@@ -198,7 +240,8 @@ class TestBackprop:
             for _ in range(50):
                 x = rng.standard_normal((5, dims[0]))
                 logits, fwd = mlp_forward(params, x, cache=True)
-                if all(np.abs(z).min() > 1e-3 for z in fwd.preacts):
+                preacts = reference_forward(params, x)[2]
+                if all(np.abs(z).min() > 1e-3 for z in preacts):
                     break
             else:
                 raise AssertionError("no kink-free input found")
@@ -229,6 +272,76 @@ class TestBackprop:
         gw, _ = mlp_backward(params, fwd, grad.reshape(logits.shape))
         dropped_cols = np.all(fwd.masks[0] == 0.0, axis=0)
         assert np.all(gw[0][:, dropped_cols] == 0.0)
+
+
+class TestInPlaceHead:
+    """The head computes the bias, rectifier and masks in place; its
+    logits and gradients must equal the expressions with temporaries
+    bit for bit."""
+
+    @staticmethod
+    def case(hidden, width_out, seed):
+        rng = np.random.default_rng(seed)
+        dims = [7, *[9] * hidden, width_out]
+        params = init_mlp(dims, rng)
+        for b in params.biases:  # negative, zero and positive biases
+            b[:] = rng.choice([-0.5, 0.0, 0.5], size=b.shape)
+        x = rng.standard_normal((40, 7))
+        x[:5] = 0.0  # rows whose pre-activations are exactly the biases, zeros included
+        grad = rng.standard_normal((40, width_out))
+        return params, x, grad
+
+    @pytest.mark.parametrize("width_out", [1, 6])
+    @pytest.mark.parametrize("hidden", [0, 1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_bit_identical_to_the_expressions_with_temporaries(self, dropout, hidden, width_out):
+        params, x, grad = self.case(hidden, width_out, seed=hidden * 10 + width_out)
+        logits, fwd = mlp_forward(
+            params, x, dropout=dropout, train=True, rng=np.random.default_rng(3), cache=True
+        )
+        want, inputs, preacts, masks = reference_forward(
+            params, x, dropout, np.random.default_rng(3)
+        )
+        assert any((z == 0.0).any() and (z < 0.0).any() for z in preacts) or hidden == 0
+        assert np.array_equal(logits, want)
+        gw, gb = mlp_backward(params, fwd, grad)
+        want_w, want_b = reference_backward(params, inputs, preacts, masks, grad)
+        for got, ref in zip(gw + gb, want_w + want_b):
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_inputs_and_params_are_not_written(self, dropout):
+        params, x, grad = self.case(2, 1, seed=5)
+        before = params.copy()
+        x_before, grad_before = x.copy(), grad.copy()
+        logits, fwd = mlp_forward(
+            params, x, dropout=dropout, train=True, rng=np.random.default_rng(4), cache=True
+        )
+        mlp_backward(params, fwd, grad)
+        assert np.array_equal(x, x_before) and np.array_equal(grad, grad_before)
+        for got, ref in zip(params.weights + params.biases, before.weights + before.biases):
+            assert np.array_equal(got, ref)
+
+    def test_one_step_peak_memory_is_about_two_batch_arrays(self):
+        """One forward, loss and backward step at B = 12 000 and dims
+        64 -> 64 -> 1 (the hyperlink benchmark's batch) allocates at most
+        2.5 arrays of B x 64 float64 at its peak: the cached hidden
+        activations and the hidden delta, plus small change."""
+        rows, width = 12_000, 64
+        rng = np.random.default_rng(12)
+        params = init_mlp([width, width, 1], rng)
+        x = rng.standard_normal((rows, width))
+        targets = (rng.random(rows) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            logits, fwd = mlp_forward(params, x, cache=True)
+            _, grad = sigmoid_bce(logits, targets)
+            mlp_backward(params, fwd, grad.reshape(logits.shape))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * rows * width * 8, peak / (rows * width * 8)
 
 
 class TestAdam:

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,29 @@ class TestColumnPanels:
         assert threading.active_count() == before
 
 
+    def test_a_failing_panel_cancels_the_queued_ones(self, atilde, monkeypatch):
+        """A NaN in the first of 16 panels raises without running the
+        panels still queued, and every worker thread is joined."""
+        panels = 16
+        x = np.ones((atilde.n, panels * self.WIDTH))
+        x[0, 0] = np.nan
+        calls = []
+        real_panel = propagation._panel
+
+        def slow_panel(*args):
+            calls.append(args[2])
+            time.sleep(0.02)
+            return real_panel(*args)
+
+        monkeypatch.setattr(propagation, "_panel", slow_panel)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="non-finite"):
+            propagate(atilde, x, PropagationConfig(layers=2, alpha=0.3))
+        assert len(calls) < panels
+        assert threading.active_count() == before
+
+
 def test_importing_the_cli_starts_no_thread():
     code = "import threading, hyperprop.cli; print(threading.active_count())"
     paths = [str(Path(propagation.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -446,6 +470,22 @@ class TestSerialization:
         assert again.config == pf.config
         assert again.provenance == pf.provenance
         assert again.adjacency_hash == pf.adjacency_hash
+
+    def test_structure_tag_is_carried_but_not_saved(self, tmp_path):
+        from hyperprop.core import _structure_digest
+        from hyperprop.propagation import save_propagated
+
+        h = Hypergraph.from_edges([(0, 1, 2), (2, 3)], n=4)
+        pf = propagate(
+            normalize_with_self_loops(weighted_clique_expansion(h)),
+            np.ones((4, 2)),
+            PropagationConfig(layers=1, alpha=0.3),
+        )
+        assert pf.structure == _structure_digest(h)
+        path = tmp_path / "tagged.tfhn"
+        save_propagated(path, pf)
+        assert load_propagated(path).structure is None
+        assert propagate(TWO_NODE, np.ones((2, 1)), pf.config).structure is None
 
     def test_round_trip_of_zero_width_features(self, tmp_path):
         from hyperprop.propagation import save_propagated

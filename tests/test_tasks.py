@@ -28,8 +28,10 @@ from hyperprop.nn import (
 from hyperprop.propagation import PropagationConfig, propagate
 from hyperprop.synthetic import PlantedConfig, generate
 from hyperprop.tasks import (
+    NodeSets,
     Split,
     _midranks,
+    _split_candidates,
     auc,
     make_split,
     negative_sample,
@@ -87,6 +89,27 @@ def valid_corruptions(h, edge, alpha):
     return sorted(support - set(h.edges))
 
 
+def node_sets(sets):
+    """NodeSets holding ``sets`` as listed (not sorted)."""
+    indptr = np.cumsum([0, *map(len, sets)], dtype=np.int64)
+    indices = np.array([v for c in sets for v in c], dtype=np.int64)
+    return NodeSets(indptr=indptr, indices=indices)
+
+
+def negatives_of(data):
+    """(nodes, source) per negative, read off the CSR arrays; also checks
+    the arrays' shape: one source per set, each set sorted."""
+    ptr, ind = data.negatives.indptr, data.negatives.indices
+    assert ptr[0] == 0 and ptr[-1] == len(ind) and np.all(np.diff(ptr) >= 0)
+    assert len(data.source) == len(data.negatives) == len(ptr) - 1
+    out = []
+    for i in range(len(data.negatives)):
+        nodes = tuple(ind[ptr[i] : ptr[i + 1]].tolist())
+        assert list(nodes) == sorted(set(nodes))
+        out.append((nodes, int(data.source[i])))
+    return out
+
+
 class TestNegativeSample:
     def test_half_corruption_of_four_node_edge(self):
         # the only replacement pool is {4, 5}: every fake keeps exactly two
@@ -94,12 +117,13 @@ class TestNegativeSample:
         h = Hypergraph.from_edges([(0, 1, 2, 3)], n=6)
         data = negative_sample(h, alpha=0.5, beta=5, seed=0)
         assert len(data.negatives) == 5
-        for neg in data.negatives:
-            assert len(neg.nodes) == 4
-            assert len(neg.kept) == 2
-            assert set(neg.kept) <= {0, 1, 2, 3}
-            assert {4, 5} <= set(neg.nodes)
-            assert neg.source == 0
+        for nodes, source in negatives_of(data):
+            kept = set(nodes) & set(h.edges[source])
+            assert len(nodes) == 4
+            assert len(kept) == 2
+            assert kept <= {0, 1, 2, 3}
+            assert {4, 5} <= set(nodes)
+            assert source == 0
 
     def test_composition_property(self):
         """Every fake has round(alpha |e|) members of its source edge and
@@ -117,25 +141,26 @@ class TestNegativeSample:
             data = negative_sample(h, alpha=alpha, beta=3, seed=7)
             assert len(data.negatives) == 3 * h.m
             positives = set(h.edges)
-            for neg in data.negatives:
-                source = set(h.edges[neg.source])
+            for nodes, source_id in negatives_of(data):
+                source = set(h.edges[source_id])
                 keep = round(alpha * len(source))
-                inside = set(neg.nodes) & source
-                assert set(neg.kept) == inside
-                assert len(neg.kept) == keep
-                assert len(neg.nodes) == len(source)
-                assert neg.nodes not in positives
+                assert len(set(nodes) & source) == keep
+                assert len(nodes) == len(source)
+                assert nodes not in positives
 
     def test_round_half_to_even(self):
         h = Hypergraph.from_edges([(0, 1, 2, 3, 4)], n=20)  # 0.5*5 = 2.5 -> 2
         data = negative_sample(h, alpha=0.5, beta=2, seed=0)
-        assert all(len(neg.kept) == 2 for neg in data.negatives)
+        assert all(len(set(nodes) & set(h.edges[0])) == 2 for nodes, _ in negatives_of(data))
 
     def test_seed_determinism(self):
         h = Hypergraph.from_edges([(0, 1, 2), (2, 3, 4)], n=10)
         a = negative_sample(h, 0.5, 4, seed=3)
         b = negative_sample(h, 0.5, 4, seed=3)
-        assert a == b
+        assert a.positives == b.positives
+        assert np.array_equal(a.negatives.indptr, b.negatives.indptr)
+        assert np.array_equal(a.negatives.indices, b.negatives.indices)
+        assert np.array_equal(a.source, b.source)
 
     def test_full_alpha_always_collides(self):
         h = Hypergraph.from_edges([(0, 1, 2)], n=5)
@@ -161,12 +186,11 @@ class TestNegativeSample:
         h = Hypergraph.from_edges(edges, n=n)
         beta = 3000
         data = negative_sample(h, alpha, beta, seed=11)
-        assert [neg.source for neg in data.negatives] == np.repeat(np.arange(h.m), beta).tolist()
+        negatives = negatives_of(data)
+        assert [source for _, source in negatives] == np.repeat(np.arange(h.m), beta).tolist()
         for source, edge in enumerate(h.edges):
             support = valid_corruptions(h, edge, alpha)
-            counts = collections.Counter(
-                neg.nodes for neg in data.negatives if neg.source == source
-            )
+            counts = collections.Counter(nodes for nodes, s in negatives if s == source)
             assert set(counts) <= set(support)
             observed = np.array([counts[c] for c in support], dtype=float)
             expected = beta / len(support)
@@ -208,25 +232,49 @@ class TestPoolCandidates:
             tuple(rng.choice(30, size=int(rng.integers(1, 12)), replace=False).tolist())
             for _ in range(200)
         ]
-        assert np.array_equal(pool_candidates(x, cands), pool_reference(x, cands))
-        assert pool_candidates(x, []).shape == (0, 5)
+        assert np.array_equal(pool_candidates(x, node_sets(cands)), pool_reference(x, cands))
+        assert pool_candidates(x, node_sets([])).shape == (0, 5)
 
     def test_invariant_to_member_order(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 4))
-        pooled = pool_candidates(x, [(2, 5, 9, 0), (0, 9, 5, 2)])
+        sets = node_sets([(2, 5, 9, 0), (0, 9, 5, 2)])
+        pooled = pool_candidates(x, sets)
         assert np.array_equal(pooled[0], pooled[1])
+        assert sets.indices.tolist() == [2, 5, 9, 0, 0, 9, 5, 2]  # sorted on a copy
+
+    def test_split_candidates_equal_the_tuple_loop(self):
+        """Positives of the part in part order, then the negatives whose
+        source is in the part in sampling order: the CSR rows, targets
+        and pooled features equal the loop over tuples."""
+        h, x, _ = planted_case(3, n=120, noise=0.3)
+        data = negative_sample(h, 0.5, 4, seed=3)
+        split = make_split(h.m, 3)
+        negatives = negatives_of(data)
+        for part in (split.train, split.val, split.test):
+            members = set(part.tolist())
+            want = [h.edges[i] for i in part] + [
+                nodes for nodes, source in negatives if source in members
+            ]
+            cands, targets = _split_candidates(data, part)
+            got = [
+                tuple(cands.indices[cands.indptr[i] : cands.indptr[i + 1]].tolist())
+                for i in range(len(cands))
+            ]
+            assert got == want
+            assert targets.tolist() == [1.0] * len(part) + [0.0] * (len(want) - len(part))
+            assert np.array_equal(pool_candidates(x, cands), pool_reference(x, want))
 
     def test_pool_candidates_validation(self):
         x = np.zeros((3, 2))
         with pytest.raises(DomainError, match="candidate 0 is empty"):
-            pool_candidates(x, [()])
+            pool_candidates(x, node_sets([()]))
         with pytest.raises(BoundsError, match="candidate 0"):
-            pool_candidates(x, [(0, 5)])
+            pool_candidates(x, node_sets([(0, 5)]))
         with pytest.raises(BoundsError, match="candidate 1"):
-            pool_candidates(x, [(0, 1), (-1, 2), ()])
+            pool_candidates(x, node_sets([(0, 1), (-1, 2), ()]))
         with pytest.raises(DomainError, match="candidate 1 is empty"):
-            pool_candidates(x, [(0, 1), (), (0, 3)])
+            pool_candidates(x, node_sets([(0, 1), (), (0, 3)]))
 
 
 class TestAuc:
@@ -490,10 +538,36 @@ class TestTrainHyperlinkPredictor:
         ):
             train_hyperlink_predictor(huge, data, split, cfg)
 
+    def test_rejects_features_without_a_structure_digest(self):
+        _, _, pf, data, split = self.make_inputs()
+        untagged = dataclasses.replace(pf, structure=None)
+        with pytest.raises(ContractViolation, match="no structure digest"):
+            train_hyperlink_predictor(
+                untagged, data, split, TrainConfig(learning_rate=0.01, epochs=5)
+            )
+
+    def test_rejects_negative_split_indices(self):
+        """-1 would wrap to the last positive: the split is refused, as
+        the classification trainer refuses it."""
+        h, x, _ = planted_case(0, n=60, noise=0.3)
+        h = Hypergraph.from_edges(h.edges[:40], n=h.n)
+        data = negative_sample(h, 0.5, 2, 0)
+        split = Split(
+            train=np.arange(20), val=np.arange(20, 30), test=np.array([-1, -2, -3, 30, 31]),
+            seed=0,
+        )
+        sub = Hypergraph.from_edges([h.edges[i] for i in range(30)], n=h.n)
+        pf = propagate(
+            normalize_with_self_loops(weighted_clique_expansion(sub)), x,
+            PropagationConfig(layers=2, alpha=0.5),
+        )
+        with pytest.raises(BoundsError, match="outside the dataset"):
+            train_hyperlink_predictor(
+                pf, data, split, TrainConfig(learning_rate=0.01, epochs=5, hidden_dims=(8,))
+            )
+
     def test_negatives_follow_their_source_split(self):
         h, _, pf, data, split = self.make_inputs()
-        from hyperprop.tasks import _split_candidates
-
         cands, targets = _split_candidates(data, split.test)
         n_pos = int(targets.sum())
         assert n_pos == len(split.test)
