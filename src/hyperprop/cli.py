@@ -429,10 +429,7 @@ def main(argv=None) -> int:
         if args.command == "precompute":
             return cmd_precompute(cfg)
         return cmd_train(cfg)
-    except HyperpropError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (HyperpropError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

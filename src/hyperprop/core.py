@@ -1,17 +1,18 @@
 """Hypergraph container, degree bookkeeping, distances, and file ingestion.
 
-A hypergraph is stored as an immutable incidence structure: every
-hyperedge is a sorted tuple of node ids, and a node -> hyperedges view
-is derived once at construction.  All downstream modules (expansions,
-propagation, tasks) consume this type and never mutate it.
+A hypergraph is stored as one immutable CSR incidence structure, from
+which degrees, the incidence matrix, the structure digest and the tuple
+views are derived.  All downstream modules (expansions, propagation,
+tasks) consume this type and never mutate it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
+import operator
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,57 +36,79 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Immutable incidence structure.
-
-    ``edges[k]`` is the sorted tuple of node ids in hyperedge ``k``,
-    ``memberships[i]`` the sorted tuple of hyperedge ids containing node
-    ``i``.  Node ids live in ``[0, n)``; duplicates within a hyperedge
-    are rejected rather than silently dropped.
+    """Immutable incidence structure in CSR form: hyperedge ``k`` is
+    ``indices[indptr[k]:indptr[k + 1]]``, strictly ascending node ids in
+    ``[0, n)``; both arrays are int64 and read-only.  Hypergraphs compare
+    and hash by identity.  The sorted tuple views ``edges[k]`` (members
+    of hyperedge ``k``) and ``memberships[i]`` (hyperedges containing
+    node ``i``) are built on first use.
     """
 
     n: int
-    edges: tuple[tuple[int, ...], ...]
-    memberships: tuple[tuple[int, ...], ...] = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        n = operator.index(self.n)
+        arrays = [np.asarray(a) for a in (self.indptr, self.indices)]
+        if any(a.ndim != 1 or (a.size and a.dtype.kind not in "iu") for a in arrays):
+            raise DomainError("indptr and indices must be 1-d integer arrays")
+        indptr, indices = (np.array(a, dtype=np.int64) for a in arrays)
+        sizes = np.diff(indptr)
+        if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(sizes < 0):
+            raise DomainError("indptr must start at 0, never decrease and end at len(indices)")
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        same, step = owner[1:] == owner[:-1], np.diff(indices)
+        faults = (owner[1:][same & (step < 0)], owner[1:][same & (step == 0)], owner[indices < 0])
+        k, fault = min(((int(o[0]), i) for i, o in enumerate(faults) if o.size), default=(0, -1))
+        if fault >= 0:
+            what = ("is not sorted ascending", "contains a duplicate node id",
+                    f"contains negative node id {indices[indptr[k]]}")[fault]
+            raise (BoundsError if fault == 2 else DomainError)(f"hyperedge {k} {what}")
+        top = int(indices.max()) if indices.size else -1
+        if top >= n:
+            raise BoundsError(f"node id {top} out of range for declared n={n}")
+        indptr.flags.writeable = indices.flags.writeable = False
+        for name, value in (("n", n), ("indptr", indptr), ("indices", indices)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.indptr) - 1
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return _tuple_rows(self.indptr, self.indices)
+
+    @cached_property
+    def memberships(self) -> tuple[tuple[int, ...], ...]:
+        b = incidence_matrix(self)
+        return _tuple_rows(b.indptr, b.indices)
 
     @classmethod
     def from_edges(cls, edges, n: int | None = None) -> "Hypergraph":
-        """Build a hypergraph from an iterable of node-id collections.
-
-        ``n`` defaults to one past the largest node id seen; passing a
-        larger ``n`` declares isolated nodes, passing a smaller one is a
-        bounds error.
+        """Build a hypergraph from an iterable of integer node-id
+        collections, sorting each.  ``n`` defaults to one past the largest
+        node id seen; passing a larger ``n`` declares isolated nodes,
+        passing a smaller one is a bounds error.
         """
-        canon: list[tuple[int, ...]] = []
-        max_id = -1
+        members, indptr = [], [0]
         for k, edge in enumerate(edges):
-            members = tuple(sorted(int(v) for v in edge))
-            if len(set(members)) != len(members):
-                raise DomainError(f"hyperedge {k} contains a duplicate node id")
-            for v in members:
-                if v < 0:
-                    raise BoundsError(f"hyperedge {k} contains negative node id {v}")
-            if members:
-                max_id = max(max_id, members[-1])
-            canon.append(members)
+            try:
+                members.extend(sorted(map(operator.index, edge)))
+            except TypeError:
+                raise DomainError(f"hyperedge {k} is not a set of integer node ids") from None
+            indptr.append(len(members))
         if n is None:
-            n = max_id + 1
-        elif max_id >= n:
-            raise BoundsError(f"node id {max_id} out of range for declared n={n}")
-        member_lists: list[list[int]] = [[] for _ in range(n)]
-        for k, members in enumerate(canon):
-            for v in members:
-                member_lists[v].append(k)
-        return cls(
-            n=n,
-            edges=tuple(canon),
-            memberships=tuple(tuple(ms) for ms in member_lists),
-        )
+            n = max(max(members, default=-1) + 1, 0)
+        return cls(n=n, indptr=indptr, indices=members)
+
+
+def _tuple_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -103,34 +126,25 @@ class DegreeVectors:
 
 
 def degrees(h: Hypergraph) -> DegreeVectors:
-    node = np.array([len(ms) for ms in h.memberships], dtype=np.float64)
-    edge = np.array([len(e) for e in h.edges], dtype=np.float64)
-    node[node == 0.0] = 1.0
-    edge[edge == 0.0] = 1.0
+    node = np.maximum(np.bincount(h.indices, minlength=h.n), 1).astype(np.float64)
+    edge = np.maximum(np.diff(h.indptr), 1).astype(np.float64)
     return DegreeVectors(node=node, edge=edge)
 
 
 def incidence_matrix(h: Hypergraph) -> sp.csr_matrix:
-    """0/1 node-by-hyperedge incidence as CSR (n rows, m columns)."""
-    rows, cols = [], []
-    for k, members in enumerate(h.edges):
-        rows.extend(members)
-        cols.extend([k] * len(members))
-    data = np.ones(len(rows), dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(h.n, h.m))
+    """0/1 node-by-hyperedge incidence as CSR (n rows, m columns); the
+    hypergraph's arrays are its CSC form."""
+    data = np.ones(len(h.indices), dtype=np.float64)
+    return sp.csc_matrix((data, h.indices, h.indptr), shape=(h.n, h.m)).tocsr()
 
 
 def _structure_digest(h: Hypergraph) -> str:
     """sha256 of n, m, the hyperedge sizes and the members of every
     hyperedge in order: equal exactly for equal hypergraphs, in
     O(sum |e|).  Operators built from ``h`` carry it as their tag."""
-    sizes = np.fromiter(map(len, h.edges), dtype=np.int64, count=h.m)
-    members = np.fromiter(
-        itertools.chain.from_iterable(h.edges), dtype=np.int64, count=int(sizes.sum())
-    )
     hasher = hashlib.sha256(struct.pack("<QQ", h.n, h.m))
-    hasher.update(sizes)
-    hasher.update(members)
+    hasher.update(np.diff(h.indptr))
+    hasher.update(h.indices)
     return hasher.hexdigest()
 
 
@@ -206,7 +220,7 @@ _HEADER_PREFIX = "#n="
 def load_hypergraph(path: str | Path) -> Hypergraph:
     """Read a hypergraph from an edge-list file at ``path``."""
     path = Path(path)
-    edges: list[tuple[int, ...]] = []
+    edges: list[list[int]] = []
     declared_n: int | None = None
     declared_m: int | None = None
     for lineno, line in _text_lines(path):
@@ -220,7 +234,7 @@ def load_hypergraph(path: str | Path) -> Hypergraph:
                 members.append(int(tok))
             except ValueError:
                 raise ParseError(f"{path.name}:{lineno}: malformed node id {tok!r}") from None
-        edges.append(tuple(members))
+        edges.append(members)
     if declared_m is not None and declared_m != len(edges):
         raise ParseError(
             f"{path.name}: header declares m={declared_m} but file has {len(edges)} hyperedges"
@@ -261,8 +275,7 @@ def save_hypergraph(path: str | Path, h: Hypergraph) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"#n={h.n} m={h.m}\n")
-        for members in h.edges:
-            fh.write(" ".join(str(v) for v in members) + "\n")
+        fh.writelines(" ".join(map(str, e)) + "\n" for e in _tuple_rows(h.indptr, h.indices))
 
 
 def load_features(path: str | Path) -> np.ndarray:

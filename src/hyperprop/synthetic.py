@@ -73,7 +73,7 @@ def generate(cfg: PlantedConfig) -> tuple[Hypergraph, np.ndarray, LabelVector]:
             members = rng.choice(class_members[cls], size=size, replace=False)
         else:
             members = rng.choice(cfg.n, size=size, replace=False)
-        edges.append(tuple(sorted(members.tolist())))
+        edges.append(members)
     h = Hypergraph.from_edges(edges, n=cfg.n)
     means = np.zeros((cfg.classes, cfg.feature_dim))
     means[np.arange(cfg.classes), np.arange(cfg.classes)] = 1.0

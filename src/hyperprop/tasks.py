@@ -10,7 +10,6 @@ structure.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -112,12 +111,10 @@ class HyperlinkDataset:
     positive are the ones it kept.
     """
 
-    positives: tuple[tuple[int, ...], ...]
+    positives: Hypergraph
     negatives: NodeSets
     source: np.ndarray
-    corruption_alpha: float
     ratio_beta: int
-    n: int
 
 
 def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> HyperlinkDataset:
@@ -125,22 +122,20 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
 
     round(alpha * |e|) members survive (round-half-to-even); the rest
     are redrawn uniformly from outside the hyperedge, without
-    replacement.  A draw that collides with any real hyperedge is
-    retried up to 100 times before giving up.  Edges of one size are
-    corrupted together, so the cost is O(sum |e| * beta), independent
-    of n.  Negatives come out edge-major, then by draw, and each group's
-    draws are written straight into the CSR arrays.
+    replacement.  A draw that equals a real hyperedge (one of its own
+    size) is retried up to 100 times before giving up.  Edges of one
+    size are corrupted together, so the cost is O(sum |e| * beta),
+    independent of n.  Negatives come out edge-major, then by draw, and
+    each group's draws are written straight into the CSR arrays.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"corruption alpha must lie in [0, 1], got {alpha}")
     if beta <= 0:
         raise DomainError(f"negatives per positive must be positive, got {beta}")
     rng = np.random.default_rng(seed)
-    positive_set = set(h.edges)
-    sizes = np.fromiter(map(len, h.edges), dtype=np.int64, count=h.m)
-    indptr = np.zeros(h.m * beta + 1, dtype=np.int64)
-    np.cumsum(np.repeat(sizes, beta), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    sizes = np.diff(h.indptr)
+    source = np.repeat(np.arange(h.m, dtype=np.int64), beta)
+    negatives = _rows(h, source)  # copies of the sources; each group's draws overwrite them
     failures: dict[int, str] = {}
     for size in np.unique(sizes).tolist():
         ids = np.flatnonzero(sizes == size)
@@ -151,7 +146,8 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
                 f"hyperedge {edge}: only {h.n - size} replacement nodes for {size - keep} slots"
             )
             continue
-        members = np.array([h.edges[i] for i in ids], dtype=np.int64).reshape(len(ids), size)
+        members = h.indices[h.indptr[ids][:, None] + np.arange(size)]
+        positive_set = set(map(tuple, members.tolist()))
         rows = np.repeat(members, beta, axis=0)
         cands = _corrupt(rows, keep, h.n, rng)
         pending = np.flatnonzero(_collides(cands, positive_set))
@@ -165,16 +161,14 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
             failures[edge] = f"hyperedge {edge}: no collision-free corruption in 100 tries"
             continue
         slots = (ids[:, None] * beta + np.arange(beta)).ravel()
-        indices[indptr[slots][:, None] + np.arange(size)] = cands
+        negatives.indices[negatives.indptr[slots][:, None] + np.arange(size)] = cands
     if failures:
         raise SamplingError(failures[min(failures)])
     return HyperlinkDataset(
-        positives=h.edges,
-        negatives=NodeSets(indptr=indptr, indices=indices),
-        source=np.repeat(np.arange(h.m, dtype=np.int64), beta),
-        corruption_alpha=alpha,
+        positives=h,
+        negatives=negatives,
+        source=source,
         ratio_beta=beta,
-        n=h.n,
     )
 
 
@@ -350,11 +344,20 @@ def train_node_classifier(
     return best_params, metrics
 
 
+def _rows(sets: Hypergraph | NodeSets, rows: np.ndarray) -> NodeSets:
+    """The sets ``rows`` of a CSR collection, in that order."""
+    sizes = np.diff(sets.indptr)[rows]
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    offset = np.repeat(sets.indptr[rows] - indptr[:-1], sizes)
+    return NodeSets(indptr=indptr, indices=sets.indices[offset + np.arange(indptr[-1])])
+
+
 def _trainval_hypergraph(data: HyperlinkDataset, split: Split) -> Hypergraph:
     """The hypergraph the hyperlink pipeline's operator may see: the
     train+val positives only, in ascending index order, over all n nodes."""
-    visible = sorted(set(split.train.tolist()) | set(split.val.tolist()))
-    return Hypergraph.from_edges([data.positives[i] for i in visible], n=data.n)
+    visible = _rows(data.positives, np.union1d(split.train, split.val))
+    return Hypergraph(n=data.positives.n, indptr=visible.indptr, indices=visible.indices)
 
 
 def trainval_adjacency_hash(data: HyperlinkDataset, split: Split) -> str:
@@ -369,22 +372,11 @@ def _split_candidates(data: HyperlinkDataset, part: np.ndarray) -> tuple[NodeSet
     """The positives in ``part`` (in ``part`` order), then the negatives
     whose source is in ``part`` (in sampling order), with targets 1.0
     and 0.0."""
-    positives = [data.positives[i] for i in part.tolist()]
-    pos_sizes = np.fromiter(map(len, positives), dtype=np.int64, count=len(positives))
-    pos_members = np.fromiter(
-        itertools.chain.from_iterable(positives), dtype=np.int64, count=int(pos_sizes.sum())
-    )
-    in_part = np.zeros(len(data.positives), dtype=bool)
-    in_part[part] = True
-    chosen = in_part[data.source]
-    neg_sizes = np.diff(data.negatives.indptr)
-    sizes = np.concatenate([pos_sizes, neg_sizes[chosen]])
-    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    indices = np.concatenate([pos_members, data.negatives.indices[np.repeat(chosen, neg_sizes)]])
-    targets = np.zeros(len(sizes))
-    targets[: len(positives)] = 1.0
-    return NodeSets(indptr=indptr, indices=indices), targets
+    pos = _rows(data.positives, part)
+    neg = _rows(data.negatives, np.flatnonzero(np.isin(data.source, part)))
+    indptr = np.concatenate([pos.indptr, pos.indptr[-1] + neg.indptr[1:]])
+    indices = np.concatenate([pos.indices, neg.indices])
+    return NodeSets(indptr=indptr, indices=indices), np.repeat([1.0, 0.0], [len(pos), len(neg)])
 
 
 def train_hyperlink_predictor(
@@ -403,7 +395,7 @@ def train_hyperlink_predictor(
     for part in (split.train, split.val, split.test):
         if part.size == 0:
             raise DomainError("every split part must be nonempty")
-        if part.min() < 0 or part.max() >= len(data.positives):
+        if part.min() < 0 or part.max() >= data.positives.m:
             raise BoundsError("split references a positive outside the dataset")
     if features.structure is None:
         raise ContractViolation(

@@ -74,10 +74,8 @@ def random_hypergraph(
     """A random incidence structure; sizes are clipped to the node count."""
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     m = int(rng.integers(m_range[0], m_range[1] + 1))
-    edges = []
-    for _ in range(m):
-        size = int(rng.integers(size_range[0], min(size_range[1], n) + 1))
-        edges.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+    lo, hi = size_range[0], min(size_range[1], n)
+    edges = (rng.choice(n, size=int(rng.integers(lo, hi + 1)), replace=False) for _ in range(m))
     return Hypergraph.from_edges(edges, n=n)
 
 

@@ -185,6 +185,27 @@ class TestUsageAndConfigErrors:
         file = write_config(tmp_path, dataset={"edges": str(tmp_path / "absent.txt")})
         assert cli.main(["precompute", "--config", str(file)]) == 2
 
+    def test_output_below_a_regular_file_is_data_error(self, workspace, capsys):
+        tmp_path, cfg_file = workspace
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        assert cli.main(["precompute", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [(["precompute"], "propagated.tfhn"), (["train", "--inline-precompute"], "metrics.jsonl")],
+    )
+    def test_directory_in_place_of_an_output_file_is_data_error(
+        self, workspace, capsys, command, blocked
+    ):
+        tmp_path, cfg_file = workspace
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert cli.main([*command, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert (out / blocked).is_dir() and not list((out / blocked).iterdir())
+
     def test_bad_synthetic_range_is_data_error(self, tmp_path, capsys):
         file = write_config(tmp_path)
         cfg = json.loads(file.read_text())

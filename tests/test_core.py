@@ -1,10 +1,17 @@
 """Tests for the hypergraph container, degrees, distances, and loaders."""
 
+import collections
+import dataclasses
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hyperprop.core import (
     Hypergraph,
+    _structure_digest,
     LabelVector,
     degrees,
     incidence_matrix,
@@ -17,6 +24,11 @@ from hyperprop.core import (
     save_labels,
 )
 from hyperprop.errors import BoundsError, DimensionError, DomainError, ParseError
+from hyperprop.expansion import (
+    SparseAdjacency,
+    normalize_with_self_loops,
+    weighted_clique_expansion,
+)
 
 from oracles import bfs_khop, random_hypergraph_edges
 
@@ -53,6 +65,180 @@ class TestHypergraph:
         h = Hypergraph.from_edges([(0, 1, 2), (0, 1)])
         want = np.array([[1, 1], [1, 1], [1, 0]], dtype=float)
         np.testing.assert_array_equal(incidence_matrix(h).toarray(), want)
+
+
+    def test_non_integer_node_id_names_its_hyperedge(self):
+        with pytest.raises(DomainError, match="hyperedge 0"):
+            Hypergraph.from_edges([(0, 1.7), (2.9, 3)])
+        with pytest.raises(DomainError, match="hyperedge 1"):
+            Hypergraph.from_edges([(0, 1), (2, "3")])
+        assert Hypergraph.from_edges([np.array([2, 0]), (np.int32(1),)]).edges == ((0, 2), (1,))
+
+
+# The tuple-of-tuples storage the CSR arrays replaced, kept as the
+# reference the arrays must reproduce.
+
+def tuple_hypergraph(edges, n=None):
+    """(n, edges, memberships) as sorted tuples, built by plain loops."""
+    canon = tuple(tuple(sorted(int(v) for v in e)) for e in edges)
+    if n is None:
+        n = max((e[-1] for e in canon if e), default=-1) + 1
+    member_lists = [[] for _ in range(n)]
+    for k, members in enumerate(canon):
+        for v in members:
+            member_lists[v].append(k)
+    return n, canon, tuple(tuple(ms) for ms in member_lists)
+
+
+def tuple_degrees(n, edges):
+    node = np.array([sum(v in e for e in edges) for v in range(n)], dtype=np.float64)
+    edge = np.array([len(e) for e in edges], dtype=np.float64)
+    node[node == 0.0] = 1.0
+    edge[edge == 0.0] = 1.0
+    return node, edge
+
+
+def tuple_incidence(n, edges):
+    rows, cols = [], []
+    for k, members in enumerate(edges):
+        rows.extend(members)
+        cols.extend([k] * len(members))
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, len(edges)))
+
+
+def tuple_digest(n, edges):
+    hasher = hashlib.sha256(struct.pack("<QQ", n, len(edges)))
+    hasher.update(np.array([len(e) for e in edges], dtype=np.int64))
+    hasher.update(np.array([v for e in edges for v in e], dtype=np.int64))
+    return hasher.hexdigest()
+
+
+def tuple_clique(n, edges):
+    _, edge = tuple_degrees(n, edges)
+    b = tuple_incidence(n, edges).tocoo()
+    scaled = b.data * (np.ones(n)[b.row] * (1.0 / np.sqrt(edge))[b.col])
+    b = sp.csr_matrix((scaled, (b.row, b.col)), shape=b.shape)
+    w = (b @ b.T).tocsr()
+    w.setdiag(0.0)
+    w.eliminate_zeros()
+    return SparseAdjacency(matrix=w, symmetric=True)
+
+
+def random_raw_edges(rng):
+    """Unsorted edges over n in [0, 12], some empty, plus a declared n
+    that may add isolated nodes (None: inferred)."""
+    n = int(rng.integers(0, 13))
+    edges = []
+    for _ in range(int(rng.integers(0, 9))):
+        size = int(rng.integers(0, min(n, 5) + 1))
+        edges.append(rng.choice(n, size=size, replace=False).tolist())
+    declared = None if rng.random() < 0.3 else n + int(rng.integers(0, 3))
+    return edges, declared
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestCsrStorage:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_view_equals_the_tuple_implementation(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            edges, declared = random_raw_edges(rng)
+            h = Hypergraph.from_edges(edges, n=declared)
+            n, canon, memberships = tuple_hypergraph(edges, declared)
+            assert h.n == n and h.m == len(canon)
+            assert h.edges == canon
+            assert h.memberships == memberships
+            deg = degrees(h)
+            node, edge = tuple_degrees(n, canon)
+            assert np.array_equal(deg.node, node) and np.array_equal(deg.edge, edge)
+            assert_same_csr(incidence_matrix(h), tuple_incidence(n, canon))
+            assert _structure_digest(h) == tuple_digest(n, canon)
+            w = weighted_clique_expansion(h)
+            want = tuple_clique(n, canon)
+            assert_same_csr(w.matrix, want.matrix)
+            assert_same_csr(normalize_with_self_loops(w).matrix, normalize_with_self_loops(want).matrix)
+
+    def test_the_instances_cover_the_corner_cases(self):
+        hits = collections.Counter()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for _ in range(50):
+                edges, declared = random_raw_edges(rng)
+                n, canon, memberships = tuple_hypergraph(edges, declared)
+                hits.update({
+                    "n=0": n == 0,
+                    "empty edge": any(not e for e in canon),
+                    "isolated node": any(not ms for ms in memberships),
+                    "unsorted": any(e != sorted(e) for e in edges),
+                })
+        assert all(hits[case] for case in ("n=0", "empty edge", "isolated node", "unsorted"))
+
+    def test_fields_are_n_and_the_two_arrays(self):
+        h = Hypergraph.from_edges([(2, 0), (), (1,)], n=4)
+        assert [f.name for f in dataclasses.fields(h)] == ["n", "indptr", "indices"]
+        assert h.indptr.dtype == h.indices.dtype == np.int64
+        assert h.indptr.tolist() == [0, 2, 2, 3] and h.indices.tolist() == [0, 2, 1]
+
+    def test_direct_construction_equals_from_edges(self):
+        h = Hypergraph(n=5, indptr=[0, 3, 3, 5], indices=[0, 2, 4, 1, 3])
+        assert h.edges == ((0, 2, 4), (), (1, 3))
+        assert h.memberships == ((0,), (2,), (0,), (2,), (0,))
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [([], []), ([1, 2], [0, 1]), ([0, 2, 1, 3], [0, 1, 2]), ([0, 1], [0, 1]), ([0, 3], [0, 1])],
+        ids=["empty", "nonzero start", "decreasing", "short end", "long end"],
+    )
+    def test_bad_indptr_rejected(self, indptr, indices):
+        with pytest.raises(DomainError, match="indptr"):
+            Hypergraph(n=4, indptr=indptr, indices=indices)
+
+    def test_bad_members_rejected(self):
+        with pytest.raises(DomainError, match="hyperedge 1 is not sorted"):
+            Hypergraph(n=4, indptr=[0, 1, 3], indices=[0, 2, 1])
+        with pytest.raises(DomainError, match="hyperedge 1 contains a duplicate node id"):
+            Hypergraph(n=4, indptr=[0, 1, 3], indices=[0, 2, 2])
+        with pytest.raises(BoundsError, match="hyperedge 0 contains negative node id -1"):
+            Hypergraph(n=4, indptr=[0, 2], indices=[-1, 2])
+        with pytest.raises(BoundsError, match="node id 4 out of range for declared n=4"):
+            Hypergraph(n=4, indptr=[0, 2], indices=[1, 4])
+        with pytest.raises(BoundsError):
+            Hypergraph(n=-1, indptr=[0], indices=[])
+        with pytest.raises(DomainError, match="integer"):
+            Hypergraph(n=4, indptr=[0, 2], indices=[0.0, 1.5])
+        with pytest.raises(DomainError, match="1-d"):
+            Hypergraph(n=4, indptr=[[0, 2]], indices=[0, 1])
+
+    def test_earliest_faulty_hyperedge_is_reported(self):
+        with pytest.raises(BoundsError, match="hyperedge 0 contains negative"):
+            Hypergraph.from_edges([(-1, 2), (3, 3)])
+        with pytest.raises(DomainError, match="hyperedge 0 contains a duplicate"):
+            Hypergraph.from_edges([(-1, -1), (-2,)])
+
+    def test_arrays_are_read_only_copies(self):
+        indptr, indices = np.array([0, 2, 3]), np.array([0, 1, 1])
+        h = Hypergraph(n=2, indptr=indptr, indices=indices)
+        for array in (h.indptr, h.indices):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7
+        indices[0] = 1
+        assert indptr.flags.writeable and h.edges == ((0, 1), (1,))
+
+    def test_views_are_cached_and_cannot_be_replaced(self):
+        h = Hypergraph.from_edges([(0, 1), (1, 2)])
+        assert h.edges is h.edges and h.memberships is h.memberships
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.edges = ((0,),)
+
+    def test_equality_and_hash_are_by_identity(self):
+        a, b = Hypergraph.from_edges([(0, 1)]), Hypergraph.from_edges([(0, 1)])
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 class TestDegrees:
@@ -127,7 +313,7 @@ class TestEdgeListLoader:
         path = tmp_path / "edges.txt"
         save_hypergraph(path, h)
         again = load_hypergraph(path)
-        assert again == h
+        assert again.n == h.n and again.edges == h.edges
 
     def test_plain_file_without_header(self, tmp_path):
         path = tmp_path / "edges.txt"

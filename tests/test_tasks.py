@@ -31,7 +31,9 @@ from hyperprop.tasks import (
     NodeSets,
     Split,
     _midranks,
+    _rows,
     _split_candidates,
+    _trainval_hypergraph,
     auc,
     make_split,
     negative_sample,
@@ -264,6 +266,26 @@ class TestPoolCandidates:
             assert got == want
             assert targets.tolist() == [1.0] * len(part) + [0.0] * (len(want) - len(part))
             assert np.array_equal(pool_candidates(x, cands), pool_reference(x, want))
+
+    def test_row_selection_equals_a_list_comprehension(self):
+        rng = np.random.default_rng(4)
+        h = Hypergraph.from_edges([(0, 3), (), (1, 2, 4), (4,), (0, 1, 2, 3)], n=6)
+        sets = node_sets([(5, 1), (2,), (), (0, 4, 3)])
+        for collection, listed in ((h, list(h.edges)), (sets, [(5, 1), (2,), (), (0, 4, 3)])):
+            for rows in ([], [2], [3, 0, 0, 1], rng.integers(0, len(listed), size=9)):
+                rows = np.asarray(rows, dtype=np.int64)
+                got = _rows(collection, rows)
+                want = [listed[i] for i in rows.tolist()]
+                assert np.array_equal(got.indptr, np.cumsum([0, *map(len, want)]))
+                assert got.indices.tolist() == [v for c in want for v in c]
+
+    def test_trainval_hypergraph_is_the_visible_rows(self):
+        h, _, _ = planted_case(5, n=80, noise=0.3)
+        data = negative_sample(h, 0.5, 2, seed=5)
+        split = make_split(h.m, 5)
+        sub = _trainval_hypergraph(data, split)
+        visible = sorted(set(split.train.tolist()) | set(split.val.tolist()))
+        assert sub.n == h.n and sub.edges == tuple(h.edges[i] for i in visible)
 
     def test_pool_candidates_validation(self):
         x = np.zeros((3, 2))
