@@ -23,6 +23,7 @@ from hyperprop.nn import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    sigmoid_bce,
     softmax_cross_entropy,
 )
 from hyperprop.propagation import PropagationConfig, propagate
@@ -385,6 +386,36 @@ def reference_node_classifier(x, labels, split, cfg, all_rows):
     return best, float(np.mean(test_logits.argmax(axis=1) == y[split.test]))
 
 
+def reference_hyperlink_predictor(pf, data, split, cfg):
+    """The hyperlink head's training loop, written out: pool the train
+    and val candidates, train full-batch on the BCE loss, select by
+    validation AUC (earliest on ties), and score the test candidates
+    once with the selected snapshot."""
+    x = pf.matrix
+    train_cands, train_t = _split_candidates(data, split.train)
+    pooled_train = pool_candidates(x, train_cands)
+    val_cands, val_t = _split_candidates(data, split.val)
+    pooled_val = pool_candidates(x, val_cands)
+    rng = np.random.default_rng(cfg.seed)
+    params = init_mlp([x.shape[1], *cfg.hidden_dims, 1], rng)
+    state = AdamState.like(params)
+    best_val, best = -1.0, params.copy()
+    for _ in range(cfg.epochs):
+        logits, fwd = mlp_forward(
+            params, pooled_train, dropout=cfg.dropout, train=True, rng=rng, cache=True
+        )
+        _, grad = sigmoid_bce(logits, train_t)
+        grads_w, grads_b = mlp_backward(params, fwd, grad.reshape(logits.shape))
+        adam_step(params, grads_w, grads_b, state, cfg)
+        val_scores = mlp_forward(params, pooled_val).ravel()
+        val_auc = auc(val_scores[val_t == 1.0], val_scores[val_t == 0.0])
+        if val_auc > best_val:
+            best_val, best = val_auc, params.copy()
+    test_cands, test_t = _split_candidates(data, split.test)
+    test_scores = mlp_forward(best, pool_candidates(x, test_cands)).ravel()
+    return best, auc(test_scores[test_t == 1.0], test_scores[test_t == 0.0])
+
+
 class TestTrainNodeClassifier:
     def make_inputs(self, seed=0):
         h, x, y = planted_case(seed)
@@ -550,6 +581,20 @@ class TestTrainHyperlinkPredictor:
         _, a = train_hyperlink_predictor(pf, data, split, cfg)
         _, b = train_hyperlink_predictor(pf, data, split, cfg)
         assert a.auc == b.auc
+
+    def test_matches_the_reference_loop_bit_for_bit(self):
+        """With dropout, weight decay and two hidden layers; the best
+        validation epoch (39 of 60 here) is not the last one."""
+        _, _, pf, data, split = self.make_inputs()
+        cfg = TrainConfig(
+            learning_rate=0.1, epochs=60, dropout=0.3, weight_decay=1e-4, hidden_dims=(16, 8),
+            seed=3,
+        )
+        params, metrics = train_hyperlink_predictor(pf, data, split, cfg)
+        want, want_auc = reference_hyperlink_predictor(pf, data, split, cfg)
+        assert metrics.auc == want_auc
+        for got, ref in zip(params.weights + params.biases, want.weights + want.biases):
+            assert np.array_equal(got, ref)
 
     def test_overflowing_features_raise_numerical_error(self):
         _, _, pf, data, split = self.make_inputs()
