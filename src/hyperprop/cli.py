@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import Hypergraph, load_features, load_hypergraph, load_labels
-from .errors import ConfigError, HyperpropError
+from .errors import ConfigError, DimensionError, HyperpropError
 from .expansion import normalize_with_self_loops, weighted_clique_expansion
 from .nn import TrainConfig
 from .propagation import (
@@ -239,6 +239,16 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
+def _load_inputs(paths: dict[str, Path]):
+    """The hypergraph and the features, refused with `propagate`'s error
+    when their node counts differ, before any operator is built."""
+    h = load_hypergraph(paths["edges"])
+    x = load_features(paths["features"])
+    if x.shape[0] != h.n:
+        raise DimensionError(f"features must be ({h.n}, d), got {x.shape}")
+    return h, x
+
+
 def _propagate(h: Hypergraph, x, cfg: PropagationConfig) -> tuple[PropagatedFeatures, float]:
     """Propagate ``x`` over the normalized clique expansion of ``h``;
     also returns the seconds the expansion and propagation took."""
@@ -265,10 +275,8 @@ def _seed_record(cfg: RunConfig, seed: int, metrics: Metrics, preprocess_seconds
 
 
 def cmd_precompute(cfg: RunConfig) -> int:
-    paths = _require_paths(cfg, "edges", "features")
-    pf, preprocess_seconds = _propagate(
-        load_hypergraph(paths["edges"]), load_features(paths["features"]), cfg.propagation
-    )
+    inputs = _load_inputs(_require_paths(cfg, "edges", "features"))
+    pf, preprocess_seconds = _propagate(*inputs, cfg.propagation)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_file = cfg.out_dir / "propagated.tfhn"
     save_propagated(out_file, pf)
@@ -296,9 +304,7 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
     paths = _require_paths(cfg, "edges", "features", "labels")
     y = load_labels(paths["labels"])
     if cfg.inline_precompute:
-        pf, preprocess_seconds = _propagate(
-            load_hypergraph(paths["edges"]), load_features(paths["features"]), cfg.propagation
-        )
+        pf, preprocess_seconds = _propagate(*_load_inputs(paths), cfg.propagation)
     else:
         prop_paths = _require_paths(cfg, "propagated")
         pf = load_propagated(prop_paths["propagated"])
@@ -320,9 +326,7 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
 
 
 def _train_hp(cfg: RunConfig) -> list[dict]:
-    paths = _require_paths(cfg, "edges", "features")
-    h = load_hypergraph(paths["edges"])
-    x = load_features(paths["features"])
+    h, x = _load_inputs(_require_paths(cfg, "edges", "features"))
     records = []
     for seed in cfg.seeds:
         split = make_split(h.m, seed)

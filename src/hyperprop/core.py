@@ -8,6 +8,7 @@ tasks) consume this type and never mutate it.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import operator
 import struct
@@ -101,9 +102,17 @@ class Hypergraph:
             except TypeError:
                 raise DomainError(f"hyperedge {k} is not a set of integer node ids") from None
             indptr.append(len(members))
+        try:
+            indices = np.array(members, dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, v in enumerate(members) if not -(2**63) <= v < 2**63)
+            k = bisect.bisect_right(indptr, i) - 1
+            raise BoundsError(
+                f"hyperedge {k} contains node id {members[i]} beyond the int64 range"
+            ) from None
         if n is None:
-            n = max(max(members, default=-1) + 1, 0)
-        return cls(n=n, indptr=indptr, indices=members)
+            n = max(int(indices.max(initial=-1)) + 1, 0)
+        return cls(n=n, indptr=indptr, indices=indices)
 
 
 def _tuple_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:

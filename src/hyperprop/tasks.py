@@ -1,11 +1,11 @@
 """Task heads: node classification and hyperlink prediction.
 
-Both tasks consume propagated features and train only a small MLP.
-Model selection is by validation metric; test labels are touched once,
-after the epoch loop, on the snapshot taken at the best validation
-epoch.  The hyperlink pipeline additionally proves (by the structure
-digest its operator carries) that propagation saw only train+val
-structure.
+Both tasks consume propagated features and train only a small MLP,
+through one shared epoch loop.  Model selection is by validation
+metric; test labels are touched once, after the epoch loop, on the
+snapshot taken at the best validation epoch.  The hyperlink pipeline
+additionally proves (by the structure digest its operator carries) that
+propagation saw only train+val structure.
 """
 
 from __future__ import annotations
@@ -105,16 +105,14 @@ class NodeSets:
 
 @dataclass(frozen=True)
 class HyperlinkDataset:
-    """Real hyperedges plus ``ratio_beta`` corrupted ones per real.
-
-    Negative i corrupts positive ``source[i]``; its members of that
-    positive are the ones it kept.
+    """Real hyperedges plus their corruptions: negative i corrupts
+    positive ``source[i]``, and its members of that positive are the
+    ones it kept.
     """
 
     positives: Hypergraph
     negatives: NodeSets
     source: np.ndarray
-    ratio_beta: int
 
 
 def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> HyperlinkDataset:
@@ -164,12 +162,7 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
         negatives.indices[negatives.indptr[slots][:, None] + np.arange(size)] = cands
     if failures:
         raise SamplingError(failures[min(failures)])
-    return HyperlinkDataset(
-        positives=h,
-        negatives=negatives,
-        source=source,
-        ratio_beta=beta,
-    )
+    return HyperlinkDataset(positives=h, negatives=negatives, source=source)
 
 
 def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
@@ -276,43 +269,29 @@ def _require_finite(values, what: str) -> None:
         raise NumericalError(f"non-finite {what}; the head diverged or its inputs overflow")
 
 
-def _epoch_seconds_excluding_warmup(epoch_times: list[float]) -> float:
-    if len(epoch_times) <= 1:
-        return float(sum(epoch_times))
-    return float(sum(epoch_times[1:]))
-
-
-def train_node_classifier(
-    features: np.ndarray, labels: LabelVector, split: Split, cfg: TrainConfig
-) -> tuple[MlpParams, Metrics]:
-    """Full-batch training of the classification head.
-
-    Selects the epoch with the best validation accuracy (earliest on
-    ties) and reports that snapshot's test accuracy.  Each epoch runs
-    the forward pass, loss, dropout masks and backward pass on the
-    train rows alone, and a forward pass on the val rows for selection;
-    both are gathered once, before the loop.  Test rows are read only
-    after the loop, and unlabeled rows never.  Reported seconds exclude
-    the first epoch, which absorbs one-time allocation noise.  A
-    non-finite loss or logits raise NumericalError instead of steering
-    the selection.
-    """
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    y = labels.labels
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(f"{x.shape[0]} feature rows vs {y.shape[0]} labels")
+def _require_parts(split: Split, size: int, outside: str) -> None:
+    """Every part of ``split`` is nonempty and inside ``[0, size)``."""
     for part in (split.train, split.val, split.test):
         if part.size == 0:
             raise DomainError("every split part must be nonempty")
-        if part.min() < 0 or part.max() >= x.shape[0]:
-            raise BoundsError("split references a row outside the feature matrix")
-        if np.any(y[part] == -1):
-            raise DomainError("split contains unlabeled nodes")
-    x_train, y_train = x[split.train], y[split.train]
-    x_val, y_val = x[split.val], y[split.val]
-    every_train_row = np.arange(len(y_train))
+        if part.min() < 0 or part.max() >= size:
+            raise BoundsError(f"split references {outside}")
+
+
+def _fit(x_train, x_val, out_dim: int, loss, score, cfg: TrainConfig):
+    """The epoch loop both heads share; returns the best parameters and
+    the training seconds.
+
+    Each epoch runs a dropout forward pass over ``x_train``, takes
+    ``loss(logits) -> (value, grad)``, backpropagates, steps Adam, then
+    scores a forward pass over ``x_val`` with ``score(logits)``.  The
+    snapshot of the best-scoring epoch (earliest on ties) is kept.  A
+    non-finite loss or validation logits raise NumericalError instead of
+    steering the selection.  The seconds exclude the first epoch, which
+    absorbs one-time allocation noise.
+    """
     rng = np.random.default_rng(cfg.seed)
-    params = init_mlp([x.shape[1], *cfg.hidden_dims, labels.num_classes], rng)
+    params = init_mlp([x_train.shape[1], *cfg.hidden_dims, out_dim], rng)
     state = AdamState.like(params)
     best_val, best_params = -1.0, params.copy()
     epoch_times: list[float] = []
@@ -321,27 +300,51 @@ def train_node_classifier(
         logits, fwd = mlp_forward(
             params, x_train, dropout=cfg.dropout, train=True, rng=rng, cache=True
         )
-        loss, grad = softmax_cross_entropy(logits, y_train, every_train_row)
-        _require_finite(loss, f"training loss at epoch {epoch}")
+        value, grad = loss(logits)
+        _require_finite(value, f"training loss at epoch {epoch}")
         grads_w, grads_b = mlp_backward(params, fwd, grad)
         adam_step(params, grads_w, grads_b, state, cfg)
         val_logits = mlp_forward(params, x_val)
         _require_finite(val_logits, f"validation logits at epoch {epoch}")
-        val_acc = float(np.mean(val_logits.argmax(axis=1) == y_val))
+        val_metric = score(val_logits)
         epoch_times.append(time.perf_counter() - tic)
-        if val_acc > best_val:
-            best_val = val_acc
-            best_params = params.copy()
-    del x_train, x_val, fwd  # free the loop's gathers before the test gather
+        if val_metric > best_val:
+            best_val, best_params = val_metric, params.copy()
+    return best_params, float(sum(epoch_times[1:] or epoch_times))
+
+
+def train_node_classifier(
+    features: np.ndarray, labels: LabelVector, split: Split, cfg: TrainConfig
+) -> tuple[MlpParams, Metrics]:
+    """Full-batch training of the classification head.
+
+    Selects the epoch with the best validation accuracy and reports that
+    snapshot's test accuracy.  The loss, dropout masks and backward pass
+    cover the train rows alone, and selection the val rows; both are
+    gathered once, before the loop.  Test rows are read only after the
+    loop, and unlabeled rows never.
+    """
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    y = labels.labels
+    if x.shape[0] != y.shape[0]:
+        raise DimensionError(f"{x.shape[0]} feature rows vs {y.shape[0]} labels")
+    _require_parts(split, x.shape[0], "a row outside the feature matrix")
+    if np.any(y[np.concatenate([split.train, split.val, split.test])] == -1):
+        raise DomainError("split contains unlabeled nodes")
+    y_train, y_val = y[split.train], y[split.val]
+    every_train_row = np.arange(len(y_train))
+    best_params, seconds = _fit(
+        x[split.train],
+        x[split.val],
+        labels.num_classes,
+        lambda logits: softmax_cross_entropy(logits, y_train, every_train_row),
+        lambda logits: float(np.mean(logits.argmax(axis=1) == y_val)),
+        cfg,
+    )
     test_logits = mlp_forward(best_params, x[split.test])
     _require_finite(test_logits, "test logits")
     test_acc = float(np.mean(test_logits.argmax(axis=1) == y[split.test]))
-    metrics = Metrics(
-        accuracy=test_acc,
-        auc=None,
-        train_seconds=_epoch_seconds_excluding_warmup(epoch_times),
-    )
-    return best_params, metrics
+    return best_params, Metrics(accuracy=test_acc, auc=None, train_seconds=seconds)
 
 
 def _rows(sets: Hypergraph | NodeSets, rows: np.ndarray) -> NodeSets:
@@ -390,13 +393,9 @@ def train_hyperlink_predictor(
     freed.  Raises ContractViolation unless ``features`` carry the
     structure digest of exactly the train+val positives (test edges
     must not leak into message passing), and NumericalError on a
-    non-finite loss or scores.
+    non-finite loss, logits or scores.
     """
-    for part in (split.train, split.val, split.test):
-        if part.size == 0:
-            raise DomainError("every split part must be nonempty")
-        if part.min() < 0 or part.max() >= data.positives.m:
-            raise BoundsError("split references a positive outside the dataset")
+    _require_parts(split, data.positives.m, "a positive outside the dataset")
     if features.structure is None:
         raise ContractViolation(
             "features carry no structure digest: propagate over a weighted_clique_expansion"
@@ -407,38 +406,22 @@ def train_hyperlink_predictor(
         )
     x = features.matrix
     train_cands, train_t = _split_candidates(data, split.train)
-    pooled_train = pool_candidates(x, train_cands)
     val_cands, val_t = _split_candidates(data, split.val)
-    pooled_val = pool_candidates(x, val_cands)
-    rng = np.random.default_rng(cfg.seed)
-    params = init_mlp([x.shape[1], *cfg.hidden_dims, 1], rng)
-    state = AdamState.like(params)
-    best_val, best_params = -1.0, params.copy()
-    epoch_times: list[float] = []
-    for epoch in range(cfg.epochs):
-        tic = time.perf_counter()
-        logits, fwd = mlp_forward(
-            params, pooled_train, dropout=cfg.dropout, train=True, rng=rng, cache=True
-        )
-        loss, grad = sigmoid_bce(logits, train_t)
-        _require_finite(loss, f"training loss at epoch {epoch}")
-        grads_w, grads_b = mlp_backward(params, fwd, grad.reshape(logits.shape))
-        adam_step(params, grads_w, grads_b, state, cfg)
-        val_scores = mlp_forward(params, pooled_val).ravel()
-        _require_finite(val_scores, f"validation scores at epoch {epoch}")
-        val_auc = auc(val_scores[val_t == 1.0], val_scores[val_t == 0.0])
-        epoch_times.append(time.perf_counter() - tic)
-        if val_auc > best_val:
-            best_val = val_auc
-            best_params = params.copy()
-    del pooled_train, pooled_val, fwd  # free the loop's pools before the test pool
+
+    def loss(logits):
+        value, grad = sigmoid_bce(logits, train_t)
+        return value, grad.reshape(logits.shape)
+
+    best_params, seconds = _fit(
+        pool_candidates(x, train_cands),
+        pool_candidates(x, val_cands),
+        1,
+        loss,
+        lambda logits: auc(logits.ravel()[val_t == 1.0], logits.ravel()[val_t == 0.0]),
+        cfg,
+    )
     test_cands, test_t = _split_candidates(data, split.test)
     test_scores = mlp_forward(best_params, pool_candidates(x, test_cands)).ravel()
     _require_finite(test_scores, "test scores")
     test_auc = auc(test_scores[test_t == 1.0], test_scores[test_t == 0.0])
-    metrics = Metrics(
-        accuracy=None,
-        auc=test_auc,
-        train_seconds=_epoch_seconds_excluding_warmup(epoch_times),
-    )
-    return best_params, metrics
+    return best_params, Metrics(accuracy=None, auc=test_auc, train_seconds=seconds)

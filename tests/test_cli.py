@@ -206,6 +206,27 @@ class TestUsageAndConfigErrors:
         assert "error: " in capsys.readouterr().err
         assert (out / blocked).is_dir() and not list((out / blocked).iterdir())
 
+    @pytest.mark.parametrize(
+        "command",
+        [["precompute"], ["train", "--inline-precompute"], ["train", "--task", "hp"]],
+        ids=["precompute", "inline-precompute", "hp"],
+    )
+    def test_feature_rows_are_checked_before_the_operator_is_built(
+        self, workspace, capsys, monkeypatch, command
+    ):
+        """The operator is sized by the edges' largest node id, so a
+        features file of the wrong height is refused before it is built."""
+        tmp_path, cfg_file = workspace
+        save_features(json.loads(cfg_file.read_text())["dataset"]["features"], np.ones((4, 8)))
+
+        def refuse(h):
+            raise AssertionError("the operator was built")
+
+        monkeypatch.setattr(cli, "weighted_clique_expansion", refuse)
+        out = str(tmp_path / "out")
+        assert cli.main([*command, "--config", str(cfg_file), "--out", out]) == 2
+        assert "error: features must be (60, d), got (4, 8)" in capsys.readouterr().err
+
     def test_bad_synthetic_range_is_data_error(self, tmp_path, capsys):
         file = write_config(tmp_path)
         cfg = json.loads(file.read_text())

@@ -74,6 +74,18 @@ class TestHypergraph:
             Hypergraph.from_edges([(0, 1), (2, "3")])
         assert Hypergraph.from_edges([np.array([2, 0]), (np.int32(1),)]).edges == ((0, 2), (1,))
 
+    def test_node_id_beyond_int64_names_its_hyperedge_and_id(self, tmp_path):
+        with pytest.raises(BoundsError, match=f"hyperedge 1 contains node id {2**63} beyond"):
+            Hypergraph.from_edges([(0, 1), (2**63,)])
+        with pytest.raises(BoundsError, match=f"hyperedge 2 contains node id {-(2**70)} beyond"):
+            Hypergraph.from_edges([(0,), (), (2**70, 5, -(2**70)), (2**64,)])
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n\n2 3 18446744073709551616\n")
+        with pytest.raises(BoundsError, match="edges.txt: hyperedge 1 contains node id 18446"):
+            load_hypergraph(path)
+        h = Hypergraph.from_edges([(2**63 - 1, 0)], n=2**63)
+        assert h.edges == ((0, 2**63 - 1),)
+
 
 # The tuple-of-tuples storage the CSR arrays replaced, kept as the
 # reference the arrays must reproduce.

@@ -638,4 +638,4 @@ class TestTrainHyperlinkPredictor:
         cands, targets = _split_candidates(data, split.test)
         n_pos = int(targets.sum())
         assert n_pos == len(split.test)
-        assert len(cands) - n_pos == data.ratio_beta * n_pos
+        assert len(cands) - n_pos == 5 * n_pos  # beta = 5 in make_inputs
