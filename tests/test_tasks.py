@@ -31,6 +31,7 @@ from hyperprop.synthetic import PlantedConfig, generate
 from hyperprop.tasks import (
     NodeSets,
     Split,
+    _corrupt,
     _midranks,
     _rows,
     _split_candidates,
@@ -111,6 +112,48 @@ def negatives_of(data):
         assert list(nodes) == sorted(set(nodes))
         out.append((nodes, int(data.source[i])))
     return out
+
+
+def reference_negative_sample(h, alpha, beta, seed):
+    """The sampler written out, with a set of member tuples as the
+    collision test: hyperedges of one size are corrupted together by
+    `_corrupt`, the rows equal to a real hyperedge are redrawn up to 99
+    more times, and the lowest failing hyperedge is named.  Returns the
+    negatives' (indptr, indices, source)."""
+    rng = np.random.default_rng(seed)
+    sizes = np.diff(h.indptr)
+    source = np.repeat(np.arange(h.m, dtype=np.int64), beta)
+    negatives = [h.edges[k] for k in source]
+    failures = {}
+    for size in sorted(set(sizes.tolist())):
+        ids = [k for k in range(h.m) if sizes[k] == size]
+        keep = int(round(alpha * size))
+        if h.n - size < size - keep:
+            failures[ids[0]] = (
+                f"hyperedge {ids[0]}: only {h.n - size} replacement nodes for {size - keep} slots"
+            )
+            continue
+        real = {h.edges[k] for k in ids}
+        rows = np.array([h.edges[k] for k in ids for _ in range(beta)], dtype=np.int64)
+        rows = rows.reshape(len(ids) * beta, size)
+        cands = _corrupt(rows, keep, h.n, rng)
+        pending = [i for i in range(len(cands)) if tuple(cands[i].tolist()) in real]
+        for _ in range(99):
+            if not pending:
+                break
+            cands[pending] = _corrupt(rows[pending], keep, h.n, rng)
+            pending = [i for i in pending if tuple(cands[i].tolist()) in real]
+        if pending:
+            edge = ids[pending[0] // beta]
+            failures[edge] = f"hyperedge {edge}: no collision-free corruption in 100 tries"
+            continue
+        for i, cand in enumerate(cands.tolist()):
+            negatives[ids[i // beta] * beta + i % beta] = tuple(cand)
+    if failures:
+        raise SamplingError(failures[min(failures)])
+    indptr = np.cumsum([0, *map(len, negatives)], dtype=np.int64)
+    indices = np.array([v for c in negatives for v in c], dtype=np.int64)
+    return indptr, indices, source
 
 
 class TestNegativeSample:
@@ -217,6 +260,47 @@ class TestNegativeSample:
             negative_sample(h, alpha=1.5, beta=1, seed=0)
         with pytest.raises(DomainError):
             negative_sample(h, alpha=0.5, beta=0, seed=0)
+
+    def test_empty_hyperedge_has_no_corruption(self):
+        # the only set of size 0 is the empty hyperedge itself
+        h = Hypergraph.from_edges([(0, 1), (), (2, 3, 4)], n=8)
+        with pytest.raises(SamplingError, match="hyperedge 1: no collision-free corruption in 100"):
+            negative_sample(h, 0.5, 2, 0)
+
+    def test_matches_the_reference_sampler(self):
+        """Bit-equal negatives and sources, or the same SamplingError, on
+        tiny hypergraphs with mixed sizes, forced collisions (every pair of
+        a few nodes is a hyperedge, or alpha = 1) and empty hyperedges."""
+        rng = np.random.default_rng(5)
+        outcomes = collections.Counter()
+        for case in range(150):
+            n = int(rng.integers(2, 9))
+            sizes = rng.integers(1, min(n, 5) + 1, size=int(rng.integers(1, 7)))
+            edges = [tuple(rng.choice(n, size=int(s), replace=False).tolist()) for s in sizes]
+            if case % 4 == 0:
+                edges += list(itertools.combinations(range(min(n, 4)), 2))
+            if case % 10 == 0:
+                edges.insert(int(rng.integers(len(edges) + 1)), ())
+            h = Hypergraph.from_edges(edges, n=n)
+            alpha = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], p=[0.3, 0.2, 0.3, 0.15, 0.05])
+            alpha = float(alpha)
+            beta, seed = int(rng.integers(1, 5)), int(rng.integers(1 << 30))
+            try:
+                want = reference_negative_sample(h, alpha, beta, seed)
+            except SamplingError as exc:
+                with pytest.raises(SamplingError) as got:
+                    negative_sample(h, alpha, beta, seed)
+                assert str(got.value) == str(exc)
+                outcomes[str(exc).split(": ")[1].split()[0]] += 1
+                continue
+            data = negative_sample(h, alpha, beta, seed)
+            for got_array, want_array in zip(
+                (data.negatives.indptr, data.negatives.indices, data.source), want
+            ):
+                assert got_array.dtype == want_array.dtype
+                np.testing.assert_array_equal(got_array, want_array)
+            outcomes["sampled"] += 1
+        assert min(outcomes[k] for k in ("sampled", "no", "only")) >= 20, outcomes
 
 
 def pool_reference(features, candidates):
