@@ -3,9 +3,9 @@
 Four commands: ``generate`` (synthetic dataset), ``precompute``
 (propagate features once, to disk), ``train`` (task head over seeds,
 JSONL metrics), and ``verify`` (randomized self-checks).  The first
-three read their settings from a strict JSON config; the few repeated
-knobs (seed, output dir, task) can be overridden by flags, which win
-over the file.  ``verify`` takes only ``--cases`` and ``--seed``.
+three read their settings from a strict JSON config; flags win over the
+file (``--out`` for all three, ``--seed`` for ``generate`` and ``train``,
+``--task`` for ``train``).  ``verify`` takes only ``--cases`` and ``--seed``.
 
 Exit codes: 0 success, 1 usage, 2 bad data or config, 3 verification
 failure.
@@ -404,15 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON run config")
-        p.add_argument("--seed", type=_int_from(0), help="override the config's seed list")
+        if name != "precompute":
+            p.add_argument("--seed", type=_int_from(0), help="override the config's seed list")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--task", choices=("nc", "hp"), help="override the task")
-        if name == "train":
-            p.add_argument(
-                "--inline-precompute",
-                action="store_true",
-                help="propagate in-process instead of reading a precomputed file",
-            )
+    p.add_argument("--task", choices=("nc", "hp"), help="override the task")  # p is train's
+    p.add_argument(
+        "--inline-precompute",
+        action="store_true",
+        help="propagate in-process instead of reading a precomputed file",
+    )
     p = sub.add_parser("verify", help="run randomized structural self-checks")
     p.add_argument("--cases", type=_int_from(1), default=50, help="random cases per suite")
     p.add_argument("--seed", type=_int_from(0), default=0, help="seed of the random cases")

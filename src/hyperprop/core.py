@@ -53,14 +53,21 @@ class Hypergraph:
 
     def __post_init__(self):
         n = operator.index(self.n)
-        arrays = [np.asarray(a) for a in (self.indptr, self.indices)]
-        if any(a.ndim != 1 or (a.size and a.dtype.kind not in "iu") for a in arrays):
+        indptr, indices = (np.asarray(a) for a in (self.indptr, self.indices))
+        if any(a.ndim != 1 or (a.size and a.dtype.kind not in "iu") for a in (indptr, indices)):
             raise DomainError("indptr and indices must be 1-d integer arrays")
-        indptr, indices = (np.array(a, dtype=np.int64) for a in arrays)
+        indptr = np.array(indptr, dtype=np.int64)
         sizes = np.diff(indptr)
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(sizes < 0):
             raise DomainError("indptr must start at 0, never decrease and end at len(indices)")
         owner = np.repeat(np.arange(len(sizes)), sizes)
+        wide = np.flatnonzero(indices > np.uint64(2**63 - 1)) if indices.dtype.kind == "u" else ()
+        if len(wide):  # unsigned ids the int64 cast would wrap
+            i = wide[0]
+            raise BoundsError(
+                f"hyperedge {owner[i]} contains node id {indices[i]} beyond the int64 range"
+            )
+        indices = np.array(indices, dtype=np.int64)
         same, step = owner[1:] == owner[:-1], np.diff(indices)
         faults = (owner[1:][same & (step < 0)], owner[1:][same & (step == 0)], owner[indices < 0])
         k, fault = min(((int(o[0]), i) for i, o in enumerate(faults) if o.size), default=(0, -1))
@@ -309,8 +316,9 @@ def save_features(path: str | Path, x: np.ndarray) -> None:
     np.save(Path(path), np.asarray(x, dtype=np.float64))
 
 
-def load_labels(path: str | Path, num_classes: int | None = None) -> LabelVector:
-    """Read one integer label per line; -1 marks an unlabeled node."""
+def load_labels(path: str | Path) -> LabelVector:
+    """Read one integer label per line; -1 marks an unlabeled node.  The
+    class count is one past the largest label (1 when none is set)."""
     path = Path(path)
     values: list[int] = []
     for lineno, line in _text_lines(path):
@@ -321,8 +329,7 @@ def load_labels(path: str | Path, num_classes: int | None = None) -> LabelVector
         except ValueError:
             raise ParseError(f"{path.name}:{lineno}: malformed label {line!r}") from None
     labels = np.array(values, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 1
+    num_classes = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 1
     return LabelVector(labels=labels, num_classes=num_classes)
 
 

@@ -28,17 +28,15 @@ __all__ = [
 class SparseAdjacency:
     """An n-by-n nonnegative sparse matrix plus structural flags.
 
-    ``symmetric`` is set at construction by the expansion that produced
-    the matrix; ``normalized`` marks the output of
-    :func:`normalize_with_self_loops` (unit spectral radius, self-loops
-    present), which the propagation module requires.  ``structure`` is
-    the structure digest of the hypergraph a clique expansion was built
-    from, kept through normalization; None for any other matrix.  The
-    wrapped CSR matrix is treated as immutable.
+    ``normalized`` marks the output of :func:`normalize_with_self_loops`
+    (unit spectral radius, self-loops present), which the propagation
+    module requires.  ``structure`` is the structure digest of the
+    hypergraph a clique expansion was built from, kept through
+    normalization; None for any other matrix.  The wrapped CSR matrix is
+    treated as immutable.
     """
 
     matrix: sp.csr_matrix
-    symmetric: bool
     normalized: bool = False
     structure: str | None = None
 
@@ -78,7 +76,7 @@ def weighted_clique_expansion(h: Hypergraph) -> SparseAdjacency:
     w = (b @ b.T).tocsr()
     w.setdiag(0.0)
     w.eliminate_zeros()
-    return SparseAdjacency(matrix=w, symmetric=True, structure=_structure_digest(h))
+    return SparseAdjacency(matrix=w, structure=_structure_digest(h))
 
 
 def _unignn_base(h: Hypergraph) -> sp.csr_matrix:
@@ -111,19 +109,20 @@ def star_norm_expansion(h: Hypergraph) -> SparseAdjacency:
     deg = degrees(h)
     b = incidence_matrix(h)
     left = _scaled_incidence(b, 1.0 / deg.node, 1.0 / deg.edge)
-    return SparseAdjacency(matrix=(left @ b.T).tocsr(), symmetric=False)
+    return SparseAdjacency(matrix=(left @ b.T).tocsr())
 
 
 def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
     """Self-loop plus symmetric degree normalization.
 
-    Given symmetric W with zero diagonal, form W~ = W + I and return
-    A~ = D~^-1/2 W~ D~^-1/2 where D~ holds the row sums of W~.  The
-    scale factors are paired per entry so the output stays bitwise
-    symmetric; its spectrum lies in [-1, 1] with D~^1/2 1 an
-    eigenvector for eigenvalue 1.  The structure tag of ``w`` is kept.
+    Given W with zero diagonal that equals its transpose exactly (both
+    are checked), form W~ = W + I and return A~ = D~^-1/2 W~ D~^-1/2
+    where D~ holds the row sums of W~.  The scale factors are paired per
+    entry so the output stays bitwise symmetric; its spectrum lies in
+    [-1, 1] with D~^1/2 1 an eigenvector for eigenvalue 1.  The structure
+    tag of ``w`` is kept.
     """
-    if not w.symmetric:
+    if (w.matrix != w.matrix.T).nnz:
         raise ContractViolation("normalization requires a symmetric adjacency")
     if w.matrix.diagonal().any():
         raise ContractViolation("normalization requires a zero diagonal")
@@ -132,4 +131,4 @@ def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
     s = 1.0 / np.sqrt(dtilde)
     data = wtilde.data * (s[wtilde.row] * s[wtilde.col])
     atilde = sp.csr_matrix((data, (wtilde.row, wtilde.col)), shape=wtilde.shape)
-    return SparseAdjacency(matrix=atilde, symmetric=True, normalized=True, structure=w.structure)
+    return SparseAdjacency(matrix=atilde, normalized=True, structure=w.structure)

@@ -108,7 +108,7 @@ class _ForwardCache:
     masks: list[np.ndarray | None] = field(default_factory=list)  # dropout keep scale
 
 
-def _forward(params, x, dropout, train, rng):
+def _forward(params, x, dropout, rng):
     """Layer loop of `mlp_forward`.  Each hidden layer holds one array:
     the GEMM output takes the bias, the rectifier and the dropout scale
     in place, and is cached as the next layer's input.  The values are
@@ -123,7 +123,7 @@ def _forward(params, x, dropout, train, rng):
         if i == last:
             return z, cache
         np.maximum(z, 0.0, out=z)
-        if train and dropout > 0.0:
+        if dropout > 0.0:
             keep = rng.random(z.shape) >= dropout
             scale = keep / (1.0 - dropout)  # inverted dropout: eval path is identity
             z *= scale
@@ -138,23 +138,22 @@ def mlp_forward(
     params: MlpParams,
     x: np.ndarray,
     dropout: float = 0.0,
-    train: bool = False,
     rng: np.random.Generator | None = None,
     cache: bool = False,
 ):
     """Batch forward pass; returns logits, plus the cache when asked.
 
-    Dropout applies to hidden activations only and only in train mode;
-    a generator is then required so masks are reproducible.
+    A positive ``dropout`` (on hidden activations only) makes this a
+    training pass, which needs a generator so masks are reproducible.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise DimensionError(
             f"input must be (batch, {params.weights[0].shape[0]}), got {x.shape}"
         )
-    if train and dropout > 0.0 and rng is None:
-        raise DomainError("dropout in train mode needs a random generator")
-    logits, fwd = _forward(params, x, dropout, train, rng)
+    if dropout > 0.0 and rng is None:
+        raise DomainError("dropout needs a random generator")
+    logits, fwd = _forward(params, x, dropout, rng)
     return (logits, fwd) if cache else logits
 
 

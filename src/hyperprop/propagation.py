@@ -152,11 +152,10 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
     recurrence runs on column panels of about _BLOCK_BYTES each, all L
     steps on one panel before the next, and the result is bit-identical
     to the expression above.  Beyond ``x`` only the output and a few
-    panel-sized arrays per worker are alive.  With more than one panel,
-    the panels and the feature hash (for the provenance) run on one
-    worker thread per available core; the sparse product and sha256
-    release the GIL.  The first panel that fails cancels the panels
-    still queued.  A single panel runs on the calling thread.
+    panel-sized arrays per worker are alive.  The panels and the feature
+    hash (for the provenance) run on one worker thread per available
+    core; the sparse product and sha256 release the GIL.  The first
+    panel that fails cancels the panels still queued.
     """
     _require_normalized(atilde)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -166,27 +165,22 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
         )
     n, d = x.shape
     width = max(1, _BLOCK_BYTES // (8 * max(1, n)))
-    if d <= width:
-        z = _panel(atilde.matrix, x, slice(0, d), cfg)
-        feature_hasher = _feature_hasher(x)
+    z = np.empty_like(x)
+
+    def fill(cols: slice) -> None:
+        z[:, cols] = _panel(atilde.matrix, x, cols, cfg)
+
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        hashing = pool.submit(_feature_hasher, x)
+        panels = [pool.submit(fill, slice(lo, lo + width)) for lo in range(0, d, width)]
         adj_hash = adjacency_fingerprint(atilde)
-    else:
-        z = np.empty_like(x)
-
-        def fill(cols: slice) -> None:
-            z[:, cols] = _panel(atilde.matrix, x, cols, cfg)
-
-        with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-            hashing = pool.submit(_feature_hasher, x)
-            panels = [pool.submit(fill, slice(lo, lo + width)) for lo in range(0, d, width)]
-            adj_hash = adjacency_fingerprint(atilde)
-            _, pending = wait(panels, return_when=FIRST_EXCEPTION)
-            for panel in pending:
-                panel.cancel()  # a panel failed: drop the ones still queued
-            for panel in panels:
-                if not panel.cancelled():
-                    panel.result()
-            feature_hasher = hashing.result()
+        _, pending = wait(panels, return_when=FIRST_EXCEPTION)
+        for panel in pending:
+            panel.cancel()  # a panel failed: drop the ones still queued
+        for panel in panels:
+            if not panel.cancelled():
+                panel.result()
+        feature_hasher = hashing.result()
     return PropagatedFeatures(
         matrix=z,
         config=cfg,
@@ -220,13 +214,12 @@ def _dense_polynomial(w: np.ndarray, alpha: float, layers: int) -> np.ndarray:
     return s + (1.0 - alpha) ** layers * power
 
 
-def operator_support(s: np.ndarray, tol: float = 0.0) -> set[tuple[int, int]]:
-    """Off-diagonal index pairs where the operator exceeds ``tol``."""
+def operator_support(s: np.ndarray) -> set[tuple[int, int]]:
+    """Off-diagonal index pairs where the operator is nonzero (NaN
+    entries excluded)."""
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"operator must be square, got {s.shape}")
-    if tol < 0.0:
-        raise DomainError(f"tolerance must be nonnegative, got {tol}")
-    mask = np.abs(s) > tol
+    mask = np.abs(s) > 0.0
     np.fill_diagonal(mask, False)
     rows, cols = np.nonzero(mask)
     return set(zip(rows.tolist(), cols.tolist()))

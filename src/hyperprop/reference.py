@@ -74,9 +74,9 @@ def _base_matrix(kind: ModelKind, h: Hypergraph) -> SparseAdjacency:
     ValueError instead of changing later results.
     """
     if kind is ModelKind.UNIGCNII:
-        w = SparseAdjacency(matrix=_unignn_base(h), symmetric=False)
+        w = SparseAdjacency(matrix=_unignn_base(h))
     elif kind is ModelKind.DEEPHGNN:
-        w = SparseAdjacency(matrix=_deephgnn_base(h), symmetric=True)
+        w = SparseAdjacency(matrix=_deephgnn_base(h))
     else:
         w = star_norm_expansion(h)  # AllDeepSets and ED-HNN share it
     for array in (w.matrix.data, w.matrix.indices, w.matrix.indptr):

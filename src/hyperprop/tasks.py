@@ -145,15 +145,14 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
             )
             continue
         members = h.indices[h.indptr[ids][:, None] + np.arange(size)]
-        positive_set = set(map(tuple, members.tolist()))
         rows = np.repeat(members, beta, axis=0)
         cands = _corrupt(rows, keep, h.n, rng)
-        pending = np.flatnonzero(_collides(cands, positive_set))
+        pending = np.flatnonzero(_collides(cands, members))
         for _attempt in range(99):
             if pending.size == 0:
                 break
             cands[pending] = _corrupt(rows[pending], keep, h.n, rng)
-            pending = pending[_collides(cands[pending], positive_set)]
+            pending = pending[_collides(cands[pending], members)]
         if pending.size:  # rows are edge-major: the first is the lowest edge
             edge = int(ids[pending[0] // beta])
             failures[edge] = f"hyperedge {edge}: no collision-free corruption in 100 tries"
@@ -190,10 +189,13 @@ def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
     return np.sort(np.concatenate([kept, ranks], axis=1), axis=1)
 
 
-def _collides(cands: np.ndarray, positive_set: set) -> np.ndarray:
-    return np.fromiter(
-        (c in positive_set for c in map(tuple, cands.tolist())), dtype=bool, count=len(cands)
-    )
+def _collides(cands: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Whether each row of ``cands`` equals a row of ``members``, compared
+    as one bytes key per row; a row of width 0 is the empty hyperedge."""
+    if cands.shape[1] == 0:
+        return np.ones(len(cands), dtype=bool)
+    key = np.dtype((np.void, cands.itemsize * cands.shape[1]))
+    return np.isin(cands.view(key).ravel(), members.view(key).ravel())
 
 
 def pool_candidates(features: np.ndarray, candidates: NodeSets) -> np.ndarray:
@@ -297,9 +299,7 @@ def _fit(x_train, x_val, out_dim: int, loss, score, cfg: TrainConfig):
     epoch_times: list[float] = []
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        logits, fwd = mlp_forward(
-            params, x_train, dropout=cfg.dropout, train=True, rng=rng, cache=True
-        )
+        logits, fwd = mlp_forward(params, x_train, dropout=cfg.dropout, rng=rng, cache=True)
         value, grad = loss(logits)
         _require_finite(value, f"training loss at epoch {epoch}")
         grads_w, grads_b = mlp_backward(params, fwd, grad)

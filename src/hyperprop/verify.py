@@ -69,13 +69,12 @@ def random_hypergraph(
     rng: np.random.Generator,
     n_range: tuple[int, int] = (4, 30),
     m_range: tuple[int, int] = (1, 20),
-    size_range: tuple[int, int] = (2, 6),
 ) -> Hypergraph:
-    """A random incidence structure; sizes are clipped to the node count."""
+    """A random incidence structure; hyperedge sizes are 2 to 6, clipped to n."""
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     m = int(rng.integers(m_range[0], m_range[1] + 1))
-    lo, hi = size_range[0], min(size_range[1], n)
-    edges = (rng.choice(n, size=int(rng.integers(lo, hi + 1)), replace=False) for _ in range(m))
+    hi = min(6, n)
+    edges = (rng.choice(n, size=int(rng.integers(2, hi + 1)), replace=False) for _ in range(m))
     return Hypergraph.from_edges(edges, n=n)
 
 
@@ -123,7 +122,7 @@ def check_receptive_field(
         atilde = normalize_with_self_loops(weighted_clique_expansion(h))
         for layers in depths:
             s = materialize_operator(atilde, PropagationConfig(layers=layers, alpha=alpha))
-            support = operator_support(s, tol=0.0)
+            support = operator_support(s)
             expected = {
                 (i, j) for i in range(h.n) for j in khop_neighbours(h, i, layers)
             }

@@ -88,6 +88,9 @@ class TestUsageAndConfigErrors:
             ["precompute", "--inline-precompute"],
             ["generate", "--inline-precompute"],
             ["train", "--cases", "3"],
+            ["generate", "--task", "nc"],
+            ["precompute", "--task", "hp"],
+            ["precompute", "--seed", "7"],
         ],
     )
     def test_flag_of_another_command_is_usage_error(self, argv, capsys):

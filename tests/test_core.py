@@ -86,6 +86,18 @@ class TestHypergraph:
         h = Hypergraph.from_edges([(2**63 - 1, 0)], n=2**63)
         assert h.edges == ((0, 2**63 - 1),)
 
+    def test_unsigned_node_id_beyond_int64_is_named_unwrapped(self):
+        """An unsigned id the int64 cast would wrap negative is reported
+        as the caller passed it, with its hyperedge."""
+        with pytest.raises(BoundsError, match=f"hyperedge 0 contains node id {2**63} beyond"):
+            Hypergraph(n=5, indptr=[0, 1], indices=np.array([2**63], dtype=np.uint64))
+        indices = np.array([1, 2, 3, 2**63, 2**64 - 1], dtype=np.uint64)
+        with pytest.raises(BoundsError, match=f"hyperedge 1 contains node id {2**63} beyond"):
+            Hypergraph(n=5, indptr=[0, 2, 5], indices=indices)
+        small = np.array([0, 2], dtype=np.uint64), np.array([1, 4], dtype=np.uint64)
+        h = Hypergraph(n=5, indptr=small[0], indices=small[1])
+        assert h.edges == ((1, 4),) and h.indices.dtype == np.int64
+
 
 # The tuple-of-tuples storage the CSR arrays replaced, kept as the
 # reference the arrays must reproduce.
@@ -133,7 +145,7 @@ def tuple_clique(n, edges):
     w = (b @ b.T).tocsr()
     w.setdiag(0.0)
     w.eliminate_zeros()
-    return SparseAdjacency(matrix=w, symmetric=True)
+    return SparseAdjacency(matrix=w)
 
 
 def random_raw_edges(rng):

@@ -168,7 +168,7 @@ class TestStarNormExpansion:
 
 class TestNormalizeWithSelfLoops:
     def test_two_node_example(self):
-        w = SparseAdjacency(sp.csr_matrix(np.array([[0.0, 0.5], [0.5, 0.0]])), symmetric=True)
+        w = SparseAdjacency(sp.csr_matrix(np.array([[0.0, 0.5], [0.5, 0.0]])))
         atilde = normalize_with_self_loops(w).matrix.toarray()
         want = np.array([[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
         np.testing.assert_allclose(atilde, want, rtol=1e-12)
@@ -179,7 +179,7 @@ class TestNormalizeWithSelfLoops:
             h = random_h(rng)
             w = weighted_clique_expansion(h)
             got = normalize_with_self_loops(w)
-            assert got.normalized and got.symmetric
+            assert got.normalized and (got.matrix != got.matrix.T).nnz == 0
             np.testing.assert_allclose(
                 got.matrix.toarray(), normalize_entrywise(w.matrix.toarray()), atol=1e-12
             )
@@ -217,8 +217,19 @@ class TestNormalizeWithSelfLoops:
         with pytest.raises(ContractViolation):
             normalize_with_self_loops(w)
 
+    def test_rejects_a_matrix_that_is_not_its_transpose(self):
+        """Symmetry is read off the matrix: a zero-diagonal W with no
+        mirrored entries is refused, as is one whose mirrored entries
+        differ in the last bit."""
+        w = SparseAdjacency(sp.csr_matrix([[0, 1, 0], [0, 0, 2], [0.5, 0, 0]]))
+        with pytest.raises(ContractViolation, match="symmetric adjacency"):
+            normalize_with_self_loops(w)
+        near = np.array([[0.0, 0.1], [np.nextafter(0.1, 1.0), 0.0]])
+        with pytest.raises(ContractViolation, match="symmetric adjacency"):
+            normalize_with_self_loops(SparseAdjacency(sp.csr_matrix(near)))
+
     def test_rejects_nonzero_diagonal(self):
-        w = SparseAdjacency(sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.0]])), symmetric=True)
+        w = SparseAdjacency(sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.0]])))
         with pytest.raises(ContractViolation):
             normalize_with_self_loops(w)
 
@@ -228,13 +239,13 @@ class TestSparseAdjacency:
         from hyperprop.errors import DimensionError
 
         with pytest.raises(DimensionError):
-            SparseAdjacency(sp.csr_matrix(np.ones((2, 3))), symmetric=False)
+            SparseAdjacency(sp.csr_matrix(np.ones((2, 3))))
 
     def test_rejects_negative_or_nonfinite(self):
         with pytest.raises(DomainError):
-            SparseAdjacency(sp.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]])), symmetric=False)
+            SparseAdjacency(sp.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]])))
         with pytest.raises(DomainError):
-            SparseAdjacency(sp.csr_matrix(np.array([[0.0, np.inf], [1.0, 0.0]])), symmetric=False)
+            SparseAdjacency(sp.csr_matrix(np.array([[0.0, np.inf], [1.0, 0.0]])))
 
 
 class TestStructureTag:
@@ -282,7 +293,7 @@ def clique_rebuilt(h):
     w = (b @ b.T).tocsr()
     w.setdiag(0.0)
     w.eliminate_zeros()
-    return SparseAdjacency(matrix=w, symmetric=True).matrix
+    return SparseAdjacency(matrix=w).matrix
 
 
 def unignn_rebuilt(h):
@@ -303,7 +314,7 @@ def deephgnn_rebuilt(h):
 def star_rebuilt(h):
     deg = degrees(h)
     left = _scaled_incidence_rebuilt(h, 1.0 / deg.node, 1.0 / deg.edge)
-    return SparseAdjacency(matrix=(left @ incidence_matrix(h).T).tocsr(), symmetric=False).matrix
+    return SparseAdjacency(matrix=(left @ incidence_matrix(h).T).tocsr()).matrix
 
 
 class TestOneIncidenceBuild:

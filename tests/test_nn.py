@@ -106,13 +106,7 @@ class TestForward:
 
     def test_dropout_needs_rng_in_train_mode(self):
         with pytest.raises(DomainError):
-            mlp_forward(tiny_params(), np.zeros((1, 2)), dropout=0.5, train=True)
-
-    def test_dropout_eval_mode_is_identity(self):
-        x = np.random.default_rng(0).standard_normal((4, 2))
-        a = mlp_forward(tiny_params(), x, dropout=0.9, train=False)
-        b = mlp_forward(tiny_params(), x)
-        np.testing.assert_array_equal(a, b)
+            mlp_forward(tiny_params(), np.zeros((1, 2)), dropout=0.5)
 
     def test_dropout_scales_surviving_units(self):
         """Inverted dropout: kept activations are divided by 1-p so the
@@ -122,9 +116,7 @@ class TestForward:
         x = np.abs(rng.standard_normal((8, 3)))  # keep plenty of units active
         outs = []
         for seed in range(300):
-            out = mlp_forward(
-                params, x, dropout=0.4, train=True, rng=np.random.default_rng(seed)
-            )
+            out = mlp_forward(params, x, dropout=0.4, rng=np.random.default_rng(seed))
             outs.append(out)
         avg = np.mean(outs, axis=0)
         ref = mlp_forward(params, x)
@@ -134,8 +126,8 @@ class TestForward:
         rng = np.random.default_rng(2)
         params = init_mlp([3, 16, 2], rng)
         x = rng.standard_normal((5, 3))
-        a = mlp_forward(params, x, dropout=0.5, train=True, rng=np.random.default_rng(7))
-        b = mlp_forward(params, x, dropout=0.5, train=True, rng=np.random.default_rng(7))
+        a = mlp_forward(params, x, dropout=0.5, rng=np.random.default_rng(7))
+        b = mlp_forward(params, x, dropout=0.5, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
 
@@ -265,9 +257,7 @@ class TestBackprop:
         rng = np.random.default_rng(8)
         params = init_mlp([3, 4, 1], rng)
         x = np.abs(rng.standard_normal((2, 3))) + 0.5
-        logits, fwd = mlp_forward(
-            params, x, dropout=0.5, train=True, rng=np.random.default_rng(0), cache=True
-        )
+        logits, fwd = mlp_forward(params, x, dropout=0.5, rng=np.random.default_rng(0), cache=True)
         _, grad = sigmoid_bce(logits, np.ones(2))
         gw, _ = mlp_backward(params, fwd, grad.reshape(logits.shape))
         dropped_cols = np.all(fwd.masks[0] == 0.0, axis=0)
@@ -297,7 +287,7 @@ class TestInPlaceHead:
     def test_bit_identical_to_the_expressions_with_temporaries(self, dropout, hidden, width_out):
         params, x, grad = self.case(hidden, width_out, seed=hidden * 10 + width_out)
         logits, fwd = mlp_forward(
-            params, x, dropout=dropout, train=True, rng=np.random.default_rng(3), cache=True
+            params, x, dropout=dropout, rng=np.random.default_rng(3), cache=True
         )
         want, inputs, preacts, masks = reference_forward(
             params, x, dropout, np.random.default_rng(3)
@@ -316,7 +306,7 @@ class TestInPlaceHead:
         before = params.copy()
         x_before, grad_before = x.copy(), grad.copy()
         logits, fwd = mlp_forward(
-            params, x, dropout=dropout, train=True, rng=np.random.default_rng(4), cache=True
+            params, x, dropout=dropout, rng=np.random.default_rng(4), cache=True
         )
         mlp_backward(params, fwd, grad)
         assert np.array_equal(x, x_before) and np.array_equal(grad, grad_before)

@@ -52,9 +52,9 @@ def entrywise_matrix(kind: ModelKind, h, gamma: float) -> np.ndarray:
 def fresh_base(kind: ModelKind, h):
     """The model's base operator, built anew on every call."""
     if kind is ModelKind.UNIGCNII:
-        return SparseAdjacency(matrix=_unignn_base(h), symmetric=False).matrix
+        return SparseAdjacency(matrix=_unignn_base(h)).matrix
     if kind is ModelKind.DEEPHGNN:
-        return SparseAdjacency(matrix=_deephgnn_base(h), symmetric=True).matrix
+        return SparseAdjacency(matrix=_deephgnn_base(h)).matrix
     return star_norm_expansion(h).matrix
 
 

@@ -457,9 +457,7 @@ def reference_node_classifier(x, labels, split, cfg, all_rows):
         inputs, targets, loss_rows = x[split.train], y[split.train], np.arange(len(split.train))
     best_val, best = -1.0, params.copy()
     for _ in range(cfg.epochs):
-        logits, fwd = mlp_forward(
-            params, inputs, dropout=cfg.dropout, train=True, rng=rng, cache=True
-        )
+        logits, fwd = mlp_forward(params, inputs, dropout=cfg.dropout, rng=rng, cache=True)
         _, grad = softmax_cross_entropy(logits, targets, loss_rows)
         grads_w, grads_b = mlp_backward(params, fwd, grad)
         adam_step(params, grads_w, grads_b, state, cfg)
@@ -485,9 +483,7 @@ def reference_hyperlink_predictor(pf, data, split, cfg):
     state = AdamState.like(params)
     best_val, best = -1.0, params.copy()
     for _ in range(cfg.epochs):
-        logits, fwd = mlp_forward(
-            params, pooled_train, dropout=cfg.dropout, train=True, rng=rng, cache=True
-        )
+        logits, fwd = mlp_forward(params, pooled_train, dropout=cfg.dropout, rng=rng, cache=True)
         _, grad = sigmoid_bce(logits, train_t)
         grads_w, grads_b = mlp_backward(params, fwd, grad.reshape(logits.shape))
         adam_step(params, grads_w, grads_b, state, cfg)

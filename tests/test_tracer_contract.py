@@ -1,12 +1,17 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps the package's
 public functions and ``Hypergraph.from_edges``, counts the hyperedges
 ``load_hypergraph`` returns, and expects a fixed span order for the
-clique expansion.  These checks run its fast checks, and trace a tiny
-training of each head in-process, so a change to the package that
-breaks the tracer fails here rather than in the benchmark."""
+clique expansion.  These checks run its fast checks, trace a tiny
+training of each head in-process, and resolve every span and counted
+argument that the benchmark's name map (perfbench/workloads.py) and
+the tracer name, so a change to the package that breaks the tracer
+fails here rather than in the benchmark."""
 
+import ast
 import collections
+import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -35,12 +40,72 @@ def test_tracer_checks_pass():
     assert "3 passed" in proc.stdout
 
 
-def _load_tracer():
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+def _load(name: str):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def _resolve(span: str):
+    """The function a span name stands for: ``module.function`` with the
+    function in the module's ``__all__``, or ``core.Hypergraph.from_edges``."""
+    if span == "core.Hypergraph.from_edges":
+        return importlib.import_module("hyperprop.core").Hypergraph.__dict__["from_edges"].__func__
+    module_name, _, attr = span.partition(".")
+    module = importlib.import_module(f"hyperprop.{module_name}")
+    assert attr in getattr(module, "__all__", ()), f"{span}: not in hyperprop.{module_name}.__all__"
+    fn = getattr(module, attr)
+    assert inspect.isfunction(fn), f"{span}: not a function"
+    return fn
+
+
+def _counted_arguments(tracer_source: str) -> dict[str, set[str]]:
+    """Span name -> the keys each COUNTERS entry reads off its bound
+    arguments, as ``a["key"]`` in the lambda or in a module function the
+    lambda hands ``a`` to."""
+    tree = ast.parse(tracer_source)
+    helpers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (counters,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "COUNTERS"
+    ]
+
+    def keys(node, name: str) -> set[str]:
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name):
+                if sub.value.id == name and isinstance(sub.slice, ast.Constant):
+                    found.add(sub.slice.value)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                helper = helpers.get(sub.func.id)
+                for i, arg in enumerate(sub.args):
+                    if helper and isinstance(arg, ast.Name) and arg.id == name:
+                        found |= keys(helper, helper.args.args[i].arg)
+        return found
+
+    return {
+        key.value: keys(fn.body, fn.args.args[0].arg)
+        for key, fn in zip(counters.keys, counters.values)
+    }
+
+
+def test_name_map_resolves_to_public_functions_and_their_parameters():
+    """Every span the benchmark times, counts or watches for RSS growth
+    is a public function of its module, and every argument a counter
+    reads is a parameter of that function; a rename shows up here."""
+    workloads, tracer = _load("workloads"), _load("tracer")
+    spans = {name for names in workloads.SELF_TIME.values() for name in names}
+    spans |= set(tracer.COUNTERS) | set(tracer.RSS_GROWTH)
+    functions = {span: _resolve(span) for span in sorted(spans)}
+    counted = _counted_arguments((ROOT / "perfbench" / "tracer.py").read_text())
+    assert set(counted) == set(tracer.COUNTERS)
+    for span, keys in counted.items():
+        parameters = inspect.signature(functions[span]).parameters
+        assert keys <= set(parameters), f"{span}: reads {sorted(keys - set(parameters))}"
+    assert counted["nn.mlp_backward"] == {"params", "grad_logits"}
 
 
 def _children(spans: list[dict], trainer: str) -> collections.Counter:
@@ -69,7 +134,7 @@ def test_training_spans_sit_under_their_trainer():
     pf = propagation.propagate(
         expansion.normalize_with_self_loops(expansion.weighted_clique_expansion(visible)), x, prop
     )
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     recorder = tracer.Recorder()
     with tracer.tracing(recorder):
         tasks.train_node_classifier(x, y, tasks.make_split(h.n, 0), cfg)
