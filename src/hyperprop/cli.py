@@ -361,9 +361,9 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_file = cfg.out_dir / "metrics.jsonl"
-    with out_file.open("w", encoding="utf-8") as fh:
+    with _replacing(out_file) as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
     print(f"{metric_name}: {100 * mean:.2f} +/- {100 * std:.2f} over {len(values)} seed(s)")
     print(f"records -> {out_file}")
     return 0
@@ -397,15 +397,15 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperprop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("generate", "write a planted-partition dataset"),
-        ("precompute", "propagate features once and store them"),
-        ("train", "train the task head over seeds"),
+    for name, helptext, seed_help in (
+        ("generate", "write a planted-partition dataset", "override the config's synthetic.seed"),
+        ("precompute", "propagate features once and store them", None),
+        ("train", "train the task head over seeds", "override the config's seed list"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON run config")
-        if name != "precompute":
-            p.add_argument("--seed", type=_int_from(0), help="override the config's seed list")
+        if seed_help:
+            p.add_argument("--seed", type=_int_from(0), help=seed_help)
         p.add_argument("--out", help="override the output directory")
     p.add_argument("--task", choices=("nc", "hp"), help="override the task")  # p is train's
     p.add_argument(

@@ -15,11 +15,14 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BoundsError, DimensionError, DomainError, ParseError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Hypergraph",
@@ -150,6 +153,8 @@ def degrees(h: Hypergraph) -> DegreeVectors:
 def incidence_matrix(h: Hypergraph) -> sp.csr_matrix:
     """0/1 node-by-hyperedge incidence as CSR (n rows, m columns); the
     hypergraph's arrays are its CSC form."""
+    import scipy.sparse as sp
+
     data = np.ones(len(h.indices), dtype=np.float64)
     return sp.csc_matrix((data, h.indices, h.indptr), shape=(h.n, h.m)).tocsr()
 

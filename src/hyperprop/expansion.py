@@ -9,12 +9,15 @@ B @ B.T so symmetry holds exactly (bitwise), not just up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import Hypergraph, _structure_digest, degrees, incidence_matrix
 from .errors import ContractViolation, DimensionError, DomainError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "SparseAdjacency",
@@ -41,6 +44,8 @@ class SparseAdjacency:
     structure: str | None = None
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         mat = sp.csr_matrix(self.matrix)
         mat.sort_indices()
         object.__setattr__(self, "matrix", mat)
@@ -58,6 +63,8 @@ class SparseAdjacency:
 def _scaled_incidence(b: sp.csr_matrix, row_scale: np.ndarray, col_scale: np.ndarray) -> sp.csr_matrix:
     """diag(row_scale) @ B @ diag(col_scale) without forming diagonals,
     for an incidence matrix B the caller has already built."""
+    import scipy.sparse as sp
+
     b = b.tocoo()
     data = b.data * (row_scale[b.row] * col_scale[b.col])
     return sp.csr_matrix((data, (b.row, b.col)), shape=b.shape)
@@ -122,6 +129,8 @@ def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
     [-1, 1] with D~^1/2 1 an eigenvector for eigenvalue 1.  The structure
     tag of ``w`` is kept.
     """
+    import scipy.sparse as sp
+
     if (w.matrix != w.matrix.T).nnz:
         raise ContractViolation("normalization requires a symmetric adjacency")
     if w.matrix.diagonal().any():

@@ -184,27 +184,29 @@ def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray)
     return grads_w, grads_b
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
-    """Mean NLL over ``mask`` rows; also the gradient w.r.t. logits.
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean NLL over every row; also the gradient w.r.t. logits.
 
-    Rows outside the mask contribute nothing (zero gradient); the
-    softmax is stabilized by row-max subtraction.
+    The softmax is stabilized by row-max subtraction.  Two batch-sized
+    buffers are held at once: the shifted logits, which become the
+    gradient in place, and their ``exp`` for the normalizer.
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise DomainError("loss over an empty index set is undefined")
-    z = logits[mask]
-    y = np.asarray(labels, dtype=np.int64)[mask]
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != logits.shape[:1]:
+        raise DimensionError(f"logits {logits.shape} vs labels {y.shape}")
+    if y.size == 0:
+        raise DomainError("loss over an empty batch is undefined")
     if y.min() < 0 or y.max() >= logits.shape[1]:
-        raise DomainError("masked labels must be valid class indices")
-    shifted = z - z.max(axis=1, keepdims=True)
+        raise DomainError("labels must be valid class indices")
+    shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_norm - shifted[np.arange(len(y)), y]))
-    probs = np.exp(shifted - log_norm[:, None])
-    probs[np.arange(len(y)), y] -= 1.0
-    grad = np.zeros_like(logits)
-    grad[mask] = probs / len(y)
-    return loss, grad
+    rows = np.arange(len(y))
+    loss = float(np.mean(log_norm - shifted[rows, y]))
+    shifted -= log_norm[:, None]
+    np.exp(shifted, out=shifted)
+    shifted[rows, y] -= 1.0
+    shifted /= len(y)
+    return loss, shifted
 
 
 def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):

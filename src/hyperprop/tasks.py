@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import Hypergraph, LabelVector, _structure_digest
 from .errors import (
@@ -207,6 +206,8 @@ def pool_candidates(features: np.ndarray, candidates: NodeSets) -> np.ndarray:
     arrays), so each row adds its feature rows in ascending node order
     and the result depends on the set, not on how it is listed.
     """
+    import scipy.sparse as sp
+
     x = np.asarray(features, dtype=np.float64)
     counts = np.diff(candidates.indptr)
     members = candidates.indices
@@ -332,12 +333,11 @@ def train_node_classifier(
     if np.any(y[np.concatenate([split.train, split.val, split.test])] == -1):
         raise DomainError("split contains unlabeled nodes")
     y_train, y_val = y[split.train], y[split.val]
-    every_train_row = np.arange(len(y_train))
     best_params, seconds = _fit(
         x[split.train],
         x[split.val],
         labels.num_classes,
-        lambda logits: softmax_cross_entropy(logits, y_train, every_train_row),
+        lambda logits: softmax_cross_entropy(logits, y_train),
         lambda logits: float(np.mean(logits.argmax(axis=1) == y_val)),
         cfg,
     )

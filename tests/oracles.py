@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from hyperprop.errors import DomainError
+
 
 def dense_incidence(h) -> np.ndarray:
     inc = np.zeros((h.n, h.m))
@@ -133,6 +135,32 @@ def auc_bruteforce(pos, neg) -> float:
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def masked_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
+    """Mean NLL over ``mask`` rows; also the gradient w.r.t. logits.
+
+    Rows outside the mask contribute nothing (zero gradient); the
+    softmax is stabilized by row-max subtraction.
+
+    A verbatim copy of the package's loss before it dropped ``mask``;
+    the loss over gathered rows must match it bit for bit.
+    """
+    mask = np.asarray(mask, dtype=np.int64)
+    if mask.size == 0:
+        raise DomainError("loss over an empty index set is undefined")
+    z = logits[mask]
+    y = np.asarray(labels, dtype=np.int64)[mask]
+    if y.min() < 0 or y.max() >= logits.shape[1]:
+        raise DomainError("masked labels must be valid class indices")
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(np.mean(log_norm - shifted[np.arange(len(y)), y]))
+    probs = np.exp(shifted - log_norm[:, None])
+    probs[np.arange(len(y)), y] -= 1.0
+    grad = np.zeros_like(logits)
+    grad[mask] = probs / len(y)
+    return loss, grad
 
 
 def finite_difference_grads(loss_fn, params, h: float = 1e-5):

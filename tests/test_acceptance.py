@@ -112,13 +112,12 @@ def test_criterion_05_gradients_match_finite_differences():
             grad = grad.reshape(logits.shape)
         else:
             labels = rng.integers(0, d_out, size=6)
-            mask = np.arange(6)
 
             def loss_fn():
-                return softmax_cross_entropy(mlp_forward(params, x), labels, mask)[0]
+                return softmax_cross_entropy(mlp_forward(params, x), labels)[0]
 
             logits, fwd = mlp_forward(params, x, cache=True)
-            _, grad = softmax_cross_entropy(logits, labels, mask)
+            _, grad = softmax_cross_entropy(logits, labels)
         analytic_w, analytic_b = mlp_backward(params, fwd, grad)
         numeric = finite_difference_grads(loss_fn, params.weights + params.biases, h=1e-5)
         for a, n_ in zip(analytic_w + analytic_b, numeric):

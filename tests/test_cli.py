@@ -257,6 +257,12 @@ class TestGenerate:
         assert cli.main(["generate", "--config", str(file), "--out", str(out), "--seed", "9"]) == 0
         assert (out / "edges_seed9.txt").is_file()
 
+    def test_help_says_seed_replaces_the_synthetic_seed(self, capsys):
+        assert cli.main(["generate", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "synthetic.seed" in out
+        assert "seed list" not in out
+
 
 class TestPrecompute:
     def test_writes_propagated_file_and_metadata(self, workspace):
@@ -387,6 +393,31 @@ class TestTrain:
         agg = [l for l in lines if l["payload"].get("aggregate")][0]
         assert agg["payload"]["metric_name"] == "auc"
 
+    def test_failed_write_leaves_existing_metrics_untouched(self, workspace, monkeypatch, capsys):
+        """metrics.jsonl is written beside itself and renamed into place,
+        so a write that fails after the first record leaves the previous
+        file byte for byte and no temporary file behind."""
+        tmp_path, cfg_file = workspace
+        out = tmp_path / "runs"
+        args = ["train", "--config", str(cfg_file), "--inline-precompute", "--out", str(out)]
+        assert cli.main(args) == 0
+        before = (out / "metrics.jsonl").read_bytes()
+        dumps, written = json.dumps, []
+
+        def fail_on_second_record(obj, **kwargs):
+            if isinstance(obj, dict) and "timing" in obj:
+                written.append(obj)
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device")
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", fail_on_second_record)
+        assert cli.main(args) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(written) == 2
+        assert (out / "metrics.jsonl").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
+
 
 class TestVerify:
     def test_passing_run_exits_zero(self, capsys):
@@ -405,13 +436,38 @@ class TestVerify:
         assert cli.main(["verify", "--cases", "5"]) == 3
 
 
-def test_importing_the_cli_loads_no_heavy_scipy_module():
-    heavy = ("scipy.sparse.linalg", "scipy.linalg", "scipy.stats")
-    code = f"import sys, hyperprop.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def scipy_modules_after(statement: str) -> list[str]:
+    """The ``scipy`` modules loaded in a fresh interpreter once
+    ``statement`` has run."""
+    code = (
+        f"{statement}\n"
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_module():
+    """scipy is imported where a sparse matrix is first built, never by
+    importing the package."""
+    assert scipy_modules_after("import hyperprop") == []
+    assert scipy_modules_after("import hyperprop.cli") == []
+
+
+def test_training_from_a_precomputed_file_loads_no_scipy(workspace):
+    """`train --task nc` from a .tfhn runs no sparse code, so it loads
+    no scipy module; `precompute`, which builds the operator, does (so
+    the check can see one)."""
+    tmp_path, cfg_file = workspace
+    run = "import hyperprop.cli as cli; assert cli.main({!r}) == 0"
+    pre = ["precompute", "--config", str(cfg_file), "--out", str(tmp_path / "pre")]
+    assert "scipy.sparse" in scipy_modules_after(run.format(pre))
+    train = ["train", "--config", str(cfg_file), "--task", "nc", "--out", str(tmp_path / "r")]
+    assert scipy_modules_after(run.format(train)) == []
+    assert (tmp_path / "r" / "metrics.jsonl").is_file()

@@ -18,7 +18,7 @@ from hyperprop.nn import (
     softmax_cross_entropy,
 )
 
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, masked_softmax_cross_entropy
 
 
 def adam_textbook_step(p, g, m, v, step, cfg):
@@ -158,38 +158,83 @@ class TestInit:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_klasses(self):
-        loss, grad = softmax_cross_entropy(np.zeros((1, 2)), np.array([0]), np.array([0]))
+        loss, grad = softmax_cross_entropy(np.zeros((1, 2)), np.array([0]))
         np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
         np.testing.assert_allclose(grad, [[-0.5, 0.5]], rtol=1e-12)
 
     def test_masked_rows_have_zero_gradient(self):
+        # a masked loss is the loss over the gathered rows: the rows left
+        # out get no gradient
         logits = np.random.default_rng(4).standard_normal((5, 3))
         labels = np.array([0, 1, 2, 0, 1])
         mask = np.array([1, 3])
-        _, grad = softmax_cross_entropy(logits, labels, mask)
+        grad = np.zeros_like(logits)
+        grad[mask] = softmax_cross_entropy(logits[mask], labels[mask])[1]
         assert np.all(grad[[0, 2, 4]] == 0.0)
         assert np.any(grad[mask] != 0.0)
 
     def test_stable_at_huge_logits(self):
         logits = np.array([[1e4, -1e4], [-1e4, 1e4]])
-        loss, grad = softmax_cross_entropy(logits, np.array([0, 0]), np.array([0, 1]))
+        loss, grad = softmax_cross_entropy(logits, np.array([0, 0]))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
         np.testing.assert_allclose(loss, 1e4, rtol=1e-6)  # second row is maximally wrong
 
     def test_empty_mask_rejected(self):
+        mask = np.array([], dtype=int)
         with pytest.raises(DomainError):
-            softmax_cross_entropy(np.zeros((2, 2)), np.array([0, 1]), np.array([], dtype=int))
+            softmax_cross_entropy(np.zeros((2, 2))[mask], np.array([0, 1])[mask])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_label_rejected(self, bad):
+        with pytest.raises(DomainError):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array([0, bad]))
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(DimensionError):
+            softmax_cross_entropy(np.zeros((3, 2)), np.array([0, 1]))
+
+    def test_inputs_are_not_written(self):
+        logits = np.random.default_rng(3).standard_normal((4, 3))
+        labels = np.array([2, 0, 1, 2])
+        before = logits.copy()
+        softmax_cross_entropy(logits, labels)
+        assert np.array_equal(logits, before)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         logits = rng.standard_normal((6, 4))
         labels = rng.integers(0, 4, size=6)
         mask = np.array([0, 2, 3, 5])
-        _, grad = softmax_cross_entropy(logits, labels, mask)
-        fd = finite_difference_grads(
-            lambda: softmax_cross_entropy(logits, labels, mask)[0], [logits]
-        )[0]
+        z, y = logits[mask], labels[mask]
+        _, grad = softmax_cross_entropy(z, y)
+        fd = finite_difference_grads(lambda: softmax_cross_entropy(z, y)[0], [z])[0]
         np.testing.assert_allclose(grad, fd, atol=1e-9)
+
+    def test_gathered_rows_match_the_masked_copy_bit_for_bit(self):
+        """The loss over ``logits[mask]`` equals the written-out masked
+        loss, and its gradient equals that loss's gradient rows [mask],
+        bit for bit; fuzzed over shapes, masks and logit scales."""
+        rng = np.random.default_rng(13)
+        cases = [
+            (np.zeros((1, 2)), np.array([1]), np.array([0])),
+            (np.array([[1e300, -1e300], [-1e300, 1e300]]), np.array([0, 0]), np.array([0, 1])),
+        ]
+        for _ in range(60):
+            rows, classes = int(rng.integers(1, 40)), int(rng.integers(2, 9))
+            scale = 10.0 ** rng.integers(-3, 6)
+            logits = scale * rng.standard_normal((rows, classes))
+            labels = rng.integers(0, classes, size=rows)
+            if rng.random() < 0.3:
+                mask = np.arange(rows)
+            else:
+                mask = rng.choice(rows, size=int(rng.integers(1, rows + 1)), replace=False)
+            cases.append((logits, labels, mask))
+        for logits, labels, mask in cases:
+            want_loss, want_grad = masked_softmax_cross_entropy(logits, labels, mask)
+            loss, grad = softmax_cross_entropy(logits[mask], labels[mask])
+            assert loss == want_loss
+            assert grad.dtype == want_grad.dtype and grad.shape == (len(mask), logits.shape[1])
+            assert grad.tobytes() == want_grad[mask].tobytes()
 
 
 class TestSigmoidBce:
@@ -238,12 +283,11 @@ class TestBackprop:
             else:
                 raise AssertionError("no kink-free input found")
             labels = rng.integers(0, dims[-1], size=5)
-            mask = np.arange(5)
 
             def loss_fn():
-                return softmax_cross_entropy(mlp_forward(params, x), labels, mask)[0]
+                return softmax_cross_entropy(mlp_forward(params, x), labels)[0]
 
-            _, grad = softmax_cross_entropy(logits, labels, mask)
+            _, grad = softmax_cross_entropy(logits, labels)
             gw, gb = mlp_backward(params, fwd, grad)
             fd = finite_difference_grads(loss_fn, params.weights + params.biases)
             for analytic, numeric in zip(gw + gb, fd):
@@ -333,6 +377,23 @@ class TestInPlaceHead:
             tracemalloc.stop()
         assert peak <= 2.5 * rows * width * 8, peak / (rows * width * 8)
 
+    def test_loss_peak_memory_is_about_two_batch_arrays(self):
+        """One `softmax_cross_entropy` call at B = 20 000 rows and 160
+        classes allocates at most 2.5 arrays of B x 160 float64 at its
+        peak: the shifted logits (which become the gradient) and their
+        exp, plus small change."""
+        rows, classes = 20_000, 160
+        rng = np.random.default_rng(14)
+        logits = rng.standard_normal((rows, classes))
+        labels = rng.integers(0, classes, size=rows)
+        tracemalloc.start()
+        try:
+            softmax_cross_entropy(logits, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * rows * classes * 8, peak / (rows * classes * 8)
+
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
@@ -403,14 +464,13 @@ class TestOverfitSanity:
         rng = np.random.default_rng(9)
         x = np.vstack([rng.normal(-2.0, 0.3, (20, 2)), rng.normal(2.0, 0.3, (20, 2))])
         labels = np.array([0] * 20 + [1] * 20)
-        mask = np.arange(40)
         params = init_mlp([2, 16, 2], rng)
         state = AdamState.like(params)
         cfg = TrainConfig(learning_rate=0.01, epochs=2000)
         loss = np.inf
         for _ in range(2000):
             logits, fwd = mlp_forward(params, x, cache=True)
-            loss, grad = softmax_cross_entropy(logits, labels, mask)
+            loss, grad = softmax_cross_entropy(logits, labels)
             if loss <= 1e-3:
                 break
             gw, gb = mlp_backward(params, fwd, grad)

@@ -24,7 +24,6 @@ from hyperprop.nn import (
     mlp_backward,
     mlp_forward,
     sigmoid_bce,
-    softmax_cross_entropy,
 )
 from hyperprop.propagation import PropagationConfig, propagate
 from hyperprop.synthetic import PlantedConfig, generate
@@ -44,7 +43,7 @@ from hyperprop.tasks import (
     train_node_classifier,
 )
 
-from oracles import auc_bruteforce
+from oracles import auc_bruteforce, masked_softmax_cross_entropy
 
 
 class TestMakeSplit:
@@ -458,7 +457,7 @@ def reference_node_classifier(x, labels, split, cfg, all_rows):
     best_val, best = -1.0, params.copy()
     for _ in range(cfg.epochs):
         logits, fwd = mlp_forward(params, inputs, dropout=cfg.dropout, rng=rng, cache=True)
-        _, grad = softmax_cross_entropy(logits, targets, loss_rows)
+        _, grad = masked_softmax_cross_entropy(logits, targets, loss_rows)
         grads_w, grads_b = mlp_backward(params, fwd, grad)
         adam_step(params, grads_w, grads_b, state, cfg)
         val_acc = float(np.mean(mlp_forward(params, x[split.val]).argmax(axis=1) == y[split.val]))
