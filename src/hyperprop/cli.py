@@ -23,13 +23,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .core import Hypergraph, load_features, load_hypergraph, load_labels
+import numpy as np
+
+from .core import Hypergraph, LabelVector, load_features, load_hypergraph, load_labels
 from .errors import ConfigError, DimensionError, HyperpropError
 from .expansion import normalize_with_self_loops, weighted_clique_expansion
 from .nn import TrainConfig
 from .propagation import (
     PropagatedFeatures,
     PropagationConfig,
+    _read_header,
     _replacing,
     load_propagated,
     propagate,
@@ -249,11 +252,17 @@ def _load_inputs(paths: dict[str, Path]):
     return h, x
 
 
-def _propagate(h: Hypergraph, x, cfg: PropagationConfig) -> tuple[PropagatedFeatures, float]:
-    """Propagate ``x`` over the normalized clique expansion of ``h``;
-    also returns the seconds the expansion and propagation took."""
+def _propagate(
+    h: Hypergraph, x, cfg: PropagationConfig, out=None
+) -> tuple[PropagatedFeatures, float]:
+    """Propagate ``x`` over the normalized clique expansion of ``h``,
+    into ``out`` when given (see `propagate`); also returns the seconds
+    the expansion and propagation took.  scipy is imported before the
+    clock starts, so its one-time import is not counted."""
+    import scipy.sparse  # noqa: F401
+
     tic = time.perf_counter()
-    pf = propagate(normalize_with_self_loops(weighted_clique_expansion(h)), x, cfg)
+    pf = propagate(normalize_with_self_loops(weighted_clique_expansion(h)), x, cfg, out=out)
     return pf, time.perf_counter() - tic
 
 
@@ -275,8 +284,8 @@ def _seed_record(cfg: RunConfig, seed: int, metrics: Metrics, preprocess_seconds
 
 
 def cmd_precompute(cfg: RunConfig) -> int:
-    inputs = _load_inputs(_require_paths(cfg, "edges", "features"))
-    pf, preprocess_seconds = _propagate(*inputs, cfg.propagation)
+    h, x = _load_inputs(_require_paths(cfg, "edges", "features"))
+    pf, preprocess_seconds = _propagate(h, x, cfg.propagation, out=x)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_file = cfg.out_dir / "propagated.tfhn"
     save_propagated(out_file, pf)
@@ -301,17 +310,21 @@ def cmd_precompute(cfg: RunConfig) -> int:
 
 
 def _train_nc(cfg: RunConfig) -> list[dict]:
+    """One record per seed.  From a `.tfhn`, each seed reads only its
+    labeled rows, in train|val|test order, so the head trains on views
+    of one matrix, freed before the next seed reads; inline, the
+    features are propagated in place once."""
     paths = _require_paths(cfg, "edges", "features", "labels")
     y = load_labels(paths["labels"])
     if cfg.inline_precompute:
-        pf, preprocess_seconds = _propagate(*_load_inputs(paths), cfg.propagation)
+        h, x = _load_inputs(paths)
+        pf, preprocess_seconds = _propagate(h, x, cfg.propagation, out=x)
     else:
-        prop_paths = _require_paths(cfg, "propagated")
-        pf = load_propagated(prop_paths["propagated"])
-        if pf.config != cfg.propagation:
-            raise ConfigError(
-                f"propagated file was built with {pf.config}, config wants {cfg.propagation}"
-            )
+        propagated = _require_paths(cfg, "propagated")["propagated"]
+        with propagated.open("rb") as fh:
+            stored, _ = _read_header(fh, propagated)
+        if stored != len(y.labels):
+            raise DimensionError(f"{stored} feature rows vs {len(y.labels)} labels")
         preprocess_seconds = 0.0
     labeled = y.labeled_indices
     records = []
@@ -320,9 +333,31 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
         split = Split(
             train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test], seed=seed
         )
-        _, metrics = train_node_classifier(pf.matrix, y, split, cfg.train_config(seed))
+        if cfg.inline_precompute:
+            inputs = pf.matrix, y, split
+        else:
+            inputs = _labeled_rows(propagated, y, split, cfg.propagation)
+        _, metrics = train_node_classifier(*inputs, cfg.train_config(seed))
+        del inputs  # free this seed's rows before the next seed reads its own
         records.append(_seed_record(cfg, seed, metrics, preprocess_seconds))
     return records
+
+
+def _labeled_rows(
+    path: Path, y: LabelVector, split: Split, want: PropagationConfig
+) -> tuple[np.ndarray, LabelVector, Split]:
+    """The rows of ``split`` from the `.tfhn` at ``path``, in
+    train|val|test order, with their labels and the split of those local
+    ranges.  A file built with another propagation config is refused."""
+    order = np.concatenate([split.train, split.val, split.test])
+    pf = load_propagated(path, rows=order)
+    if pf.config != want:
+        raise ConfigError(f"propagated file was built with {pf.config}, config wants {want}")
+    a, b = len(split.train), len(split.train) + len(split.val)
+    local = Split(
+        train=np.arange(a), val=np.arange(a, b), test=np.arange(b, len(order)), seed=split.seed
+    )
+    return pf.matrix, LabelVector(y.labels[order], y.num_classes), local
 
 
 def _train_hp(cfg: RunConfig) -> list[dict]:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BoundsError,
     ContractViolation,
     DimensionError,
     DomainError,
@@ -140,7 +141,9 @@ def _panel(a, x: np.ndarray, cols: slice, cfg: PropagationConfig) -> np.ndarray:
     return z
 
 
-def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) -> PropagatedFeatures:
+def propagate(
+    atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig, *, out: np.ndarray | None = None
+) -> PropagatedFeatures:
     """Apply the propagation polynomial to ``x`` via the L-step recurrence.
 
     Z^0 = X,  Z^l = (1 - alpha) A~ Z^{l-1} + alpha X;  the result Z^L
@@ -151,13 +154,25 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
     same operations in the same order per column at any width, so the
     recurrence runs on column panels of about _BLOCK_BYTES each, all L
     steps on one panel before the next, and the result is bit-identical
-    to the expression above.  Beyond ``x`` only the output and a few
-    panel-sized arrays per worker are alive.  The panels and the feature
-    hash (for the provenance) run on one worker thread per available
-    core; the sparse product and sha256 release the GIL.  The first
-    panel that fails cancels the panels still queued.
+    to the expression above.  Each panel is copied out of ``x`` before
+    its steps run and written into the output after them.  The panels
+    and the feature hash (for the provenance) run on one worker thread
+    per available core; the sparse product and sha256 release the GIL.
+    The first panel that fails cancels the panels still queued.
+
+    ``out`` is None or ``x`` itself, which must then be a writable
+    C-ordered float64 array.  With None the result's ``matrix`` is a new
+    array, so the call holds ``x``, the output and a few panel-sized
+    arrays per worker.  With ``out=x`` it holds ``x`` and the panels
+    alone: the feature hash finishes before the first panel is written
+    back, and on return ``x`` holds Z^L, bit-identical to the default,
+    and is the result's ``matrix``.  A call that fails after that (a
+    panel with a non-finite entry) leaves ``x`` partly overwritten.
     """
     _require_normalized(atilde)
+    in_place = out is not None
+    if in_place:
+        _check_in_place(out, x)
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != atilde.n:
         raise DimensionError(
@@ -165,13 +180,17 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
         )
     n, d = x.shape
     width = max(1, _BLOCK_BYTES // (8 * max(1, n)))
-    z = np.empty_like(x)
-
-    def fill(cols: slice) -> None:
-        z[:, cols] = _panel(atilde.matrix, x, cols, cfg)
+    z = x if in_place else np.empty_like(x)
 
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        hashing = pool.submit(_feature_hasher, x)
+        hashing = pool.submit(_feature_hasher, x)  # first in the queue, so never waits on a panel
+
+        def fill(cols: slice) -> None:
+            panel = _panel(atilde.matrix, x, cols, cfg)
+            if in_place:
+                hashing.result()  # the hash must read x before any panel overwrites it
+            z[:, cols] = panel
+
         panels = [pool.submit(fill, slice(lo, lo + width)) for lo in range(0, d, width)]
         adj_hash = adjacency_fingerprint(atilde)
         _, pending = wait(panels, return_when=FIRST_EXCEPTION)
@@ -188,6 +207,15 @@ def propagate(atilde: SparseAdjacency, x: np.ndarray, cfg: PropagationConfig) ->
         adjacency_hash=adj_hash,
         structure=atilde.structure,
     )
+
+
+def _check_in_place(out, x) -> None:
+    """Refuse an ``out`` that `propagate` cannot write Z^L into."""
+    if out is not x:
+        raise ContractViolation("out must be None or the features themselves")
+    usable = isinstance(x, np.ndarray) and x.dtype == np.float64
+    if not (usable and x.flags.c_contiguous and x.flags.writeable):
+        raise ContractViolation("out=x needs x to be a writable C-ordered float64 array")
 
 
 def materialize_operator(atilde: SparseAdjacency, cfg: PropagationConfig) -> np.ndarray:
@@ -295,26 +323,27 @@ def save_propagated(path: str | Path, pf: PropagatedFeatures) -> None:
         fh.write(struct.pack("<Qd", pf.config.layers, pf.config.alpha))
 
 
-def load_propagated(path: str | Path) -> PropagatedFeatures:
+def load_propagated(path: str | Path, rows: np.ndarray | None = None) -> PropagatedFeatures:
     """Inverse of `save_propagated`.  The file size is checked against
     the header's shape before the matrix is allocated, and the payload
-    is read straight into it, so loading holds one copy of the matrix."""
+    is read straight into it, so loading holds one copy of the matrix.
+
+    With ``rows`` (distinct row indices, any order) the matrix holds just
+    those rows, in that order.  The payload is still read once, front to
+    back, in chunks of half `_BLOCK_BYTES`, and each chunk's selected
+    rows are scattered into place, so loading holds the selected rows
+    plus at most about `_BLOCK_BYTES` more.  A row outside the stored
+    matrix is a BoundsError and a repeated row a DomainError, both raised
+    before the matrix is allocated.
+    """
     path = Path(path)
     with path.open("rb") as fh:
-        header = fh.read(_HEADER_BYTES)
-        if header[:4] != _MAGIC:
-            raise ParseError(f"{path.name}: bad magic {header[:4]!r}")
-        size = os.fstat(fh.fileno()).st_size
-        if len(header) != _HEADER_BYTES:
-            raise ParseError(
-                f"{path.name}: file is {size} bytes, shorter than the {_HEADER_BYTES}-byte header"
-            )
-        rows, cols = struct.unpack_from("<QQ", header, 4)
-        expected = _HEADER_BYTES + rows * cols * 8 + _FOOTER_BYTES
-        if size != expected:
-            raise ParseError(f"{path.name}: file is {size} bytes, expected {expected}")
-        mat = np.empty((rows, cols), dtype="<f8")
-        _read_exactly(fh, mat.reshape(-1).view(np.uint8), path)
+        stored, cols = _read_header(fh, path)
+        if rows is None:
+            mat = np.empty((stored, cols), dtype="<f8")
+            _read_exactly(fh, mat.reshape(-1).view(np.uint8), path)
+        else:
+            mat = _read_rows(fh, path, stored, cols, rows)
         footer = bytearray(_FOOTER_BYTES)
         _read_exactly(fh, footer, path)
     provenance = footer[:32].hex()
@@ -326,6 +355,48 @@ def load_propagated(path: str | Path) -> PropagatedFeatures:
         provenance=provenance,
         adjacency_hash=adjacency_hash,
     )
+
+
+def _read_header(fh, path: Path) -> tuple[int, int]:
+    """The stored (rows, cols) of an open `.tfhn` file, once its magic
+    and its size (header, payload and footer) check out."""
+    header = fh.read(_HEADER_BYTES)
+    if header[:4] != _MAGIC:
+        raise ParseError(f"{path.name}: bad magic {header[:4]!r}")
+    size = os.fstat(fh.fileno()).st_size
+    if len(header) != _HEADER_BYTES:
+        raise ParseError(
+            f"{path.name}: file is {size} bytes, shorter than the {_HEADER_BYTES}-byte header"
+        )
+    rows, cols = struct.unpack_from("<QQ", header, 4)
+    expected = _HEADER_BYTES + rows * cols * 8 + _FOOTER_BYTES
+    if size != expected:
+        raise ParseError(f"{path.name}: file is {size} bytes, expected {expected}")
+    return rows, cols
+
+
+def _read_rows(fh, path: Path, stored: int, cols: int, rows) -> np.ndarray:
+    """The payload rows ``rows`` of ``fh``, in that order; see
+    `load_propagated`."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise DimensionError(f"rows must be a 1-d integer array, got {rows.dtype} {rows.shape}")
+    rows = rows.astype(np.int64, copy=False)
+    if rows.size and (rows.min() < 0 or rows.max() >= stored):
+        raise BoundsError(f"{path.name}: rows must lie in [0, {stored})")
+    order = np.argsort(rows, kind="stable")
+    ascending = rows[order]
+    if np.any(ascending[1:] == ascending[:-1]):
+        raise DomainError(f"{path.name}: rows must be distinct")
+    mat = np.empty((rows.size, cols), dtype="<f8")
+    step = max(1, _BLOCK_BYTES // (16 * max(1, cols)))
+    chunk = np.empty((min(step, stored), cols), dtype="<f8")
+    for lo in range(0, stored, step):
+        block = chunk[: min(step, stored - lo)]
+        _read_exactly(fh, block.reshape(-1).view(np.uint8), path)
+        first, last = np.searchsorted(ascending, (lo, lo + len(block)))
+        mat[order[first:last]] = block[ascending[first:last] - lo]
+    return mat
 
 
 def _read_exactly(fh, buffer, path: Path) -> None:

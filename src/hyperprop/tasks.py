@@ -65,9 +65,8 @@ class Split:
         for name in ("train", "val", "test"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             object.__setattr__(self, name, np.sort(arr))
-        total = len(self.train) + len(self.val) + len(self.test)
-        union = set(self.train) | set(self.val) | set(self.test)
-        if len(union) != total:
+        every = np.sort(np.concatenate([self.train, self.val, self.test]))
+        if np.any(every[1:] == every[:-1]):
             raise DomainError("split parts must be pairwise disjoint")
 
 
@@ -321,9 +320,13 @@ def train_node_classifier(
 
     Selects the epoch with the best validation accuracy and reports that
     snapshot's test accuracy.  The loss, dropout masks and backward pass
-    cover the train rows alone, and selection the val rows; both are
-    gathered once, before the loop.  Test rows are read only after the
-    loop, and unlabeled rows never.
+    cover the train rows alone, and selection the val rows.  Each part's
+    rows are taken once, before the loop: a part that is a contiguous
+    ascending run of indices is a view of ``features``, any other part a
+    gathered copy.  So a caller that lays the labeled rows out in
+    train|val|test order and passes a split of those local ranges trains
+    on the same matrices, bit for bit, without a second copy of them.
+    Test rows are read only after the loop, and unlabeled rows never.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = labels.labels
@@ -334,17 +337,24 @@ def train_node_classifier(
         raise DomainError("split contains unlabeled nodes")
     y_train, y_val = y[split.train], y[split.val]
     best_params, seconds = _fit(
-        x[split.train],
-        x[split.val],
+        _take_rows(x, split.train),
+        _take_rows(x, split.val),
         labels.num_classes,
         lambda logits: softmax_cross_entropy(logits, y_train),
         lambda logits: float(np.mean(logits.argmax(axis=1) == y_val)),
         cfg,
     )
-    test_logits = mlp_forward(best_params, x[split.test])
+    test_logits = mlp_forward(best_params, _take_rows(x, split.test))
     _require_finite(test_logits, "test logits")
     test_acc = float(np.mean(test_logits.argmax(axis=1) == y[split.test]))
     return best_params, Metrics(accuracy=test_acc, auc=None, train_seconds=seconds)
+
+
+def _take_rows(x: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """``x[part]``: a view when ``part`` (sorted, distinct, nonempty) is
+    one contiguous run of indices, a gathered copy otherwise."""
+    lo, hi = int(part[0]), int(part[-1]) + 1
+    return x[lo:hi] if hi - lo == part.size else x[part]
 
 
 def _rows(sets: Hypergraph | NodeSets, rows: np.ndarray) -> NodeSets:

@@ -8,12 +8,14 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hyperprop.cli as cli
+import hyperprop.propagation as propagation
 from hyperprop.core import load_features, load_hypergraph, save_features, save_hypergraph
 from hyperprop.expansion import normalize_with_self_loops, weighted_clique_expansion
 from hyperprop.propagation import (
@@ -353,6 +355,52 @@ class TestTrain:
         cfg["propagation"] = {"layers": 3, "alpha": 0.3}
         cfg_file.write_text(json.dumps(cfg))
         assert cli.main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+
+    def test_propagated_rows_must_match_the_labels(self, workspace, capsys):
+        tmp_path, cfg_file = workspace
+        assert cli.main(["precompute", "--config", str(cfg_file), "--out", str(tmp_path / "pre")]) == 0
+        labels = Path(json.loads(cfg_file.read_text())["dataset"]["labels"])
+        labels.write_text(labels.read_text() + "0\n")
+        assert cli.main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+        assert "61 labels" in capsys.readouterr().err
+
+    def test_file_route_holds_one_seeds_rows_at_a_time(self, tmp_path, monkeypatch):
+        """Three seeds from the `.tfhn` of an 8 MB matrix, every node
+        labeled: training allocates at most one seed's labeled rows plus
+        one `_BLOCK_BYTES` chunk plus 1 MiB for the head, the labels and
+        the indices.  A seed's rows are freed before the next seed reads
+        its own, and the parts are views of them, not gathered copies."""
+        n, d = 2000, 512
+        synthetic = {
+            "n": n, "m": 1000, "classes": 4, "size_min": 2, "size_max": 4,
+            "p_in": 0.9, "feature_dim": d, "feature_noise": 0.8, "seed": 5,
+        }
+        cfg_file = write_config(tmp_path, synthetic=synthetic)
+        data_dir = tmp_path / "data"
+        assert cli.main(["generate", "--config", str(cfg_file), "--out", str(data_dir)]) == 0
+        dataset = {
+            "name": "wide",
+            "edges": str(data_dir / "edges_seed5.txt"),
+            "features": str(data_dir / "features_seed5.npy"),
+            "labels": str(data_dir / "labels_seed5.txt"),
+            "propagated": str(tmp_path / "pre" / "propagated.tfhn"),
+        }
+        train = {"learning_rate": 0.01, "epochs": 2, "hidden_dims": [4]}
+        cfg_file = write_config(tmp_path, dataset=dataset, train=train, seeds=[0, 1, 2])
+        assert cli.main(["precompute", "--config", str(cfg_file), "--out", str(tmp_path / "pre")]) == 0
+        loads = []
+        monkeypatch.setattr(
+            cli, "load_propagated", lambda *a, **k: loads.append(1) or load_propagated(*a, **k)
+        )
+        tracemalloc.start()
+        try:
+            assert cli.main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loads) == 3
+        rows = 8 * n * d
+        assert peak <= rows + propagation._BLOCK_BYTES + (1 << 20), (peak - rows) / rows
 
     def test_inline_precompute_matches_file_route(self, workspace):
         tmp_path, cfg_file = workspace

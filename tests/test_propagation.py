@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 import hyperprop.propagation as propagation
 from hyperprop.core import Hypergraph, khop_neighbours
 from hyperprop.errors import (
+    BoundsError,
     ContractViolation,
     DimensionError,
     DomainError,
@@ -31,6 +33,7 @@ from hyperprop.expansion import (
 )
 from hyperprop.propagation import (
     DENSE_CAP,
+    PropagatedFeatures,
     PropagationConfig,
     _dense_polynomial,
     closed_form_limit,
@@ -259,6 +262,109 @@ class TestColumnPanels:
             propagate(atilde, x, PropagationConfig(layers=2, alpha=0.3))
         assert len(calls) < panels
         assert threading.active_count() == before
+
+
+class TestInPlace:
+    """`propagate(..., out=x)` writes Z^L over the features themselves."""
+
+    @pytest.fixture()
+    def atilde(self):
+        _, atilde = random_atilde(np.random.default_rng(23), n_range=(40, 40), m_range=(30, 30))
+        return atilde
+
+    @pytest.mark.parametrize("width", [None, 3])  # one panel; panels of 3 columns
+    @pytest.mark.parametrize("layers", [0, 3])
+    def test_equals_the_default(self, atilde, monkeypatch, width, layers):
+        if width:
+            monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * atilde.n * width)
+        x = np.random.default_rng(24).standard_normal((atilde.n, 11))
+        cfg = PropagationConfig(layers=layers, alpha=0.3)
+        want = propagate(atilde, x, cfg)
+        got = propagate(atilde, x, cfg, out=x)
+        assert got.matrix is x
+        assert x.tobytes() == want.matrix.tobytes()
+        assert (got.provenance, got.adjacency_hash, got.structure) == (
+            want.provenance,
+            want.adjacency_hash,
+            want.structure,
+        )
+
+    def test_hash_reads_the_features_before_any_panel_writes(self, atilde, monkeypatch):
+        """A slow feature hash on four workers: the panels wait for it
+        before writing, so the provenance is that of the raw features."""
+        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * atilde.n * 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        real_hasher = propagation._feature_hasher
+
+        def slow_hasher(x):
+            time.sleep(0.05)
+            return real_hasher(x)
+
+        monkeypatch.setattr(propagation, "_feature_hasher", slow_hasher)
+        x = np.random.default_rng(25).standard_normal((atilde.n, 12))
+        cfg = PropagationConfig(layers=2, alpha=0.3)
+        want = propagate(atilde, x, cfg)
+        got = propagate(atilde, x, cfg, out=x)
+        assert got.provenance == want.provenance
+        assert np.array_equal(x, want.matrix)
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_non_finite_entry_is_a_domain_error(self, atilde, monkeypatch, width):
+        if width:
+            monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * atilde.n * width)
+        x = np.zeros((atilde.n, 10))
+        x[-1, -1] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            propagate(atilde, x, PropagationConfig(layers=2, alpha=0.3), out=x)
+
+    def test_unusable_output_is_refused(self, atilde):
+        """``out`` is the features themselves or nothing: a separate
+        array, even an equal one, is refused, and so are features that
+        ``propagate`` would first have to convert or could not write."""
+        cfg = PropagationConfig(layers=1, alpha=0.3)
+        x = np.ones((atilde.n, 4))
+        read_only = np.ones_like(x)
+        read_only.flags.writeable = False
+        for out in (np.ones_like(x), np.empty_like(x), x[:]):
+            with pytest.raises(ContractViolation):
+                propagate(atilde, x, cfg, out=out)
+        for features in (
+            np.ones_like(x, dtype=np.float32),
+            np.asfortranarray(np.ones_like(x)),
+            read_only,
+            np.ones((atilde.n, 4), dtype=np.int64),
+        ):
+            with pytest.raises(ContractViolation):
+                propagate(atilde, features, cfg, out=features)
+        assert np.array_equal(x, np.ones_like(x))
+
+    def test_peak_memory_is_a_quarter_of_the_features(self, monkeypatch):
+        """With 64 panels on two workers, `propagate(..., out=x)`
+        allocates at most 0.25x the bytes of x at its peak: the panels in
+        flight and the adjacency hash's index copies, no second matrix.
+        The default, which allocates its output, needs more than x."""
+        rng = np.random.default_rng(27)
+        n, d = 2000, 512
+        edges = [
+            tuple(rng.choice(n, size=int(rng.integers(2, 5)), replace=False)) for _ in range(1000)
+        ]
+        h = Hypergraph.from_edges(edges, n=n)
+        atilde = normalize_with_self_loops(weighted_clique_expansion(h))
+        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * n * (d // 64))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = PropagationConfig(layers=2, alpha=0.3)
+        peaks = []
+        for in_place in (False, True):
+            x = rng.standard_normal((n, d))
+            tracemalloc.start()
+            try:
+                propagate(atilde, x, cfg, out=x if in_place else None)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[0] >= x.nbytes, peaks[0] / x.nbytes
+        assert peaks[1] <= 0.25 * x.nbytes, peaks[1] / x.nbytes
 
 
 def test_importing_the_cli_starts_no_thread():
@@ -558,3 +664,95 @@ class TestSerialization:
         assert buffer == bytes(range(8))
         with pytest.raises(ParseError, match="3 bytes early"):
             _read_exactly(io.BytesIO(b"12345"), bytearray(8), Path("f.tfhn"))
+
+
+class TestLoadRows:
+    """`load_propagated(path, rows=r)` reads the payload once, in chunks,
+    and keeps only the rows ``r``, in that order."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 16 * 5 * 7)  # chunks of 7 rows
+        pf = PropagatedFeatures(
+            matrix=np.random.default_rng(28).standard_normal((40, 5)),
+            config=PropagationConfig(layers=2, alpha=0.3),
+            provenance="ab" * 32,
+            adjacency_hash="cd" * 32,
+        )
+        path = tmp_path / "f.tfhn"
+        save_propagated(path, pf)
+        return path, pf
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            list(range(40)),
+            [39, 0, 7, 6, 13, 14, 21],  # both ends and every chunk boundary
+            np.random.default_rng(29).permutation(40)[:17],
+            np.array([3], dtype=np.int32),
+            np.arange(34, 40, dtype=np.uint16),
+            np.array([], dtype=np.int64),
+        ],
+    )
+    def test_equals_the_whole_matrix_indexed(self, saved, rows):
+        path, pf = saved
+        got = load_propagated(path, rows=rows)
+        assert got.matrix.flags.c_contiguous
+        want = load_propagated(path).matrix[np.asarray(rows, dtype=int)]
+        assert got.matrix.tobytes() == want.tobytes()
+        assert (got.config, got.provenance, got.adjacency_hash) == (
+            pf.config,
+            pf.provenance,
+            pf.adjacency_hash,
+        )
+
+    def test_zero_width_rows(self, tmp_path):
+        pf = propagate(TWO_NODE, np.ones((2, 0)), PropagationConfig(layers=1, alpha=0.3))
+        save_propagated(tmp_path / "f.tfhn", pf)
+        assert load_propagated(tmp_path / "f.tfhn", rows=[1]).matrix.shape == (1, 0)
+
+    def test_bad_rows(self, saved):
+        path, _ = saved
+        for rows in ([40], [-1], [0, 40]):
+            with pytest.raises(BoundsError):
+                load_propagated(path, rows=rows)
+        with pytest.raises(DomainError, match="distinct"):
+            load_propagated(path, rows=[5, 2, 5])
+        for rows in ([[0, 1]], [0.0, 1.0], [True]):
+            with pytest.raises(DimensionError):
+                load_propagated(path, rows=rows)
+
+    def test_damaged_file_is_a_parse_error(self, saved):
+        path, _ = saved
+        blob = path.read_bytes()
+        for damaged in (blob[:-4], blob + b"\x00", b"NOPE" + blob[4:], blob[:12]):
+            path.write_bytes(damaged)
+            with pytest.raises(ParseError):
+                load_propagated(path, rows=[0, 1])
+
+    def test_peak_memory_is_the_rows_and_one_chunk(self, tmp_path):
+        """Half the rows of a 12 MB matrix, in random order, allocate at
+        most the selected rows plus one `_BLOCK_BYTES` chunk plus 24
+        bytes of index per selected row and 64 KiB: no copy of the
+        whole payload."""
+        rng = np.random.default_rng(30)
+        pf = PropagatedFeatures(
+            matrix=rng.standard_normal((3000, 512)),
+            config=PropagationConfig(layers=2, alpha=0.3),
+            provenance="ab" * 32,
+            adjacency_hash="cd" * 32,
+        )
+        path = tmp_path / "f.tfhn"
+        save_propagated(path, pf)
+        rows = rng.permutation(3000)[:1500]
+        selected = rows.size * 512 * 8
+        tracemalloc.start()
+        try:
+            got = load_propagated(path, rows=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.matrix, pf.matrix[rows])
+        allowance = 24 * rows.size + (64 << 10)
+        chunk = propagation._BLOCK_BYTES
+        assert peak <= selected + chunk + allowance, (peak - selected) / chunk

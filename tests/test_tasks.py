@@ -34,6 +34,7 @@ from hyperprop.tasks import (
     _midranks,
     _rows,
     _split_candidates,
+    _take_rows,
     _trainval_hypergraph,
     auc,
     make_split,
@@ -74,6 +75,12 @@ class TestMakeSplit:
     def test_split_rejects_overlap(self):
         with pytest.raises(DomainError):
             Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]), seed=0)
+
+    @pytest.mark.parametrize("parts", [([0], [1], [5, 0]), ([3], [4, 4], [5]), ([7, 2, 7], [], [])])
+    def test_split_rejects_any_repeated_index(self, parts):
+        train, val, test = (np.array(p, dtype=np.int64) for p in parts)
+        with pytest.raises(DomainError, match="disjoint"):
+            Split(train=train, val=val, test=test, seed=0)
 
 
 # 0.999 quantiles of the chi-square distribution, by degrees of freedom
@@ -585,6 +592,42 @@ class TestTrainNodeClassifier:
         params_b, _ = train_node_classifier(scrambled, y, split, cfg)
         for a, b in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_split_ordered_rows_train_like_the_gathered_route(self, dropout):
+        """The labeled rows laid out in train|val|test order, with a split
+        of those contiguous local ranges (what the CLI reads from a
+        .tfhn), give the gathered route's parameters and metrics bit for
+        bit, and the train and val rows are views, not copies."""
+        px, y, _ = self.make_inputs()
+        labels = y.labels.copy()
+        labels[::5] = -1
+        y = LabelVector(labels=labels, num_classes=y.num_classes)
+        labeled = np.flatnonzero(labels != -1)
+        idx = make_split(len(labeled), 3)
+        split = Split(
+            train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test], seed=3
+        )
+        order = np.concatenate([split.train, split.val, split.test])
+        a, b = len(split.train), len(split.train) + len(split.val)
+        local = Split(
+            train=np.arange(a), val=np.arange(a, b), test=np.arange(b, len(order)), seed=3
+        )
+        cfg = TrainConfig(
+            learning_rate=0.01, epochs=30, dropout=dropout, hidden_dims=(16,), seed=3
+        )
+        params_a, metrics_a = train_node_classifier(px, y, split, cfg)
+        laid_out = px[order]
+        params_b, metrics_b = train_node_classifier(
+            laid_out, LabelVector(labels=labels[order], num_classes=y.num_classes), local, cfg
+        )
+        assert metrics_a.accuracy == metrics_b.accuracy
+        for got, want in zip(
+            params_b.weights + params_b.biases, params_a.weights + params_a.biases
+        ):
+            assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(_take_rows(laid_out, local.val), laid_out)
+        assert not np.shares_memory(_take_rows(px, split.val), px)
 
     def test_chance_level_on_permuted_labels(self):
         """With labels shuffled independently of features, test accuracy
