@@ -22,7 +22,9 @@ Example:
     python3 scripts/prepare_dataset.py --name citeseer --json raw/citeseer.json --out data
 
 No downloading happens here; fetch the raw archives however your mirror
-provides them.  Repeated hyperedges are collapsed to one copy.
+provides them.  Repeated hyperedges are collapsed to one copy and empty
+ones are dropped.  The class count is one past the largest label, or 1
+when no node is labeled, as ``load_labels`` reads it back.
 """
 
 import argparse
@@ -95,8 +97,9 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_hypergraph(out / "edges.txt", h)
     save_features(out / "features.npy", features)
-    save_labels(out / "labels.txt", LabelVector(labels=labels, num_classes=int(labels.max()) + 1))
-    print(f"{args.name}: n={h.n} m={h.m} d={features.shape[1]} classes={labels.max() + 1} -> {out}")
+    classes = max(int(labels.max(initial=-1)) + 1, 1)
+    save_labels(out / "labels.txt", LabelVector(labels=labels, num_classes=classes))
+    print(f"{args.name}: n={h.n} m={h.m} d={features.shape[1]} classes={classes} -> {out}")
     return 0
 
 

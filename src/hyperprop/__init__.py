@@ -20,7 +20,6 @@ from .core import (
 from .expansion import (
     SparseAdjacency,
     normalize_with_self_loops,
-    star_norm_expansion,
     weighted_clique_expansion,
 )
 from .nn import AdamState, MlpParams, TrainConfig, adam_step, init_mlp, mlp_forward

@@ -92,7 +92,6 @@ class RunConfig:
     seeds: list[int]
     out_dir: Path
     inline_precompute: bool = False
-    seed_override: int | None = None
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(
@@ -130,12 +129,20 @@ def _has_type(value: Any, want: type) -> bool:
 
 
 def _check_keys(section: str, mapping: dict, allowed: dict[str, type]) -> None:
+    """Refuse unknown keys and mistyped values, and store each float-typed
+    value as a float in place, so that a config hashes the same whether
+    it spells a number 0 or 0.0."""
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
-    for key, value in mapping.items():
+    for key, value in list(mapping.items()):
         if not _has_type(value, allowed[key]):
             raise ConfigError(f"{section}.{key} must be {_KINDS[allowed[key]]}, got {value!r}")
+        if allowed[key] is float:
+            try:
+                mapping[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"{section}.{key} is too large for a float") from None
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -172,6 +179,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"synthetic.seed must be nonnegative, got {synthetic['seed']}")
     if any(seed < 0 for seed in raw.get("seeds", ())):
         raise ConfigError(f"config.seeds must be nonnegative integers, got {raw['seeds']!r}")
+    if getattr(args, "command", None) == "generate" and args.seed is not None and synthetic:
+        synthetic["seed"] = args.seed
 
     task = raw.get("task", "nc")
     if getattr(args, "task", None):
@@ -196,7 +205,6 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         seeds=list(seeds),
         out_dir=out_dir,
         inline_precompute=bool(getattr(args, "inline_precompute", False)),
-        seed_override=getattr(args, "seed", None),
     )
 
 
@@ -226,12 +234,10 @@ def cmd_generate(cfg: RunConfig) -> int:
     if not syn:
         raise ConfigError("generate needs a 'synthetic' config section")
     seed = syn.pop("seed", cfg.seeds[0])
-    if cfg.seed_override is not None:
-        seed = cfg.seed_override
-    size_min = syn.pop("size_min", 2)
-    size_max = syn.pop("size_max", 4)
+    lo, hi = PlantedConfig.size_range
+    size_range = (syn.pop("size_min", lo), syn.pop("size_max", hi))
     try:
-        planted = PlantedConfig(size_range=(size_min, size_max), seed=seed, **syn)
+        planted = PlantedConfig(size_range=size_range, seed=seed, **syn)
     except TypeError as exc:
         raise ConfigError(f"synthetic section is incomplete: {exc}") from None
     paths = emit_dataset(cfg.out_dir, planted)
@@ -330,9 +336,7 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
     records = []
     for seed in cfg.seeds:
         idx = make_split(len(labeled), seed)
-        split = Split(
-            train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test], seed=seed
-        )
+        split = Split(train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test])
         if cfg.inline_precompute:
             inputs = pf.matrix, y, split
         else:
@@ -354,9 +358,7 @@ def _labeled_rows(
     if pf.config != want:
         raise ConfigError(f"propagated file was built with {pf.config}, config wants {want}")
     a, b = len(split.train), len(split.train) + len(split.val)
-    local = Split(
-        train=np.arange(a), val=np.arange(a, b), test=np.arange(b, len(order)), seed=split.seed
-    )
+    local = Split(train=np.arange(a), val=np.arange(a, b), test=np.arange(b, len(order)))
     return pf.matrix, LabelVector(y.labels[order], y.num_classes), local
 
 

@@ -2,7 +2,7 @@
 
 A hypergraph is stored as one immutable CSR incidence structure, from
 which degrees, the incidence matrix, the structure digest and the tuple
-views are derived.  All downstream modules (expansions, propagation,
+view are derived.  All downstream modules (expansions, propagation,
 tasks) consume this type and never mutate it.
 """
 
@@ -45,9 +45,8 @@ class Hypergraph:
     """Immutable incidence structure in CSR form: hyperedge ``k`` is
     ``indices[indptr[k]:indptr[k + 1]]``, strictly ascending node ids in
     ``[0, n)``; both arrays are int64 and read-only.  Hypergraphs compare
-    and hash by identity.  The sorted tuple views ``edges[k]`` (members
-    of hyperedge ``k``) and ``memberships[i]`` (hyperedges containing
-    node ``i``) are built on first use.
+    and hash by identity.  The sorted tuple view ``edges[k]`` (members of
+    hyperedge ``k``) is built on first use.
     """
 
     n: int
@@ -56,6 +55,8 @@ class Hypergraph:
 
     def __post_init__(self):
         n = operator.index(self.n)
+        if n < 0:
+            raise BoundsError(f"node count must be nonnegative, got n={n}")
         indptr, indices = (np.asarray(a) for a in (self.indptr, self.indices))
         if any(a.ndim != 1 or (a.size and a.dtype.kind not in "iu") for a in (indptr, indices)):
             raise DomainError("indptr and indices must be 1-d integer arrays")
@@ -92,11 +93,6 @@ class Hypergraph:
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         return _tuple_rows(self.indptr, self.indices)
-
-    @cached_property
-    def memberships(self) -> tuple[tuple[int, ...], ...]:
-        b = incidence_matrix(self)
-        return _tuple_rows(b.indptr, b.indices)
 
     @classmethod
     def from_edges(cls, edges, n: int | None = None) -> "Hypergraph":
@@ -175,13 +171,18 @@ def khop_neighbours(h: Hypergraph, source: int, k: int) -> set[int]:
     Distance counts the hyperedges traversed along a shortest path, so
     the 1-hop neighbourhood is the union of the source's hyperedges
     minus the source itself.  Plain breadth-first search over the
-    node -> hyperedge -> node adjacency; hyperedges are expanded at most
-    once.
+    node -> hyperedge -> node adjacency, read off the CSR arrays;
+    hyperedges are expanded at most once.
     """
     if not 0 <= source < h.n:
         raise BoundsError(f"source node {source} out of range for n={h.n}")
     if k < 0:
         raise DomainError(f"hop count must be nonnegative, got {k}")
+    members, bounds = h.indices.tolist(), h.indptr.tolist()
+    incident: list[list[int]] = [[] for _ in range(h.n)]  # hyperedges of each node
+    for e in range(h.m):
+        for v in members[bounds[e] : bounds[e + 1]]:
+            incident[v].append(e)
     seen_nodes = {source}
     seen_edges: set[int] = set()
     frontier = [source]
@@ -189,11 +190,11 @@ def khop_neighbours(h: Hypergraph, source: int, k: int) -> set[int]:
     for _ in range(k):
         next_frontier: list[int] = []
         for v in frontier:
-            for e in h.memberships[v]:
+            for e in incident[v]:
                 if e in seen_edges:
                     continue
                 seen_edges.add(e)
-                for u in h.edges[e]:
+                for u in members[bounds[e] : bounds[e + 1]]:
                     if u not in seen_nodes:
                         seen_nodes.add(u)
                         reached.add(u)

@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SparseAdjacency",
     "weighted_clique_expansion",
-    "star_norm_expansion",
     "normalize_with_self_loops",
 ]
 
@@ -60,9 +59,10 @@ class SparseAdjacency:
         return self.matrix.shape[0]
 
 
-def _scaled_incidence(b: sp.csr_matrix, row_scale: np.ndarray, col_scale: np.ndarray) -> sp.csr_matrix:
+def _scaled_incidence(b: sp.spmatrix, row_scale: np.ndarray, col_scale: np.ndarray) -> sp.csr_matrix:
     """diag(row_scale) @ B @ diag(col_scale) without forming diagonals,
-    for an incidence matrix B the caller has already built."""
+    for a sparse matrix B the caller has already built (an incidence
+    matrix, or the self-looped adjacency in normalization)."""
     import scipy.sparse as sp
 
     b = b.tocoo()
@@ -106,17 +106,14 @@ def _deephgnn_base(h: Hypergraph) -> sp.csr_matrix:
     return (b @ b.T).tocsr()
 
 
-def star_norm_expansion(h: Hypergraph) -> SparseAdjacency:
-    """Row-stochastic two-step walk matrix D_V^-1 H D_E^-1 H^T.
-
-    This is the shared linearized propagation of AllDeepSets and
-    ED-HNN: average within each hyperedge, then average over a node's
-    hyperedges.  Rows of nodes with nonzero degree sum to one.
-    """
+def _star_base(h: Hypergraph) -> sp.csr_matrix:
+    # Row-stochastic two-step walk D_V^-1 H D_E^-1 H^T, shared by
+    # AllDeepSets and ED-HNN: average within each hyperedge, then over a
+    # node's hyperedges.  Rows of nodes with nonzero degree sum to one.
     deg = degrees(h)
     b = incidence_matrix(h)
     left = _scaled_incidence(b, 1.0 / deg.node, 1.0 / deg.edge)
-    return SparseAdjacency(matrix=(left @ b.T).tocsr())
+    return (left @ b.T).tocsr()
 
 
 def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
@@ -138,6 +135,5 @@ def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
     wtilde = (w.matrix + sp.identity(w.n, format="csr")).tocoo()
     dtilde = np.asarray(wtilde.sum(axis=1)).ravel()
     s = 1.0 / np.sqrt(dtilde)
-    data = wtilde.data * (s[wtilde.row] * s[wtilde.col])
-    atilde = sp.csr_matrix((data, (wtilde.row, wtilde.col)), shape=wtilde.shape)
+    atilde = _scaled_incidence(wtilde, s, s)
     return SparseAdjacency(matrix=atilde, normalized=True, structure=w.structure)

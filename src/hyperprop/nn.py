@@ -108,32 +108,6 @@ class _ForwardCache:
     masks: list[np.ndarray | None] = field(default_factory=list)  # dropout keep scale
 
 
-def _forward(params, x, dropout, rng):
-    """Layer loop of `mlp_forward`.  Each hidden layer holds one array:
-    the GEMM output takes the bias, the rectifier and the dropout scale
-    in place, and is cached as the next layer's input.  The values are
-    those of z = a @ w + b;  h = max(z, 0) * scale."""
-    cache = _ForwardCache()
-    a = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        cache.inputs.append(a)
-        z = a @ w
-        z += b
-        if i == last:
-            return z, cache
-        np.maximum(z, 0.0, out=z)
-        if dropout > 0.0:
-            keep = rng.random(z.shape) >= dropout
-            scale = keep / (1.0 - dropout)  # inverted dropout: eval path is identity
-            z *= scale
-            cache.masks.append(scale)
-        else:
-            cache.masks.append(None)
-        a = z
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 def mlp_forward(
     params: MlpParams,
     x: np.ndarray,
@@ -145,6 +119,10 @@ def mlp_forward(
 
     A positive ``dropout`` (on hidden activations only) makes this a
     training pass, which needs a generator so masks are reproducible.
+    Each hidden layer holds one array: the GEMM output takes the bias,
+    the rectifier and the dropout scale in place, and is cached as the
+    next layer's input.  The values are those of z = a @ w + b;
+    h = max(z, 0) * scale.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
@@ -153,7 +131,23 @@ def mlp_forward(
         )
     if dropout > 0.0 and rng is None:
         raise DomainError("dropout needs a random generator")
-    logits, fwd = _forward(params, x, dropout, rng)
+    fwd = _ForwardCache()
+    a = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        fwd.inputs.append(a)
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
+        if dropout > 0.0:
+            keep = rng.random(a.shape) >= dropout
+            scale = keep / (1.0 - dropout)  # inverted dropout: eval path is identity
+            a *= scale
+            fwd.masks.append(scale)
+        else:
+            fwd.masks.append(None)
+    fwd.inputs.append(a)
+    logits = a @ params.weights[-1]
+    logits += params.biases[-1]
     return (logits, fwd) if cache else logits
 
 

@@ -21,12 +21,7 @@ import numpy as np
 
 from .core import Hypergraph
 from .errors import DimensionError, DomainError
-from .expansion import (
-    SparseAdjacency,
-    _deephgnn_base,
-    _unignn_base,
-    star_norm_expansion,
-)
+from .expansion import SparseAdjacency, _deephgnn_base, _star_base, _unignn_base
 
 __all__ = ["ModelKind", "LinearizedModelSpec", "run_linearized", "unified_equivalent"]
 
@@ -64,6 +59,14 @@ class LinearizedModelSpec:
             raise DomainError("AllDeepSets has no residual connection; gamma must be 0")
 
 
+_BASES = {
+    ModelKind.UNIGCNII: _unignn_base,
+    ModelKind.DEEPHGNN: _deephgnn_base,
+    ModelKind.ALLDEEPSETS: _star_base,  # AllDeepSets and ED-HNN share it
+    ModelKind.EDHNN: _star_base,
+}
+
+
 @lru_cache(maxsize=len(ModelKind))
 def _base_matrix(kind: ModelKind, h: Hypergraph) -> SparseAdjacency:
     """The model's expansion with the (1 - gamma) prefactor divided out.
@@ -73,12 +76,7 @@ def _base_matrix(kind: ModelKind, h: Hypergraph) -> SparseAdjacency:
     Its arrays are read-only: a caller that writes to one gets a
     ValueError instead of changing later results.
     """
-    if kind is ModelKind.UNIGCNII:
-        w = SparseAdjacency(matrix=_unignn_base(h))
-    elif kind is ModelKind.DEEPHGNN:
-        w = SparseAdjacency(matrix=_deephgnn_base(h))
-    else:
-        w = star_norm_expansion(h)  # AllDeepSets and ED-HNN share it
+    w = SparseAdjacency(matrix=_BASES[kind](h))
     for array in (w.matrix.data, w.matrix.indices, w.matrix.indptr):
         array.flags.writeable = False
     return w

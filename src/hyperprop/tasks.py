@@ -54,12 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/val/test index sets plus the seed that made them."""
+    """Disjoint train/val/test index sets."""
 
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
@@ -85,7 +84,6 @@ def make_split(size: int, seed: int) -> Split:
         train=perm[:n_train],
         val=perm[n_train : n_train + n_val],
         test=perm[n_train + n_val :],
-        seed=seed,
     )
 
 

@@ -201,9 +201,7 @@ def test_criterion_08_benchmark_reproduction():
         accs = []
         for seed in range(10):
             idx = make_split(len(labeled), seed)
-            split = Split(
-                train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test], seed=seed
-            )
+            split = Split(train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test])
             cfg = TrainConfig(
                 learning_rate=s["lr"], epochs=200, dropout=s["dropout"],
                 hidden_dims=s["hidden"], seed=seed,

@@ -129,6 +129,11 @@ class TestUsageAndConfigErrors:
         assert cli.main(["generate", "--config", str(file), "--out", str(tmp_path / "d")]) == 2
         assert "synthetic.seed must be nonnegative" in capsys.readouterr().err
 
+    def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
+        file = write_config(tmp_path, train={"learning_rate": 10**400})
+        assert cli.main(["train", "--config", str(file)]) == 2
+        assert "train.learning_rate is too large for a float" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
@@ -419,6 +424,33 @@ class TestTrain:
         assert read_payloads(tmp_path / "r1" / "metrics.jsonl") == read_payloads(
             tmp_path / "r2" / "metrics.jsonl"
         )
+
+    def test_float_keys_hash_by_value(self, workspace):
+        """A float-typed key spelled as an integer loads as the float it
+        equals, so configs that differ only in that spelling give
+        byte-equal payloads."""
+        tmp_path, cfg_file = workspace
+        base = json.loads(cfg_file.read_text())
+        payloads = []
+        for spell in (int, float):
+            cfg = {
+                **base,
+                "synthetic": {**base["synthetic"], "feature_noise": spell(1)},
+                "propagation": {"layers": 2, "alpha": spell(0)},
+                "train": {
+                    **base["train"], "learning_rate": spell(1), "dropout": spell(0),
+                    "weight_decay": spell(0),
+                },
+                "negative": {"alpha": spell(1), "beta": 2},
+            }
+            file = tmp_path / f"{spell.__name__}.json"
+            file.write_text(json.dumps(cfg))
+            out = tmp_path / spell.__name__
+            argv = ["train", "--config", str(file), "--inline-precompute", "--out", str(out)]
+            assert cli.main(argv) == 0
+            payloads.append(read_payloads(out / "metrics.jsonl"))
+        assert (tmp_path / "int.json").read_text() != (tmp_path / "float.json").read_text()
+        assert payloads[0] == payloads[1]
 
     def test_seed_flag_shrinks_seed_list(self, workspace):
         tmp_path, cfg_file = workspace

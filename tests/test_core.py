@@ -33,12 +33,19 @@ from hyperprop.expansion import (
 from oracles import bfs_khop, random_hypergraph_edges
 
 
+def memberships(h):
+    """Hyperedges containing each node, as sorted tuples: the rows of the
+    incidence matrix."""
+    b = incidence_matrix(h)
+    return tuple(tuple(b.indices[b.indptr[i] : b.indptr[i + 1]].tolist()) for i in range(h.n))
+
+
 class TestHypergraph:
     def test_two_edge_example(self):
         h = Hypergraph.from_edges([(0, 1, 2), (0, 1)])
         assert h.n == 3 and h.m == 2
         assert h.edges == ((0, 1, 2), (0, 1))
-        assert h.memberships == ((0, 1), (0, 1), (0,))
+        assert memberships(h) == ((0, 1), (0, 1), (0,))
 
     def test_edges_are_sorted_and_canonical(self):
         h = Hypergraph.from_edges([(2, 0, 1), [5, 3]])
@@ -47,7 +54,7 @@ class TestHypergraph:
     def test_declared_n_allows_isolated_nodes(self):
         h = Hypergraph.from_edges([(0, 1)], n=4)
         assert h.n == 4
-        assert h.memberships[3] == ()
+        assert memberships(h)[3] == ()
 
     def test_node_id_beyond_declared_n(self):
         with pytest.raises(BoundsError):
@@ -172,10 +179,10 @@ class TestCsrStorage:
         for _ in range(50):
             edges, declared = random_raw_edges(rng)
             h = Hypergraph.from_edges(edges, n=declared)
-            n, canon, memberships = tuple_hypergraph(edges, declared)
+            n, canon, member_tuples = tuple_hypergraph(edges, declared)
             assert h.n == n and h.m == len(canon)
             assert h.edges == canon
-            assert h.memberships == memberships
+            assert memberships(h) == member_tuples
             deg = degrees(h)
             node, edge = tuple_degrees(n, canon)
             assert np.array_equal(deg.node, node) and np.array_equal(deg.edge, edge)
@@ -192,11 +199,11 @@ class TestCsrStorage:
             rng = np.random.default_rng(seed)
             for _ in range(50):
                 edges, declared = random_raw_edges(rng)
-                n, canon, memberships = tuple_hypergraph(edges, declared)
+                n, canon, member_tuples = tuple_hypergraph(edges, declared)
                 hits.update({
                     "n=0": n == 0,
                     "empty edge": any(not e for e in canon),
-                    "isolated node": any(not ms for ms in memberships),
+                    "isolated node": any(not ms for ms in member_tuples),
                     "unsorted": any(e != sorted(e) for e in edges),
                 })
         assert all(hits[case] for case in ("n=0", "empty edge", "isolated node", "unsorted"))
@@ -210,7 +217,7 @@ class TestCsrStorage:
     def test_direct_construction_equals_from_edges(self):
         h = Hypergraph(n=5, indptr=[0, 3, 3, 5], indices=[0, 2, 4, 1, 3])
         assert h.edges == ((0, 2, 4), (), (1, 3))
-        assert h.memberships == ((0,), (2,), (0,), (2,), (0,))
+        assert memberships(h) == ((0,), (2,), (0,), (2,), (0,))
 
     @pytest.mark.parametrize(
         "indptr, indices",
@@ -230,8 +237,10 @@ class TestCsrStorage:
             Hypergraph(n=4, indptr=[0, 2], indices=[-1, 2])
         with pytest.raises(BoundsError, match="node id 4 out of range for declared n=4"):
             Hypergraph(n=4, indptr=[0, 2], indices=[1, 4])
-        with pytest.raises(BoundsError):
+        with pytest.raises(BoundsError, match="node count must be nonnegative, got n=-1"):
             Hypergraph(n=-1, indptr=[0], indices=[])
+        with pytest.raises(BoundsError, match="node count must be nonnegative, got n=-2"):
+            Hypergraph.from_edges([], n=-2)
         with pytest.raises(DomainError, match="integer"):
             Hypergraph(n=4, indptr=[0, 2], indices=[0.0, 1.5])
         with pytest.raises(DomainError, match="1-d"):
@@ -255,7 +264,7 @@ class TestCsrStorage:
 
     def test_views_are_cached_and_cannot_be_replaced(self):
         h = Hypergraph.from_edges([(0, 1), (1, 2)])
-        assert h.edges is h.edges and h.memberships is h.memberships
+        assert h.edges is h.edges
         with pytest.raises(dataclasses.FrozenInstanceError):
             h.edges = ((0,),)
 
@@ -299,7 +308,7 @@ class TestKhopNeighbours:
             n, edges = random_hypergraph_edges(rng)
             h = Hypergraph.from_edges(edges, n=n)
             v = int(rng.integers(n))
-            union = set().union(*(h.edges[e] for e in h.memberships[v]), set())
+            union = set().union(*(h.edges[e] for e in memberships(h)[v]), set())
             assert khop_neighbours(h, v, 1) == union - {v}
 
     def test_matches_reference_bfs(self):

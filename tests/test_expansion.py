@@ -17,9 +17,9 @@ from hyperprop.errors import ContractViolation, DomainError
 from hyperprop.expansion import (
     SparseAdjacency,
     _deephgnn_base,
+    _star_base,
     _unignn_base,
     normalize_with_self_loops,
-    star_norm_expansion,
     weighted_clique_expansion,
 )
 from hyperprop.reference import LinearizedModelSpec, ModelKind, unified_equivalent
@@ -39,6 +39,13 @@ TWO_EDGES = Hypergraph.from_edges([(0, 1, 2), (0, 1)])
 def random_h(rng):
     n, edges = random_hypergraph_edges(rng)
     return Hypergraph.from_edges(edges, n=n)
+
+
+def star_expansion(h):
+    """The AllDeepSets / ED-HNN base operator, as `unified_equivalent`
+    returns it."""
+    w, _ = unified_equivalent(LinearizedModelSpec(kind=ModelKind.ALLDEEPSETS, layers=1), h)
+    return w
 
 
 def scaled_expansion(kind, h, gamma):
@@ -141,7 +148,7 @@ class TestDeepHgnnExpansion:
 
 class TestStarNormExpansion:
     def test_hand_computed_entries(self):
-        w = star_norm_expansion(TWO_EDGES).matrix.toarray()
+        w = star_expansion(TWO_EDGES).matrix.toarray()
         np.testing.assert_allclose(w[0, 1], 5.0 / 12.0, rtol=1e-12)
         np.testing.assert_allclose(w[2, 0], 1.0 / 3.0, rtol=1e-12)
         np.testing.assert_allclose(w[0, 2], 1.0 / 6.0, rtol=1e-12)
@@ -152,8 +159,8 @@ class TestStarNormExpansion:
         rng = np.random.default_rng(23)
         for _ in range(20):
             h = random_h(rng)
-            covered = np.array([len(h.memberships[i]) > 0 for i in range(h.n)])
-            sums = np.asarray(star_norm_expansion(h).matrix.sum(axis=1)).ravel()
+            covered = np.bincount(h.indices, minlength=h.n) > 0
+            sums = np.asarray(star_expansion(h).matrix.sum(axis=1)).ravel()
             np.testing.assert_allclose(sums[covered], 1.0, atol=1e-12)
             np.testing.assert_allclose(sums[~covered], 0.0, atol=0.0)
 
@@ -162,7 +169,7 @@ class TestStarNormExpansion:
         for _ in range(10):
             h = random_h(rng)
             np.testing.assert_allclose(
-                star_norm_expansion(h).matrix.toarray(), star_entrywise(h), atol=1e-12
+                star_expansion(h).matrix.toarray(), star_entrywise(h), atol=1e-12
             )
 
 
@@ -213,7 +220,7 @@ class TestNormalizeWithSelfLoops:
             assert (atilde != atilde.T).nnz == 0
 
     def test_rejects_asymmetric_input(self):
-        w = star_norm_expansion(TWO_EDGES)  # row-stochastic, not symmetric
+        w = star_expansion(TWO_EDGES)  # row-stochastic, not symmetric
         with pytest.raises(ContractViolation):
             normalize_with_self_loops(w)
 
@@ -254,7 +261,7 @@ class TestStructureTag:
         w = weighted_clique_expansion(h)
         assert w.structure == _structure_digest(h)
         assert normalize_with_self_loops(w).structure == w.structure
-        assert star_norm_expansion(h).structure is None
+        assert star_expansion(h).structure is None
 
     def test_digest_follows_the_documented_byte_layout(self):
         h = Hypergraph.from_edges([(3, 1), (), (0, 2, 4)], n=6)
@@ -314,7 +321,7 @@ def deephgnn_rebuilt(h):
 def star_rebuilt(h):
     deg = degrees(h)
     left = _scaled_incidence_rebuilt(h, 1.0 / deg.node, 1.0 / deg.edge)
-    return SparseAdjacency(matrix=(left @ incidence_matrix(h).T).tocsr()).matrix
+    return (left @ incidence_matrix(h).T).tocsr()
 
 
 class TestOneIncidenceBuild:
@@ -326,7 +333,7 @@ class TestOneIncidenceBuild:
         (lambda h: weighted_clique_expansion(h).matrix, clique_rebuilt),
         (_unignn_base, unignn_rebuilt),
         (_deephgnn_base, deephgnn_rebuilt),
-        (lambda h: star_norm_expansion(h).matrix, star_rebuilt),
+        (_star_base, star_rebuilt),
     ]
 
     @pytest.mark.parametrize("index", range(4))

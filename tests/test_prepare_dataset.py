@@ -1,0 +1,80 @@
+"""scripts/prepare_dataset.py turns a JSON bundle or a directory of
+pickles into the edges/features/labels files the package reads."""
+
+import importlib.util
+import json
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from hyperprop.core import load_features, load_hypergraph, load_labels
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "prepare_dataset.py"
+
+
+@pytest.fixture(scope="module")
+def prepare():
+    spec = importlib.util.spec_from_file_location("prepare_dataset", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def read_back(out: Path):
+    return (
+        load_hypergraph(out / "edges.txt"),
+        load_features(out / "features.npy"),
+        load_labels(out / "labels.txt"),
+    )
+
+
+def write_bundle(tmp_path: Path, labels) -> Path:
+    x = np.arange(12, dtype=np.float32).reshape(6, 2)
+    np.save(tmp_path / "feats.npy", x)
+    bundle = {
+        "edges": [[2, 0, 1], [1, 2, 0], [], [3, 1], [4]],
+        "features": "feats.npy",
+        "labels": labels,
+    }
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    return path
+
+
+def test_json_bundle_drops_repeated_and_empty_hyperedges(tmp_path, prepare):
+    bundle = write_bundle(tmp_path, [0, 1, -1, 1, 0, 2])
+    assert prepare(["--name", "toy", "--json", str(bundle), "--out", str(tmp_path / "data")]) == 0
+    h, x, y = read_back(tmp_path / "data" / "toy")
+    assert h.n == 6 and h.edges == ((0, 1, 2), (1, 3), (4,))
+    assert x.dtype == np.float64
+    assert np.array_equal(x, np.arange(12.0).reshape(6, 2))
+    assert y.labels.tolist() == [0, 1, -1, 1, 0, 2] and y.num_classes == 3
+
+
+def test_pickle_directory_with_sparse_features(tmp_path, prepare):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    x = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [3.0, 0.0]]))
+    for name, obj in (
+        ("hypergraph", {"a": [1, 0], "b": [2, 3, 1], "c": [0, 1]}),
+        ("features", x),
+        ("labels", [1, 0, 1, -1]),
+    ):
+        with open(raw / f"{name}.pickle", "wb") as fh:
+            pickle.dump(obj, fh)
+    assert prepare(["--name", "pk", "--pickle-dir", str(raw), "--out", str(tmp_path / "data")]) == 0
+    h, features, y = read_back(tmp_path / "data" / "pk")
+    assert h.n == 4 and h.edges == ((0, 1), (1, 2, 3))
+    assert np.array_equal(features, x.toarray())
+    assert y.labels.tolist() == [1, 0, 1, -1] and y.num_classes == 2
+
+
+def test_bundle_without_any_label_has_one_class(tmp_path, prepare, capsys):
+    bundle = write_bundle(tmp_path, [-1] * 6)
+    assert prepare(["--name", "bare", "--json", str(bundle), "--out", str(tmp_path / "data")]) == 0
+    assert "classes=1" in capsys.readouterr().out
+    _, _, y = read_back(tmp_path / "data" / "bare")
+    assert y.labels.tolist() == [-1] * 6 and y.num_classes == 1

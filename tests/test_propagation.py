@@ -28,7 +28,6 @@ from hyperprop.errors import (
 from hyperprop.expansion import (
     SparseAdjacency,
     normalize_with_self_loops,
-    star_norm_expansion,
     weighted_clique_expansion,
 )
 from hyperprop.propagation import (
@@ -44,6 +43,7 @@ from hyperprop.propagation import (
     propagate,
     save_propagated,
 )
+from hyperprop.reference import LinearizedModelSpec, ModelKind, unified_equivalent
 
 from oracles import propagation_polynomial, random_hypergraph_edges
 
@@ -478,7 +478,8 @@ class TestMaterializeOperator:
         for _ in range(40):
             h, atilde = random_atilde(rng)
             a = atilde.matrix.toarray()
-            raw = star_norm_expansion(h).matrix.toarray()
+            star, _ = unified_equivalent(LinearizedModelSpec(ModelKind.ALLDEEPSETS, 1), h)
+            raw = star.matrix.toarray()
             for layers in range(6):
                 for alpha in (0.0, 0.1, 0.3, 0.7):
                     got = materialize_operator(atilde, PropagationConfig(layers, alpha))

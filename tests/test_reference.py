@@ -10,12 +10,7 @@ import pytest
 
 from hyperprop.core import Hypergraph
 from hyperprop.errors import DomainError
-from hyperprop.expansion import (
-    SparseAdjacency,
-    _deephgnn_base,
-    _unignn_base,
-    star_norm_expansion,
-)
+from hyperprop.expansion import SparseAdjacency, _deephgnn_base, _star_base, _unignn_base
 from hyperprop.reference import (
     LinearizedModelSpec,
     ModelKind,
@@ -55,7 +50,7 @@ def fresh_base(kind: ModelKind, h):
         return SparseAdjacency(matrix=_unignn_base(h)).matrix
     if kind is ModelKind.DEEPHGNN:
         return SparseAdjacency(matrix=_deephgnn_base(h)).matrix
-    return star_norm_expansion(h).matrix
+    return SparseAdjacency(matrix=_star_base(h)).matrix
 
 
 def uncached_unification(cases, seed, depths=(1, 2, 3, 4, 5), gammas=(0.1, 0.3, 0.5), tol=1e-9):

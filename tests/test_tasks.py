@@ -66,7 +66,6 @@ class TestMakeSplit:
         np.testing.assert_array_equal(a.train, b.train)
         c = make_split(50, seed=6)
         assert not np.array_equal(a.train, c.train)
-        assert a.seed == 5
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -74,13 +73,13 @@ class TestMakeSplit:
 
     def test_split_rejects_overlap(self):
         with pytest.raises(DomainError):
-            Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]), seed=0)
+            Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]))
 
     @pytest.mark.parametrize("parts", [([0], [1], [5, 0]), ([3], [4, 4], [5]), ([7, 2, 7], [], [])])
     def test_split_rejects_any_repeated_index(self, parts):
         train, val, test = (np.array(p, dtype=np.int64) for p in parts)
         with pytest.raises(DomainError, match="disjoint"):
-            Split(train=train, val=val, test=test, seed=0)
+            Split(train=train, val=val, test=test)
 
 
 # 0.999 quantiles of the chi-square distribution, by degrees of freedom
@@ -580,9 +579,7 @@ class TestTrainNodeClassifier:
         y = LabelVector(labels=labels, num_classes=y.num_classes)
         labeled = np.flatnonzero(labels != -1)
         idx = make_split(len(labeled), 2)
-        split = Split(
-            train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test], seed=2
-        )
+        split = Split(train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test])
         cfg = TrainConfig(learning_rate=0.01, epochs=30, hidden_dims=(16,), seed=2)
         params_a, _ = train_node_classifier(px, y, split, cfg)
         scrambled = px.copy()
@@ -605,14 +602,10 @@ class TestTrainNodeClassifier:
         y = LabelVector(labels=labels, num_classes=y.num_classes)
         labeled = np.flatnonzero(labels != -1)
         idx = make_split(len(labeled), 3)
-        split = Split(
-            train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test], seed=3
-        )
+        split = Split(train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test])
         order = np.concatenate([split.train, split.val, split.test])
         a, b = len(split.train), len(split.train) + len(split.val)
-        local = Split(
-            train=np.arange(a), val=np.arange(a, b), test=np.arange(b, len(order)), seed=3
-        )
+        local = Split(train=np.arange(a), val=np.arange(a, b), test=np.arange(b, len(order)))
         cfg = TrainConfig(
             learning_rate=0.01, epochs=30, dropout=dropout, hidden_dims=(16,), seed=3
         )
@@ -663,7 +656,7 @@ class TestTrainNodeClassifier:
                 px, LabelVector(labels=masked, num_classes=y.num_classes), split,
                 TrainConfig(learning_rate=0.01, epochs=5),
             )
-        bad = Split(train=np.arange(10), val=np.array([], dtype=int), test=np.array([11]), seed=0)
+        bad = Split(train=np.arange(10), val=np.array([], dtype=int), test=np.array([11]))
         with pytest.raises(DomainError):
             train_node_classifier(px, y, bad, TrainConfig(learning_rate=0.01, epochs=5))
 
@@ -742,8 +735,7 @@ class TestTrainHyperlinkPredictor:
         h = Hypergraph.from_edges(h.edges[:40], n=h.n)
         data = negative_sample(h, 0.5, 2, 0)
         split = Split(
-            train=np.arange(20), val=np.arange(20, 30), test=np.array([-1, -2, -3, 30, 31]),
-            seed=0,
+            train=np.arange(20), val=np.arange(20, 30), test=np.array([-1, -2, -3, 30, 31])
         )
         sub = Hypergraph.from_edges([h.edges[i] for i in range(30)], n=h.n)
         pf = propagate(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperprop import expansion, nn, propagation, synthetic, tasks
+from hyperprop import core, expansion, nn, propagation, synthetic, tasks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -151,3 +151,36 @@ def test_training_spans_sit_under_their_trainer():
         "nn.mlp_forward": 2 * epochs + 1, "tasks.auc": epochs + 1,
         "tasks.pool_candidates": 3, "tasks.trainval_adjacency_hash": 1,
     }
+
+
+def test_counters_read_the_results_and_files_they_name(tmp_path):
+    """The counters that read a result's fields (``r.edges``,
+    ``len(r.negatives)``) or an argument's file (``a["path"]``) run on a
+    tiny traced pipeline and count what they claim, so renaming a result
+    field or dropping ``Hypergraph.edges`` fails here, not only in the
+    traced benchmark."""
+    h, x, _ = synthetic.generate(
+        synthetic.PlantedConfig(n=30, m=20, classes=3, feature_dim=4, seed=1)
+    )
+    edges_file, tfhn = tmp_path / "edges.txt", tmp_path / "propagated.tfhn"
+    core.save_hypergraph(edges_file, h)
+    beta = 3
+    tracer = _load("tracer")
+    recorder = tracer.Recorder()
+    with tracer.tracing(recorder):
+        loaded = core.load_hypergraph(edges_file)
+        tasks.negative_sample(loaded, 0.5, beta, 0)
+        atilde = expansion.normalize_with_self_loops(expansion.weighted_clique_expansion(loaded))
+        pf = propagation.propagate(atilde, x, propagation.PropagationConfig(layers=1, alpha=0.3))
+        propagation.save_propagated(tfhn, pf)
+        propagation.load_propagated(tfhn)
+
+    def counts(name: str) -> dict:
+        (span,) = [s for s in recorder.spans if s["name"] == name]
+        return span["counts"]
+
+    assert counts("core.load_hypergraph") == {"core.incidences_parsed": len(loaded.indices)}
+    assert counts("tasks.negative_sample") == {"tasks.negatives_drawn": beta * loaded.m}
+    size = tfhn.stat().st_size
+    assert counts("propagation.save_propagated") == {"propagation.bytes_written": size}
+    assert counts("propagation.load_propagated")["propagation.bytes_read"] == size
