@@ -24,7 +24,10 @@ Example:
 No downloading happens here; fetch the raw archives however your mirror
 provides them.  Repeated hyperedges are collapsed to one copy and empty
 ones are dropped.  The class count is one past the largest label, or 1
-when no node is labeled, as ``load_labels`` reads it back.
+when no node is labeled, as ``load_labels`` reads it back.  The
+hypergraph and the labels are checked before anything is written: a bad
+node id or label ends in a one-line message and a nonzero exit before
+the output directory is made.
 """
 
 import argparse
@@ -38,6 +41,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hyperprop.core import Hypergraph, LabelVector, save_features, save_hypergraph, save_labels
+from hyperprop.errors import HyperpropError
 
 
 def _dedup(edges):
@@ -91,14 +95,18 @@ def main(argv=None) -> int:
     n = features.shape[0]
     if labels.shape != (n,):
         raise SystemExit(f"labels cover {labels.shape[0]} nodes but features cover {n}")
-    h = Hypergraph.from_edges(_dedup(edges), n=n)
+    classes = max(int(labels.max(initial=-1)) + 1, 1)
+    try:  # validate everything before the output directory exists
+        h = Hypergraph.from_edges(_dedup(edges), n=n)
+        y = LabelVector(labels=labels, num_classes=classes)
+    except HyperpropError as exc:
+        raise SystemExit(f"{args.name}: {type(exc).__name__}: {exc}") from None
 
     out = args.out / args.name
     out.mkdir(parents=True, exist_ok=True)
     save_hypergraph(out / "edges.txt", h)
     save_features(out / "features.npy", features)
-    classes = max(int(labels.max(initial=-1)) + 1, 1)
-    save_labels(out / "labels.txt", LabelVector(labels=labels, num_classes=classes))
+    save_labels(out / "labels.txt", y)
     print(f"{args.name}: n={h.n} m={h.m} d={features.shape[1]} classes={classes} -> {out}")
     return 0
 

@@ -153,7 +153,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file not found: {cfg_path}")
         try:
             raw = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")

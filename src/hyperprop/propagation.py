@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,24 +154,22 @@ def propagate(
     same operations in the same order per column at any width, so the
     recurrence runs on column panels of about _BLOCK_BYTES each, all L
     steps on one panel before the next, and the result is bit-identical
-    to the expression above.  Each panel is copied out of ``x`` before
-    its steps run and written into the output after them.  The panels
-    and the feature hash (for the provenance) run on one worker thread
-    per available core; the sparse product and sha256 release the GIL.
-    The first panel that fails cancels the panels still queued.
+    to the expression above.  The feature hash (for the provenance) is
+    taken before any panel starts.  Each panel is then copied out of
+    ``x``, run through its steps and written into the output, on one
+    worker thread per available core; the sparse product releases the
+    GIL.  The first panel that fails cancels the panels still queued.
 
     ``out`` is None or ``x`` itself, which must then be a writable
     C-ordered float64 array.  With None the result's ``matrix`` is a new
     array, so the call holds ``x``, the output and a few panel-sized
     arrays per worker.  With ``out=x`` it holds ``x`` and the panels
-    alone: the feature hash finishes before the first panel is written
-    back, and on return ``x`` holds Z^L, bit-identical to the default,
-    and is the result's ``matrix``.  A call that fails after that (a
-    panel with a non-finite entry) leaves ``x`` partly overwritten.
+    alone: on return ``x`` holds Z^L, bit-identical to the default, and
+    is the result's ``matrix``.  A call that fails part-way (a panel
+    with a non-finite entry) leaves ``x`` partly overwritten.
     """
     _require_normalized(atilde)
-    in_place = out is not None
-    if in_place:
+    if out is not None:
         _check_in_place(out, x)
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != atilde.n:
@@ -180,26 +178,17 @@ def propagate(
         )
     n, d = x.shape
     width = max(1, _BLOCK_BYTES // (8 * max(1, n)))
-    z = x if in_place else np.empty_like(x)
+    z = np.empty_like(x) if out is None else x
+    feature_hasher = _feature_hasher(x)  # before any panel can overwrite x
+
+    def fill(cols: slice) -> None:
+        z[:, cols] = _panel(atilde.matrix, x, cols, cfg)
 
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        hashing = pool.submit(_feature_hasher, x)  # first in the queue, so never waits on a panel
-
-        def fill(cols: slice) -> None:
-            panel = _panel(atilde.matrix, x, cols, cfg)
-            if in_place:
-                hashing.result()  # the hash must read x before any panel overwrites it
-            z[:, cols] = panel
-
-        panels = [pool.submit(fill, slice(lo, lo + width)) for lo in range(0, d, width)]
+        filled = pool.map(fill, [slice(lo, lo + width) for lo in range(0, d, width)])
         adj_hash = adjacency_fingerprint(atilde)
-        _, pending = wait(panels, return_when=FIRST_EXCEPTION)
-        for panel in pending:
-            panel.cancel()  # a panel failed: drop the ones still queued
-        for panel in panels:
-            if not panel.cancelled():
-                panel.result()
-        feature_hasher = hashing.result()
+        for _ in filled:  # the first failed panel raises and cancels the ones still queued
+            pass
     return PropagatedFeatures(
         matrix=z,
         config=cfg,

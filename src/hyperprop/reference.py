@@ -67,16 +67,18 @@ _BASES = {
 }
 
 
-@lru_cache(maxsize=len(ModelKind))
-def _base_matrix(kind: ModelKind, h: Hypergraph) -> SparseAdjacency:
-    """The model's expansion with the (1 - gamma) prefactor divided out.
+@lru_cache(maxsize=len(set(_BASES.values())))
+def _base_matrix(build, h: Hypergraph) -> SparseAdjacency:
+    """``build(h)`` for a builder of `_BASES`: a model's expansion with
+    the (1 - gamma) prefactor divided out.
 
-    It depends on neither depth nor gamma, so the last len(ModelKind)
-    builds are memoised by (kind, hypergraph) and shared by every spec.
+    It depends on neither depth nor gamma, so the last builds are
+    memoised by (builder, hypergraph) and shared by every spec of every
+    model with that builder.
     Its arrays are read-only: a caller that writes to one gets a
     ValueError instead of changing later results.
     """
-    w = SparseAdjacency(matrix=_BASES[kind](h))
+    w = SparseAdjacency(matrix=build(h))
     for array in (w.matrix.data, w.matrix.indices, w.matrix.indptr):
         array.flags.writeable = False
     return w
@@ -94,7 +96,7 @@ def run_linearized(spec: LinearizedModelSpec, h: Hypergraph, x: np.ndarray) -> n
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != h.n:
         raise DimensionError(f"features must be ({h.n}, d), got {x.shape}")
-    w = _base_matrix(spec.kind, h).matrix
+    w = _base_matrix(_BASES[spec.kind], h).matrix
     g = spec.gamma
     z = x.copy()
     for _ in range(spec.layers):
@@ -109,4 +111,4 @@ def unified_equivalent(spec: LinearizedModelSpec, h: Hypergraph) -> tuple[Sparse
     the (1 - gamma) prefactor divided out); AllDeepSets maps to
     alpha = 0.  The matrix is the shared, read-only base operator.
     """
-    return _base_matrix(spec.kind, h), spec.gamma
+    return _base_matrix(_BASES[spec.kind], h), spec.gamma

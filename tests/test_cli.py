@@ -1,5 +1,6 @@
 """Tests for the command-line front end (run in-process via main())."""
 
+import argparse
 import filecmp
 import hashlib
 import io
@@ -154,6 +155,33 @@ class TestUsageAndConfigErrors:
         file = tmp_path / "c.json"
         file.write_text("{not json")
         assert cli.main(["train", "--config", str(file)]) == 2
+
+    def test_integer_literal_past_the_digit_limit_is_config_error(self, tmp_path, capsys):
+        file = tmp_path / "c.json"
+        file.write_text('{"seeds": [' + "9" * 5000 + "]}")
+        assert cli.main(["train", "--config", str(file)]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
+
+    def test_readme_config_shows_every_key(self, tmp_path):
+        """The README's complete config loads, and names every key of
+        every section the loader accepts."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A complete config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        file = tmp_path / "readme.json"
+        file.write_text(block)
+        cfg = cli.load_config(str(file), argparse.Namespace())
+        raw = json.loads(block)
+        sections = {
+            "dataset": cli._DATASET_KEYS, "synthetic": cli._SYNTHETIC_KEYS,
+            "propagation": cli._PROPAGATION_KEYS, "train": cli._TRAIN_KEYS,
+            "negative": cli._NEGATIVE_KEYS,
+        }
+        assert set(raw) == set(cli._TOP_KEYS)
+        assert set(sections) == {key for key, kind in cli._TOP_KEYS.items() if kind is dict}
+        assert {name: set(raw[name]) for name in sections} == {
+            name: set(keys) for name, keys in sections.items()
+        }
+        assert (cfg.task, cfg.seeds, cfg.train["epochs"]) == (raw["task"], raw["seeds"], 60)
 
     @pytest.mark.parametrize(
         "overrides, key",

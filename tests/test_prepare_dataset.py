@@ -78,3 +78,26 @@ def test_bundle_without_any_label_has_one_class(tmp_path, prepare, capsys):
     assert "classes=1" in capsys.readouterr().out
     _, _, y = read_back(tmp_path / "data" / "bare")
     assert y.labels.tolist() == [-1] * 6 and y.num_classes == 1
+
+
+@pytest.mark.parametrize(
+    "labels, edge, message",
+    [
+        ([0, -2, 1, 1, 0, -1], None, "BoundsError: label -2 out of range"),
+        ([0, 1, -1, 1, 0, 2], [1, 9], "BoundsError"),
+    ],
+    ids=["negative-label", "node-past-the-features"],
+)
+def test_invalid_bundle_writes_nothing(tmp_path, prepare, labels, edge, message):
+    """A bad label or an edge naming a node past the features ends in a
+    one-line message, before the output directory is made."""
+    bundle = write_bundle(tmp_path, labels)
+    if edge:
+        raw = json.loads(bundle.read_text())
+        raw["edges"].append(edge)
+        bundle.write_text(json.dumps(raw))
+    with pytest.raises(SystemExit) as exc:
+        prepare(["--name", "bad", "--json", str(bundle), "--out", str(tmp_path / "data")])
+    assert isinstance(exc.value.code, str) and message in exc.value.code
+    assert "\n" not in exc.value.code
+    assert not (tmp_path / "data").exists()

@@ -8,6 +8,7 @@ right (W, alpha) pair is plugged in.
 import numpy as np
 import pytest
 
+import hyperprop.reference as reference
 from hyperprop.core import Hypergraph
 from hyperprop.errors import DomainError
 from hyperprop.expansion import SparseAdjacency, _deephgnn_base, _star_base, _unignn_base
@@ -222,6 +223,24 @@ class TestBaseOperatorMemo:
         assert np.array_equal(again.matrix.toarray(), fresh_base(kind, h).toarray())
         x = np.arange(10.0).reshape(5, 2)
         assert np.array_equal(run_linearized(spec, h, x), fresh_base(kind, h) @ (fresh_base(kind, h) @ x))
+
+    def test_shared_star_base_is_built_once_per_hypergraph(self, monkeypatch):
+        """AllDeepSets and ED-HNN read one memoised star base, so three
+        hypergraphs cost three star builds, not six."""
+        builds = []
+
+        def counted_star(h):
+            builds.append(h)
+            return _star_base(h)
+
+        for kind in (ModelKind.ALLDEEPSETS, ModelKind.EDHNN):
+            monkeypatch.setitem(reference._BASES, kind, counted_star)
+        reference._base_matrix.cache_clear()
+        try:
+            assert check_unification(cases=3).passed
+        finally:
+            reference._base_matrix.cache_clear()
+        assert len(builds) == len(set(map(id, builds))) == 3
 
     def test_each_hypergraph_gets_its_own_operator(self):
         """Hypergraphs that share their edges but not n, or that come in
