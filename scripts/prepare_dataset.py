@@ -25,9 +25,9 @@ No downloading happens here; fetch the raw archives however your mirror
 provides them.  Repeated hyperedges are collapsed to one copy and empty
 ones are dropped.  The class count is one past the largest label, or 1
 when no node is labeled, as ``load_labels`` reads it back.  The
-hypergraph and the labels are checked before anything is written: a bad
-node id or label ends in a one-line message and a nonzero exit before
-the output directory is made.
+hypergraph, the features and the labels are checked before anything is
+written: a bad node id or label, or a non-finite feature, ends in a
+one-line message and a nonzero exit before the output directory is made.
 """
 
 import argparse
@@ -41,7 +41,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hyperprop.core import Hypergraph, LabelVector, save_features, save_hypergraph, save_labels
-from hyperprop.errors import HyperpropError
+from hyperprop.errors import DomainError, HyperpropError
 
 
 def _dedup(edges):
@@ -97,6 +97,8 @@ def main(argv=None) -> int:
         raise SystemExit(f"labels cover {labels.shape[0]} nodes but features cover {n}")
     classes = max(int(labels.max(initial=-1)) + 1, 1)
     try:  # validate everything before the output directory exists
+        if not np.isfinite(features).all():
+            raise DomainError("features contain non-finite entries")
         h = Hypergraph.from_edges(_dedup(edges), n=n)
         y = LabelVector(labels=labels, num_classes=classes)
     except HyperpropError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import statistics
 import sys
 import time
@@ -129,9 +130,10 @@ def _has_type(value: Any, want: type) -> bool:
 
 
 def _check_keys(section: str, mapping: dict, allowed: dict[str, type]) -> None:
-    """Refuse unknown keys and mistyped values, and store each float-typed
-    value as a float in place, so that a config hashes the same whether
-    it spells a number 0 or 0.0."""
+    """Refuse unknown keys, mistyped values and non-finite numbers (JSON
+    ``NaN``, ``Infinity``, ``1e400``), and store each float-typed value as
+    a float in place, so that a config hashes the same whether it spells
+    a number 0 or 0.0."""
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
@@ -143,6 +145,8 @@ def _check_keys(section: str, mapping: dict, allowed: dict[str, type]) -> None:
                 mapping[key] = float(value)
             except OverflowError:
                 raise ConfigError(f"{section}.{key} is too large for a float") from None
+            if not math.isfinite(mapping[key]):
+                raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -289,7 +293,8 @@ def _seed_record(cfg: RunConfig, seed: int, metrics: Metrics, preprocess_seconds
     }
 
 
-def cmd_precompute(cfg: RunConfig) -> int:
+def cmd_precompute(cfg: RunConfig) -> float:
+    """Write ``propagated.tfhn`` and ``precompute.json``; return the propagation's seconds."""
     h, x = _load_inputs(_require_paths(cfg, "edges", "features"))
     pf, preprocess_seconds = _propagate(h, x, cfg.propagation, out=x)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,35 +317,32 @@ def cmd_precompute(cfg: RunConfig) -> int:
     print(f"propagated {pf.matrix.shape[0]}x{pf.matrix.shape[1]} -> {out_file}")
     print(f"provenance {pf.provenance}")
     print(f"preprocess_seconds {preprocess_seconds:.4f}")
-    return 0
+    return preprocess_seconds
 
 
 def _train_nc(cfg: RunConfig) -> list[dict]:
-    """One record per seed.  From a `.tfhn`, each seed reads only its
-    labeled rows, in train|val|test order, so the head trains on views
-    of one matrix, freed before the next seed reads; inline, the
-    features are propagated in place once."""
-    paths = _require_paths(cfg, "edges", "features", "labels")
-    y = load_labels(paths["labels"])
+    """One record per seed, from a `.tfhn`: ``dataset.propagated``, or
+    the one `cmd_precompute` writes into the output directory when
+    inline.  Each seed reads only its labeled rows, in train|val|test
+    order, so the head trains on views of one matrix, freed before the
+    next seed reads."""
+    y = load_labels(_require_paths(cfg, "edges", "features", "labels")["labels"])
     if cfg.inline_precompute:
-        h, x = _load_inputs(paths)
-        pf, preprocess_seconds = _propagate(h, x, cfg.propagation, out=x)
+        preprocess_seconds = cmd_precompute(cfg)
+        propagated = cfg.out_dir / "propagated.tfhn"
     else:
-        propagated = _require_paths(cfg, "propagated")["propagated"]
-        with propagated.open("rb") as fh:
-            stored, _ = _read_header(fh, propagated)
-        if stored != len(y.labels):
-            raise DimensionError(f"{stored} feature rows vs {len(y.labels)} labels")
         preprocess_seconds = 0.0
+        propagated = _require_paths(cfg, "propagated")["propagated"]
+    with propagated.open("rb") as fh:
+        stored, _ = _read_header(fh, propagated)
+    if stored != len(y.labels):
+        raise DimensionError(f"{stored} feature rows vs {len(y.labels)} labels")
     labeled = y.labeled_indices
     records = []
     for seed in cfg.seeds:
         idx = make_split(len(labeled), seed)
         split = Split(train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test])
-        if cfg.inline_precompute:
-            inputs = pf.matrix, y, split
-        else:
-            inputs = _labeled_rows(propagated, y, split, cfg.propagation)
+        inputs = _labeled_rows(propagated, y, split, cfg.propagation)
         _, metrics = train_node_classifier(*inputs, cfg.train_config(seed))
         del inputs  # free this seed's rows before the next seed reads its own
         records.append(_seed_record(cfg, seed, metrics, preprocess_seconds))
@@ -448,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inline-precompute",
         action="store_true",
-        help="propagate in-process instead of reading a precomputed file",
+        help="run precompute into the output directory first, then train from its file",
     )
     p = sub.add_parser("verify", help="run randomized structural self-checks")
     p.add_argument("--cases", type=_int_from(1), default=50, help="random cases per suite")
@@ -468,7 +470,8 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "precompute":
-            return cmd_precompute(cfg)
+            cmd_precompute(cfg)
+            return 0
         return cmd_train(cfg)
     except (HyperpropError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import operator
+import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -237,6 +238,11 @@ class LabelVector:
 # (useful for trailing isolated nodes).  Any other "#..." line is a comment.
 
 _HEADER_PREFIX = "#n="
+# A node id or a label is an ASCII decimal integer.  `int` also reads
+# "1_0" as 10 and non-ASCII digits such as the Arabic-Indic three, so a
+# line holding "_" or a non-ASCII character is checked against this
+# pattern; on any other line `int` reads nothing else.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def load_hypergraph(path: str | Path) -> Hypergraph:
@@ -250,8 +256,13 @@ def load_hypergraph(path: str | Path) -> Hypergraph:
             if lineno == 1 and line.startswith(_HEADER_PREFIX):
                 declared_n, declared_m = _parse_header(line, lineno)
             continue
+        tokens = line.split()
+        if not (line.isascii() and "_" not in line):
+            bad = next((tok for tok in tokens if not _DECIMAL.fullmatch(tok)), None)
+            if bad is not None:
+                raise ParseError(f"{path.name}:{lineno}: malformed node id {bad!r}")
         members = []
-        for tok in line.split():
+        for tok in tokens:
             try:
                 members.append(int(tok))
             except ValueError:
@@ -282,6 +293,8 @@ def _text_lines(path: Path):
 
 def _parse_header(line: str, lineno: int) -> tuple[int, int]:
     try:
+        if not (line.isascii() and "_" not in line):
+            raise ValueError
         n_part, m_part = line[1:].split()
         n = int(n_part.removeprefix("n="))
         m = int(m_part.removeprefix("m="))
@@ -331,6 +344,8 @@ def load_labels(path: str | Path) -> LabelVector:
         if line.startswith("#"):
             continue
         try:
+            if not (line.isascii() and "_" not in line):
+                raise ValueError
             values.append(int(line))
         except ValueError:
             raise ParseError(f"{path.name}:{lineno}: malformed label {line!r}") from None

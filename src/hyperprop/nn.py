@@ -59,13 +59,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise DomainError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs <= 0:
             raise DomainError(f"epochs must be positive, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:
             raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise DomainError(f"weight decay must be nonnegative, got {self.weight_decay}")
 
 

@@ -49,7 +49,7 @@ class PlantedConfig:
             raise ConfigError(
                 f"feature_dim {self.feature_dim} too small for {self.classes} orthogonal class means"
             )
-        if self.feature_noise < 0.0:
+        if not self.feature_noise >= 0.0:
             raise ConfigError(f"feature noise must be nonnegative, got {self.feature_noise}")
         # every class must be able to host a pure hyperedge of max size
         smallest_class = self.n // self.classes

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -200,6 +201,49 @@ class TestUsageAndConfigErrors:
         file = write_config(tmp_path, **overrides)
         assert cli.main(["train", "--config", str(file)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, section, key, text",
+        [
+            ("train", "train", "weight_decay", "NaN"),
+            ("train", "train", "learning_rate", "Infinity"),
+            ("train", "propagation", "alpha", "-Infinity"),
+            ("train", "negative", "alpha", "1e400"),
+            ("generate", "synthetic", "feature_noise", "NaN"),
+        ],
+        ids=["weight_decay-nan", "lr-inf", "alpha-minus-inf", "negative-alpha-1e400", "noise-nan"],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, section, key, text):
+        """JSON as Python reads it takes NaN, Infinity and 1e400 (inf);
+        a NaN weight decay would train with no decay and exit 0."""
+        file = write_config(tmp_path)
+        cfg = json.loads(file.read_text())
+        cfg.setdefault(section, {})[key] = "@"
+        file.write_text(json.dumps(cfg).replace('"@"', text))
+        assert cli.main([command, "--config", str(file), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {section}.{key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_defaults_are_the_loaders(self):
+        """The README's "Defaults when a section is omitted" paragraph
+        states what an empty config resolves to."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("Defaults when a section is omitted:", 1)[1].split("\n\n", 1)[0]
+        text = " ".join(text.split())
+        spans = dict(re.findall(r"(propagation|train|negative|task) `([^`]*)`", text))
+
+        def settings(section: str) -> dict:
+            return {k: json.loads(v) for k, v in (kv.split("=") for kv in spans[section].split(", "))}
+
+        cfg = cli.load_config(None, argparse.Namespace())
+        prop = cfg.propagation
+        assert settings("propagation") == {"layers": prop.layers, "alpha": prop.alpha}
+        assert settings("train") == cfg.train
+        assert settings("negative") == cfg.negative
+        assert spans["task"] == cfg.task
+        nc, hp = re.search(r"seeds `0\.\.(\d+)` for nc and `0\.\.(\d+)` for hp", text).groups()
+        assert cfg.seeds == list(range(int(nc) + 1))
+        assert cli.load_config(None, argparse.Namespace(task="hp")).seeds == list(range(int(hp) + 1))
 
     @pytest.mark.parametrize(
         "key, blob",
@@ -444,6 +488,33 @@ class TestTrain:
             tmp_path / "b" / "metrics.jsonl"
         )
 
+    def test_inline_reads_each_seeds_rows_from_the_file_it_wrote(self, workspace, monkeypatch):
+        tmp_path, cfg_file = workspace
+        cfg = json.loads(cfg_file.read_text())
+        cfg_file.write_text(json.dumps({**cfg, "seeds": [0, 1, 2]}))
+        out = tmp_path / "inline"
+        reads = []
+        monkeypatch.setattr(
+            cli, "load_propagated", lambda *a, **k: reads.append(a[0]) or load_propagated(*a, **k)
+        )
+        assert cli.main(["train", "--config", str(cfg_file), "--inline-precompute", "--out", str(out)]) == 0
+        assert reads == [out / "propagated.tfhn"] * 3
+
+    def test_inline_leaves_what_precompute_writes(self, workspace, capsys):
+        tmp_path, cfg_file = workspace
+        pre, inline = tmp_path / "pre", tmp_path / "inline"
+        assert cli.main(["precompute", "--config", str(cfg_file), "--out", str(pre)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert cli.main(["train", "--config", str(cfg_file), "--inline-precompute", "--out", str(inline)]) == 0
+        inline_printed = capsys.readouterr().out.splitlines()
+        assert sorted(p.name for p in inline.iterdir()) == [
+            "metrics.jsonl", "precompute.json", "propagated.tfhn"
+        ]
+        assert filecmp.cmp(pre / "propagated.tfhn", inline / "propagated.tfhn", shallow=False)
+        assert read_payloads(pre / "precompute.json") == read_payloads(inline / "precompute.json")
+        assert inline_printed[:2] == [line.replace(str(pre), str(inline)) for line in printed[:2]]
+        assert inline_printed[2].startswith("preprocess_seconds ")
+
     def test_payloads_are_rerun_stable(self, workspace):
         tmp_path, cfg_file = workspace
         args = ["train", "--config", str(cfg_file), "--inline-precompute"]
@@ -506,8 +577,9 @@ class TestTrain:
         so a write that fails after the first record leaves the previous
         file byte for byte and no temporary file behind."""
         tmp_path, cfg_file = workspace
+        assert cli.main(["precompute", "--config", str(cfg_file), "--out", str(tmp_path / "pre")]) == 0
         out = tmp_path / "runs"
-        args = ["train", "--config", str(cfg_file), "--inline-precompute", "--out", str(out)]
+        args = ["train", "--config", str(cfg_file), "--out", str(out)]
         assert cli.main(args) == 0
         before = (out / "metrics.jsonl").read_bytes()
         dumps, written = json.dumps, []

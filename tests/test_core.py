@@ -371,6 +371,32 @@ class TestEdgeListLoader:
         with pytest.raises(ParseError, match=":2"):
             load_hypergraph(path)
 
+    @pytest.mark.parametrize(
+        "text, token",
+        [("0 1\n0 1_0\n", "1_0"), ("0 1\n\u0663 0\n", "\u0663"), ("0 1\n2 \uff11\n", "\uff11")],
+        ids=["underscore", "arabic-indic", "fullwidth"],
+    )
+    def test_node_id_must_be_ascii_decimal(self, tmp_path, text, token):
+        """`int` reads "1_0" as 10 and non-ASCII digits as their values;
+        the edge list takes ASCII decimal ids only."""
+        path = tmp_path / "edges.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f":2: malformed node id {token!r}"):
+            load_hypergraph(path)
+
+    def test_header_must_be_ascii_decimal(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("#n=1_0 m=1\n0 1\n")
+        with pytest.raises(ParseError, match="malformed header"):
+            load_hypergraph(path)
+
+    def test_non_ascii_text_outside_the_ids_is_kept(self, tmp_path):
+        """Comments may hold any UTF-8 text, and a non-ASCII space still
+        separates ids."""
+        path = tmp_path / "edges.txt"
+        path.write_text("# k\u00f6ln_1\n0\u00a01\n1 2\n", encoding="utf-8")
+        assert load_hypergraph(path).edges == ((0, 1), (1, 2))
+
     def test_node_id_beyond_header(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("#n=2 m=1\n0 5\n")
@@ -409,6 +435,12 @@ class TestFeatureAndLabelFiles:
     def test_malformed_label_reports_line(self, tmp_path):
         (tmp_path / "y.txt").write_text("0\nfoo\n")
         with pytest.raises(ParseError, match=":2"):
+            load_labels(tmp_path / "y.txt")
+
+    @pytest.mark.parametrize("label", ["1_0", "\u0663", "-\uff11"])
+    def test_label_must_be_ascii_decimal(self, tmp_path, label):
+        (tmp_path / "y.txt").write_text(f"0\n{label}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f":2: malformed label {label!r}"):
             load_labels(tmp_path / "y.txt")
 
     def test_label_out_of_range(self):

@@ -458,6 +458,13 @@ class TestAdam:
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=0.1, epochs=10, dropout=1.0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "dropout"])
+    def test_nan_setting_is_refused(self, field):
+        """NaN fails every comparison, so each range check is written to
+        fail on it; a NaN weight decay would otherwise switch decay off."""
+        with pytest.raises(DomainError):
+            TrainConfig(**{"learning_rate": 0.1, "epochs": 1, field: float("nan")})
+
 
 class TestOverfitSanity:
     def test_separable_blob_reaches_tiny_loss(self):

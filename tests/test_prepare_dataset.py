@@ -101,3 +101,14 @@ def test_invalid_bundle_writes_nothing(tmp_path, prepare, labels, edge, message)
     assert isinstance(exc.value.code, str) and message in exc.value.code
     assert "\n" not in exc.value.code
     assert not (tmp_path / "data").exists()
+
+
+def test_non_finite_feature_writes_nothing(tmp_path, prepare):
+    """A NaN feature, which every later command refuses, ends in the
+    script's one-line message before the output directory is made."""
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text('{"edges": [[0, 1], [1, 2]], "features": [[0.5], [NaN], [1.0]], "labels": [0, 1, 0]}')
+    with pytest.raises(SystemExit) as exc:
+        prepare(["--name", "nan", "--json", str(bundle), "--out", str(tmp_path / "data")])
+    assert exc.value.code == "nan: DomainError: features contain non-finite entries"
+    assert not (tmp_path / "data").exists()

@@ -37,6 +37,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             base_cfg(feature_noise=-1.0)
 
+    def test_nan_feature_noise_is_refused(self):
+        """NaN fails every comparison, so the check is written to fail on
+        it; otherwise `generate` writes all-NaN features."""
+        with pytest.raises(ConfigError):
+            base_cfg(feature_noise=float("nan"))
+
 
 class TestGenerate:
     def test_shapes_and_round_robin_labels(self):
