@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Hypergraph, LabelVector, load_features, load_hypergraph, load_labels
+from .core import _DECIMAL, Hypergraph, LabelVector, load_features, load_hypergraph, load_labels
 from .errors import ConfigError, DimensionError, HyperpropError
 from .expansion import normalize_with_self_loops, weighted_clique_expansion
 from .nn import TrainConfig
@@ -416,9 +416,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _int_from(low: int):
-    """argparse type for an integer of at least ``low``."""
+    """argparse type for an ASCII decimal integer of at least ``low``."""
 
     def parse(text: str) -> int:
+        if not _DECIMAL.fullmatch(text):
+            raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
@@ -450,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inline-precompute",
         action="store_true",
-        help="run precompute into the output directory first, then train from its file",
+        help="nc only: run precompute into the output directory first, then train from its "
+        "file; hp always propagates per seed",
     )
     p = sub.add_parser("verify", help="run randomized structural self-checks")
     p.add_argument("--cases", type=_int_from(1), default=50, help="random cases per suite")

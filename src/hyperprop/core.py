@@ -171,39 +171,23 @@ def khop_neighbours(h: Hypergraph, source: int, k: int) -> set[int]:
 
     Distance counts the hyperedges traversed along a shortest path, so
     the 1-hop neighbourhood is the union of the source's hyperedges
-    minus the source itself.  Plain breadth-first search over the
-    node -> hyperedge -> node adjacency, read off the CSR arrays;
-    hyperedges are expanded at most once.
+    minus the source itself.  Breadth-first search over frontier sets:
+    each hop reaches the members of every hyperedge that meets the last
+    frontier.
     """
     if not 0 <= source < h.n:
         raise BoundsError(f"source node {source} out of range for n={h.n}")
     if k < 0:
         raise DomainError(f"hop count must be nonnegative, got {k}")
     members, bounds = h.indices.tolist(), h.indptr.tolist()
-    incident: list[list[int]] = [[] for _ in range(h.n)]  # hyperedges of each node
-    for e in range(h.m):
-        for v in members[bounds[e] : bounds[e + 1]]:
-            incident[v].append(e)
-    seen_nodes = {source}
-    seen_edges: set[int] = set()
-    frontier = [source]
-    reached: set[int] = set()
+    edges = [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    seen = frontier = {source}
     for _ in range(k):
-        next_frontier: list[int] = []
-        for v in frontier:
-            for e in incident[v]:
-                if e in seen_edges:
-                    continue
-                seen_edges.add(e)
-                for u in members[bounds[e] : bounds[e + 1]]:
-                    if u not in seen_nodes:
-                        seen_nodes.add(u)
-                        reached.add(u)
-                        next_frontier.append(u)
-        if not next_frontier:
+        frontier = {u for e in edges if not frontier.isdisjoint(e) for u in e} - seen
+        if not frontier:
             break
-        frontier = next_frontier
-    return reached
+        seen |= frontier
+    return seen - {source}
 
 
 @dataclass(frozen=True)
@@ -238,10 +222,11 @@ class LabelVector:
 # (useful for trailing isolated nodes).  Any other "#..." line is a comment.
 
 _HEADER_PREFIX = "#n="
-# A node id or a label is an ASCII decimal integer.  `int` also reads
-# "1_0" as 10 and non-ASCII digits such as the Arabic-Indic three, so a
-# line holding "_" or a non-ASCII character is checked against this
-# pattern; on any other line `int` reads nothing else.
+# A node id, a label or a CLI integer flag is an ASCII decimal integer.
+# `int` also reads "1_0" as 10 and non-ASCII digits such as the
+# Arabic-Indic three.  The parsers check a line holding "_" or a
+# non-ASCII character against this pattern (on any other line `int`
+# reads nothing else); the CLI checks every integer flag.
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 

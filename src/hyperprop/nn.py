@@ -207,7 +207,7 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
     """Mean binary cross-entropy on raw logits, overflow-safe.
 
     Uses max(z, 0) - z*t + log(1 + exp(-|z|)); the gradient is
-    (sigmoid(z) - t) / k.
+    (sigmoid(z) - t) / k, in the shape of ``logits``.
     """
     z = np.asarray(logits, dtype=np.float64).ravel()
     t = np.asarray(targets, dtype=np.float64).ravel()
@@ -219,7 +219,7 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
     e = np.exp(-np.abs(z))  # exp of a nonpositive number: never overflows
     sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     grad = (sig - t) / z.size
-    return loss, grad
+    return loss, grad.reshape(np.shape(logits))
 
 
 def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainConfig):

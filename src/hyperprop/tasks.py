@@ -227,32 +227,21 @@ def pool_candidates(features: np.ndarray, candidates: NodeSets) -> np.ndarray:
 
 
 def auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
-    """Area under the ROC curve via the rank-sum statistic.
+    """Area under the ROC curve, P(pos > neg) + 0.5 P(pos = neg).
 
-    Midranks handle ties, so the result equals the pairwise
-    probability P(pos > neg) + 0.5 P(pos = neg).
+    The Mann-Whitney count: two binary searches in the sorted negatives
+    give, for each positive, the negatives below it and tied with it.
     """
     pos = np.asarray(scores_pos, dtype=np.float64).ravel()
     neg = np.asarray(scores_neg, dtype=np.float64).ravel()
     if pos.size == 0 or neg.size == 0:
         raise DomainError("AUC needs at least one score on each side")
-    scores = np.concatenate([pos, neg])
-    if np.isnan(scores).any():
+    if np.isnan(pos).any() or np.isnan(neg).any():
         raise NumericalError("AUC is undefined for NaN scores")
-    rank_sum = float(_midranks(scores)[: pos.size].sum())
-    return (rank_sum - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
-
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks where tied values share the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.ones(values.size, dtype=bool)  # True where a tie group begins
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    dense = np.empty(values.size, dtype=np.int64)
-    dense[order] = np.cumsum(starts)
-    count = np.append(np.flatnonzero(starts), values.size)
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    neg = np.sort(neg)
+    below = int(np.searchsorted(neg, pos, "left").sum())
+    ties = int(np.searchsorted(neg, pos, "right").sum()) - below
+    return (below + 0.5 * ties) / (pos.size * neg.size)
 
 
 @dataclass(frozen=True)
@@ -414,22 +403,18 @@ def train_hyperlink_predictor(
         )
     x = features.matrix
     train_cands, train_t = _split_candidates(data, split.train)
-    val_cands, val_t = _split_candidates(data, split.val)
-
-    def loss(logits):
-        value, grad = sigmoid_bce(logits, train_t)
-        return value, grad.reshape(logits.shape)
-
+    val_cands, _ = _split_candidates(data, split.val)
+    # a part's candidates start with its positives, so slicing splits its scores
     best_params, seconds = _fit(
         pool_candidates(x, train_cands),
         pool_candidates(x, val_cands),
         1,
-        loss,
-        lambda logits: auc(logits.ravel()[val_t == 1.0], logits.ravel()[val_t == 0.0]),
+        lambda logits: sigmoid_bce(logits, train_t),
+        lambda logits: auc(logits[: len(split.val)], logits[len(split.val) :]),
         cfg,
     )
-    test_cands, test_t = _split_candidates(data, split.test)
-    test_scores = mlp_forward(best_params, pool_candidates(x, test_cands)).ravel()
+    test_cands, _ = _split_candidates(data, split.test)
+    test_scores = mlp_forward(best_params, pool_candidates(x, test_cands))
     _require_finite(test_scores, "test scores")
-    test_auc = auc(test_scores[test_t == 1.0], test_scores[test_t == 0.0])
+    test_auc = auc(test_scores[: len(split.test)], test_scores[len(split.test) :])
     return best_params, Metrics(accuracy=None, auc=test_auc, train_seconds=seconds)

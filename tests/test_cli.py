@@ -115,6 +115,19 @@ class TestUsageAndConfigErrors:
         assert cli.main([*argv, "--seed", "-1"]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--cases", "\u0661"],  # Arabic-Indic one
+            ["verify", "--seed", "1_0"],
+            ["verify", "--cases", " 3"],
+            ["train", "--seed", "\u0663"],
+        ],
+    )
+    def test_integer_flag_that_is_not_ascii_decimal_is_usage_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == ""
+
     def test_negative_config_seed_is_config_error(self, workspace, capsys):
         tmp_path, cfg_file = workspace
         cfg = json.loads(cfg_file.read_text())
@@ -561,6 +574,18 @@ class TestTrain:
         lines = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         seeds = [l["payload"]["seed"] for l in lines if "seed" in l["payload"]]
         assert seeds == [3]
+
+    def test_inline_precompute_leaves_hp_payloads_unchanged(self, workspace):
+        """hp propagates per seed, so the nc-only flag writes nothing more
+        and changes no payload byte."""
+        tmp_path, cfg_file = workspace
+        plain, inline = tmp_path / "hp", tmp_path / "hp_inline"
+        argv = ["train", "--config", str(cfg_file), "--task", "hp"]
+        assert cli.main([*argv, "--out", str(plain)]) == 0
+        assert cli.main([*argv, "--inline-precompute", "--out", str(inline)]) == 0
+        assert [p.name for p in inline.iterdir()] == ["metrics.jsonl"]
+        got, want = (read_payloads(out / "metrics.jsonl") for out in (inline, plain))
+        assert "\n".join(got).encode() == "\n".join(want).encode()
 
     def test_hyperlink_task_via_flag(self, workspace):
         tmp_path, cfg_file = workspace

@@ -254,6 +254,9 @@ class TestSigmoidBce:
         z = rng.standard_normal(8)
         t = rng.integers(0, 2, size=8).astype(float)
         _, grad = sigmoid_bce(z, t)
+        _, column = sigmoid_bce(z[:, None], t)  # the gradient keeps the logits' shape
+        assert grad.shape == (8,) and column.shape == (8, 1)
+        assert column.tobytes() == grad.tobytes()
         fd = finite_difference_grads(lambda: sigmoid_bce(z, t)[0], [z])[0]
         np.testing.assert_allclose(grad, fd, atol=1e-9)
 
@@ -303,7 +306,7 @@ class TestBackprop:
         x = np.abs(rng.standard_normal((2, 3))) + 0.5
         logits, fwd = mlp_forward(params, x, dropout=0.5, rng=np.random.default_rng(0), cache=True)
         _, grad = sigmoid_bce(logits, np.ones(2))
-        gw, _ = mlp_backward(params, fwd, grad.reshape(logits.shape))
+        gw, _ = mlp_backward(params, fwd, grad)
         dropped_cols = np.all(fwd.masks[0] == 0.0, axis=0)
         assert np.all(gw[0][:, dropped_cols] == 0.0)
 
@@ -371,7 +374,7 @@ class TestInPlaceHead:
         try:
             logits, fwd = mlp_forward(params, x, cache=True)
             _, grad = sigmoid_bce(logits, targets)
-            mlp_backward(params, fwd, grad.reshape(logits.shape))
+            mlp_backward(params, fwd, grad)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
