@@ -46,8 +46,8 @@ class Hypergraph:
     """Immutable incidence structure in CSR form: hyperedge ``k`` is
     ``indices[indptr[k]:indptr[k + 1]]``, strictly ascending node ids in
     ``[0, n)``; both arrays are int64 and read-only.  Hypergraphs compare
-    and hash by identity.  The sorted tuple view ``edges[k]`` (members of
-    hyperedge ``k``) is built on first use.
+    and hash by identity; ``len(h)`` is ``h.m``.  The sorted tuple view
+    ``edges[k]`` (members of hyperedge ``k``) is built on first use.
     """
 
     n: int
@@ -90,6 +90,9 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.indptr) - 1
+
+    def __len__(self) -> int:
+        return self.m
 
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -198,7 +201,10 @@ class LabelVector:
     num_classes: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1:
             raise DimensionError("labels must be a 1-d vector")

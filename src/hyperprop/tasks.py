@@ -39,7 +39,6 @@ from .propagation import PropagatedFeatures
 
 __all__ = [
     "Split",
-    "NodeSets",
     "HyperlinkDataset",
     "Metrics",
     "make_split",
@@ -54,7 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/val/test index sets."""
+    """Disjoint train/val/test index sets; a nonempty part holds integers."""
 
     train: np.ndarray
     val: np.ndarray
@@ -62,8 +61,10 @@ class Split:
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, np.sort(arr))
+            arr = np.asarray(getattr(self, name))
+            if arr.size and arr.dtype.kind not in "iu":
+                raise DomainError(f"split part {name} must hold integers, got dtype {arr.dtype}")
+            object.__setattr__(self, name, np.sort(arr.astype(np.int64)))
         every = np.sort(np.concatenate([self.train, self.val, self.test]))
         if np.any(every[1:] == every[:-1]):
             raise DomainError("split parts must be pairwise disjoint")
@@ -88,26 +89,14 @@ def make_split(size: int, seed: int) -> Split:
 
 
 @dataclass(frozen=True)
-class NodeSets:
-    """Node sets in CSR form: set i is ``indices[indptr[i]:indptr[i + 1]]``,
-    sorted ascending.  ``len`` is the number of sets."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-
-@dataclass(frozen=True)
 class HyperlinkDataset:
     """Real hyperedges plus their corruptions: negative i corrupts
     positive ``source[i]``, and its members of that positive are the
-    ones it kept.
+    ones it kept.  Both are hypergraphs over the same n nodes.
     """
 
     positives: Hypergraph
-    negatives: NodeSets
+    negatives: Hypergraph
     source: np.ndarray
 
 
@@ -120,7 +109,7 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     size) is retried up to 100 times before giving up.  Edges of one
     size are corrupted together, so the cost is O(sum |e| * beta),
     independent of n.  Negatives come out edge-major, then by draw, and
-    each group's draws are written straight into the CSR arrays.
+    each group's draws are written straight into their hypergraph's arrays.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"corruption alpha must lie in [0, 1], got {alpha}")
@@ -129,7 +118,7 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     rng = np.random.default_rng(seed)
     sizes = np.diff(h.indptr)
     source = np.repeat(np.arange(h.m, dtype=np.int64), beta)
-    negatives = _rows(h, source)  # copies of the sources; each group's draws overwrite them
+    indptr, indices = _rows(h, source)  # copies of the sources; each group's draws overwrite them
     failures: dict[int, str] = {}
     for size in np.unique(sizes).tolist():
         ids = np.flatnonzero(sizes == size)
@@ -154,10 +143,10 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
             failures[edge] = f"hyperedge {edge}: no collision-free corruption in 100 tries"
             continue
         slots = (ids[:, None] * beta + np.arange(beta)).ravel()
-        negatives.indices[negatives.indptr[slots][:, None] + np.arange(size)] = cands
+        indices[indptr[slots][:, None] + np.arange(size)] = cands
     if failures:
         raise SamplingError(failures[min(failures)])
-    return HyperlinkDataset(positives=h, negatives=negatives, source=source)
+    return HyperlinkDataset(h, Hypergraph(n=h.n, indptr=indptr, indices=indices), source)
 
 
 def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
@@ -194,35 +183,27 @@ def _collides(cands: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.isin(cands.view(key).ravel(), members.view(key).ravel())
 
 
-def pool_candidates(features: np.ndarray, candidates: NodeSets) -> np.ndarray:
+def pool_candidates(features: np.ndarray, candidates: Hypergraph) -> np.ndarray:
     """Mean-pool feature rows for each candidate node set.
 
     One sparse product: row i of the candidate-incidence matrix holds a
     one per member of candidate i, then each sum is divided by its
-    member count.  Columns are sorted within a row (on a copy of the
-    arrays), so each row adds its feature rows in ascending node order
-    and the result depends on the set, not on how it is listed.
+    member count.  A hypergraph's rows are ascending, so each row adds
+    its feature rows in ascending node order and the result depends on
+    the set, not on how it was listed.
     """
     import scipy.sparse as sp
 
     x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != candidates.n:
+        raise DimensionError(f"features must be ({candidates.n}, d), got {x.shape}")
     counts = np.diff(candidates.indptr)
-    members = candidates.indices
-    owner = np.repeat(np.arange(len(counts)), counts)
-    outside = np.zeros(len(counts), dtype=bool)
-    outside[owner[(members < 0) | (members >= x.shape[0])]] = True
-    bad = np.flatnonzero((counts == 0) | outside)
-    if bad.size:
-        i = int(bad[0])
-        if counts[i] == 0:
-            raise DomainError(f"candidate {i} is empty")
-        raise BoundsError(f"candidate {i} references a node outside the feature matrix")
+    if not counts.all():
+        raise DomainError(f"candidate {int(np.argmin(counts))} is empty")
     incidence = sp.csr_matrix(
-        (np.ones(members.size), members, candidates.indptr),
-        shape=(len(counts), x.shape[0]),
-        copy=True,
+        (np.ones(candidates.indices.size), candidates.indices, candidates.indptr),
+        shape=(candidates.m, candidates.n),
     )
-    incidence.sort_indices()
     return (incidence @ x) / counts[:, None]
 
 
@@ -267,7 +248,7 @@ def _require_parts(split: Split, size: int, outside: str) -> None:
             raise BoundsError(f"split references {outside}")
 
 
-def _fit(x_train, x_val, out_dim: int, loss, score, cfg: TrainConfig):
+def _fit(x_train, x_val, out_dim: int, loss, score, cfg: TrainConfig, out_bias=0.0):
     """The epoch loop both heads share; returns the best parameters and
     the training seconds.
 
@@ -277,10 +258,11 @@ def _fit(x_train, x_val, out_dim: int, loss, score, cfg: TrainConfig):
     snapshot of the best-scoring epoch (earliest on ties) is kept.  A
     non-finite loss or validation logits raise NumericalError instead of
     steering the selection.  The seconds exclude the first epoch, which
-    absorbs one-time allocation noise.
+    absorbs one-time allocation noise.  The output bias starts at ``out_bias``.
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_mlp([x_train.shape[1], *cfg.hidden_dims, out_dim], rng)
+    params.biases[-1][:] = out_bias
     state = AdamState.like(params)
     best_val, best_params = -1.0, params.copy()
     epoch_times: list[float] = []
@@ -344,20 +326,20 @@ def _take_rows(x: np.ndarray, part: np.ndarray) -> np.ndarray:
     return x[lo:hi] if hi - lo == part.size else x[part]
 
 
-def _rows(sets: Hypergraph | NodeSets, rows: np.ndarray) -> NodeSets:
-    """The sets ``rows`` of a CSR collection, in that order."""
-    sizes = np.diff(sets.indptr)[rows]
+def _rows(h: Hypergraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New, writable ``(indptr, indices)`` of ``h``'s hyperedges ``rows``, in that order."""
+    sizes = np.diff(h.indptr)[rows]
     indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
-    offset = np.repeat(sets.indptr[rows] - indptr[:-1], sizes)
-    return NodeSets(indptr=indptr, indices=sets.indices[offset + np.arange(indptr[-1])])
+    offset = np.repeat(h.indptr[rows] - indptr[:-1], sizes)
+    return indptr, h.indices[offset + np.arange(indptr[-1])]
 
 
 def _trainval_hypergraph(data: HyperlinkDataset, split: Split) -> Hypergraph:
     """The hypergraph the hyperlink pipeline's operator may see: the
     train+val positives only, in ascending index order, over all n nodes."""
-    visible = _rows(data.positives, np.union1d(split.train, split.val))
-    return Hypergraph(n=data.positives.n, indptr=visible.indptr, indices=visible.indices)
+    indptr, indices = _rows(data.positives, np.union1d(split.train, split.val))
+    return Hypergraph(n=data.positives.n, indptr=indptr, indices=indices)
 
 
 def trainval_adjacency_hash(data: HyperlinkDataset, split: Split) -> str:
@@ -368,15 +350,16 @@ def trainval_adjacency_hash(data: HyperlinkDataset, split: Split) -> str:
     return _structure_digest(_trainval_hypergraph(data, split))
 
 
-def _split_candidates(data: HyperlinkDataset, part: np.ndarray) -> tuple[NodeSets, np.ndarray]:
+def _split_candidates(data: HyperlinkDataset, part: np.ndarray) -> tuple[Hypergraph, np.ndarray]:
     """The positives in ``part`` (in ``part`` order), then the negatives
-    whose source is in ``part`` (in sampling order), with targets 1.0
-    and 0.0."""
-    pos = _rows(data.positives, part)
-    neg = _rows(data.negatives, np.flatnonzero(np.isin(data.source, part)))
-    indptr = np.concatenate([pos.indptr, pos.indptr[-1] + neg.indptr[1:]])
-    indices = np.concatenate([pos.indices, neg.indices])
-    return NodeSets(indptr=indptr, indices=indices), np.repeat([1.0, 0.0], [len(pos), len(neg)])
+    whose source is in ``part`` (in sampling order), as one hypergraph,
+    with targets 1.0 and 0.0."""
+    pos_ptr, pos_ind = _rows(data.positives, part)
+    neg_ptr, neg_ind = _rows(data.negatives, np.flatnonzero(np.isin(data.source, part)))
+    indptr = np.concatenate([pos_ptr, pos_ptr[-1] + neg_ptr[1:]])
+    indices = np.concatenate([pos_ind, neg_ind])
+    targets = np.repeat([1.0, 0.0], [len(part), len(neg_ptr) - 1])
+    return Hypergraph(n=data.positives.n, indptr=indptr, indices=indices), targets
 
 
 def train_hyperlink_predictor(
@@ -385,12 +368,14 @@ def train_hyperlink_predictor(
     """Full-batch training of the hyperlink scorer.
 
     The split indexes the positives; each negative follows its source.
-    Selection is by validation AUC.  The test candidates are pooled and
-    scored once, after the loop, once the train and val pools are
-    freed.  Raises ContractViolation unless ``features`` carry the
-    structure digest of exactly the train+val positives (test edges
-    must not leak into message passing), and NumericalError on a
-    non-finite loss, logits or scores.
+    The output bias starts at the train targets' prior log-odds log(P/N),
+    not at a score of 0.5 for all.  Selection is by validation AUC.  The
+    test candidates are pooled and scored once, after the loop, once the
+    train and val pools are freed.  Raises ContractViolation unless
+    ``features`` carry the structure digest of exactly the train+val
+    positives (test edges must not leak into message passing),
+    DomainError when no negative follows a train positive, and
+    NumericalError on a non-finite loss, logits or scores.
     """
     _require_parts(split, data.positives.m, "a positive outside the dataset")
     if features.structure is None:
@@ -403,6 +388,8 @@ def train_hyperlink_predictor(
         )
     x = features.matrix
     train_cands, train_t = _split_candidates(data, split.train)
+    if train_t.all():
+        raise DomainError("the train part has no negatives, so its prior log-odds is undefined")
     val_cands, _ = _split_candidates(data, split.val)
     # a part's candidates start with its positives, so slicing splits its scores
     best_params, seconds = _fit(
@@ -412,6 +399,7 @@ def train_hyperlink_predictor(
         lambda logits: sigmoid_bce(logits, train_t),
         lambda logits: auc(logits[: len(split.val)], logits[len(split.val) :]),
         cfg,
+        out_bias=np.log(len(split.train) / (len(train_t) - len(split.train))),
     )
     test_cands, _ = _split_candidates(data, split.test)
     test_scores = mlp_forward(best_params, pool_candidates(x, test_cands))

@@ -446,3 +446,19 @@ class TestFeatureAndLabelFiles:
     def test_label_out_of_range(self):
         with pytest.raises(BoundsError):
             LabelVector(labels=np.array([0, 7]), num_classes=3)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.5, 1.7, -1.0], [0.0, 1.0], ["0", "1"], [True, False], np.array([1], np.float32)],
+    )
+    def test_labels_must_be_integers(self, labels):
+        """Floats were truncated, strings parsed and bools read as 0/1."""
+        with pytest.raises(DomainError, match="labels must be integers, got dtype"):
+            LabelVector(labels=labels, num_classes=2)
+
+    @pytest.mark.parametrize(
+        "labels", [[], np.array([], dtype=np.float64), np.array([], dtype=np.uint8), [0, 1, -1]]
+    )
+    def test_empty_labels_of_any_dtype_and_integer_labels_are_kept(self, labels):
+        y = LabelVector(labels=labels, num_classes=2)
+        assert y.labels.dtype == np.int64 and y.labels.tolist() == list(np.asarray(labels))

@@ -11,6 +11,7 @@ from hyperprop.core import Hypergraph, LabelVector
 from hyperprop.errors import (
     BoundsError,
     ContractViolation,
+    DimensionError,
     DomainError,
     NumericalError,
     SamplingError,
@@ -28,7 +29,7 @@ from hyperprop.nn import (
 from hyperprop.propagation import PropagationConfig, propagate
 from hyperprop.synthetic import PlantedConfig, generate
 from hyperprop.tasks import (
-    NodeSets,
+    HyperlinkDataset,
     Split,
     _corrupt,
     _rows,
@@ -74,6 +75,22 @@ class TestMakeSplit:
         with pytest.raises(DomainError):
             Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]))
 
+    @pytest.mark.parametrize(
+        "part",
+        [[0.7, 3.9], [2.0], ["0"], np.array(["4"], object), [True], np.array([1.5], np.float32)],
+    )
+    def test_split_rejects_a_part_that_is_not_integers(self, part):
+        """Floats were truncated, strings parsed and bools read as 0/1."""
+        for name in ("train", "val", "test"):
+            parts = {"train": [10], "val": [11], "test": [12], name: part}
+            with pytest.raises(DomainError, match=f"split part {name} must hold integers"):
+                Split(**parts)
+
+    def test_split_takes_empty_parts_of_any_dtype_and_unsigned_ids(self):
+        s = Split(train=np.array([3, 1], np.uint8), val=[], test=np.array([], np.float64))
+        assert s.train.tolist() == [1, 3] and s.val.size == s.test.size == 0
+        assert s.train.dtype == s.val.dtype == s.test.dtype == np.int64
+
     @pytest.mark.parametrize("parts", [([0], [1], [5, 0]), ([3], [4, 4], [5]), ([7, 2, 7], [], [])])
     def test_split_rejects_any_repeated_index(self, parts):
         train, val, test = (np.array(p, dtype=np.int64) for p in parts)
@@ -97,11 +114,9 @@ def valid_corruptions(h, edge, alpha):
     return sorted(support - set(h.edges))
 
 
-def node_sets(sets):
-    """NodeSets holding ``sets`` as listed (not sorted)."""
-    indptr = np.cumsum([0, *map(len, sets)], dtype=np.int64)
-    indices = np.array([v for c in sets for v in c], dtype=np.int64)
-    return NodeSets(indptr=indptr, indices=indices)
+def node_sets(sets, x):
+    """The candidate ``sets`` (each sorted) as a hypergraph over the rows of ``x``."""
+    return Hypergraph.from_edges(sets, n=len(x))
 
 
 def negatives_of(data):
@@ -323,16 +338,14 @@ class TestPoolCandidates:
             tuple(rng.choice(30, size=int(rng.integers(1, 12)), replace=False).tolist())
             for _ in range(200)
         ]
-        assert np.array_equal(pool_candidates(x, node_sets(cands)), pool_reference(x, cands))
-        assert pool_candidates(x, node_sets([])).shape == (0, 5)
+        assert np.array_equal(pool_candidates(x, node_sets(cands, x)), pool_reference(x, cands))
+        assert pool_candidates(x, node_sets([], x)).shape == (0, 5)
 
     def test_invariant_to_member_order(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 4))
-        sets = node_sets([(2, 5, 9, 0), (0, 9, 5, 2)])
-        pooled = pool_candidates(x, sets)
+        pooled = pool_candidates(x, node_sets([(2, 5, 9, 0), (0, 9, 5, 2)], x))
         assert np.array_equal(pooled[0], pooled[1])
-        assert sets.indices.tolist() == [2, 5, 9, 0, 0, 9, 5, 2]  # sorted on a copy
 
     def test_split_candidates_equal_the_tuple_loop(self):
         """Positives of the part in part order, then the negatives whose
@@ -357,16 +370,17 @@ class TestPoolCandidates:
             assert np.array_equal(pool_candidates(x, cands), pool_reference(x, want))
 
     def test_row_selection_equals_a_list_comprehension(self):
+        """New, writable arrays of the selected hyperedges, in order."""
         rng = np.random.default_rng(4)
         h = Hypergraph.from_edges([(0, 3), (), (1, 2, 4), (4,), (0, 1, 2, 3)], n=6)
-        sets = node_sets([(5, 1), (2,), (), (0, 4, 3)])
-        for collection, listed in ((h, list(h.edges)), (sets, [(5, 1), (2,), (), (0, 4, 3)])):
-            for rows in ([], [2], [3, 0, 0, 1], rng.integers(0, len(listed), size=9)):
-                rows = np.asarray(rows, dtype=np.int64)
-                got = _rows(collection, rows)
-                want = [listed[i] for i in rows.tolist()]
-                assert np.array_equal(got.indptr, np.cumsum([0, *map(len, want)]))
-                assert got.indices.tolist() == [v for c in want for v in c]
+        for rows in ([], [2], [3, 0, 0, 1], rng.integers(0, h.m, size=9)):
+            rows = np.asarray(rows, dtype=np.int64)
+            indptr, indices = _rows(h, rows)
+            want = [h.edges[i] for i in rows.tolist()]
+            assert np.array_equal(indptr, np.cumsum([0, *map(len, want)]))
+            assert indices.tolist() == [v for c in want for v in c]
+            for got, stored in ((indptr, h.indptr), (indices, h.indices)):
+                assert got.flags.writeable and not np.shares_memory(got, stored)
 
     def test_trainval_hypergraph_is_the_visible_rows(self):
         h, _, _ = planted_case(5, n=80, noise=0.3)
@@ -379,13 +393,20 @@ class TestPoolCandidates:
     def test_pool_candidates_validation(self):
         x = np.zeros((3, 2))
         with pytest.raises(DomainError, match="candidate 0 is empty"):
-            pool_candidates(x, node_sets([()]))
-        with pytest.raises(BoundsError, match="candidate 0"):
-            pool_candidates(x, node_sets([(0, 5)]))
-        with pytest.raises(BoundsError, match="candidate 1"):
-            pool_candidates(x, node_sets([(0, 1), (-1, 2), ()]))
+            pool_candidates(x, node_sets([()], x))
         with pytest.raises(DomainError, match="candidate 1 is empty"):
-            pool_candidates(x, node_sets([(0, 1), (), (0, 3)]))
+            pool_candidates(x, node_sets([(0, 1), (), (0, 2)], x))
+        # the candidates' node count must be the feature rows'
+        for rows in (2, 6):
+            with pytest.raises(DimensionError, match=r"features must be \(3, d\), got"):
+                pool_candidates(np.zeros((rows, 2)), node_sets([(0, 1)], x))
+
+    def test_refuses_features_that_are_not_a_matrix(self):
+        """1-d features of length n once pooled to a (k, k) matrix."""
+        sets = Hypergraph.from_edges([(0, 1), (1, 2), (0, 2)], n=3)
+        for features in (np.arange(3.0), np.zeros((3, 2, 1)), np.float64(1.0)):
+            with pytest.raises(DimensionError, match=r"features must be \(3, d\)"):
+                pool_candidates(features, sets)
 
 
 class TestAuc:
@@ -467,9 +488,10 @@ def reference_node_classifier(x, labels, split, cfg, all_rows):
 
 def reference_hyperlink_predictor(pf, data, split, cfg):
     """The hyperlink head's training loop, written out: pool the train
-    and val candidates, train full-batch on the BCE loss, select by
-    validation AUC (earliest on ties), and score the test candidates
-    once with the selected snapshot."""
+    and val candidates, start the output bias at the train targets'
+    log-odds, train full-batch on the BCE loss, select by validation AUC
+    (earliest on ties), and score the test candidates once with the
+    selected snapshot."""
     x = pf.matrix
     train_cands, train_t = _split_candidates(data, split.train)
     pooled_train = pool_candidates(x, train_cands)
@@ -477,6 +499,8 @@ def reference_hyperlink_predictor(pf, data, split, cfg):
     pooled_val = pool_candidates(x, val_cands)
     rng = np.random.default_rng(cfg.seed)
     params = init_mlp([x.shape[1], *cfg.hidden_dims, 1], rng)
+    n_pos = int(np.count_nonzero(train_t == 1.0))
+    params.biases[-1][:] = np.log(n_pos / (len(train_t) - n_pos))
     state = AdamState.like(params)
     best_val, best = -1.0, params.copy()
     for _ in range(cfg.epochs):
@@ -691,7 +715,7 @@ class TestTrainHyperlinkPredictor:
 
     def test_matches_the_reference_loop_bit_for_bit(self):
         """With dropout, weight decay and two hidden layers; the best
-        validation epoch (39 of 60 here) is not the last one."""
+        validation epoch (27 of 60 here) is not the last one."""
         _, _, pf, data, split = self.make_inputs()
         cfg = TrainConfig(
             learning_rate=0.1, epochs=60, dropout=0.3, weight_decay=1e-4, hidden_dims=(16, 8),
@@ -702,6 +726,24 @@ class TestTrainHyperlinkPredictor:
         assert metrics.auc == want_auc
         for got, ref in zip(params.weights + params.biases, want.weights + want.biases):
             assert np.array_equal(got, ref)
+
+    def test_output_bias_starts_at_the_prior_log_odds(self):
+        """One step of a tiny learning rate leaves the output bias at
+        log(P/N), which is log(1/beta) for sampled negatives."""
+        _, _, pf, data, split = self.make_inputs()
+        cfg = TrainConfig(learning_rate=1e-12, epochs=1, hidden_dims=(8,), seed=0)
+        params, _ = train_hyperlink_predictor(pf, data, split, cfg)
+        assert params.biases[-1] == pytest.approx([np.log(1 / 5)], abs=1e-9)
+
+    def test_refuses_a_train_part_without_negatives(self):
+        """Only a hand-built dataset gets here: log(P/N) has no value."""
+        _, _, pf, data, split = self.make_inputs()
+        keep = np.flatnonzero(~np.isin(data.source, split.train))
+        indptr, indices = _rows(data.negatives, keep)
+        negatives = Hypergraph(n=data.positives.n, indptr=indptr, indices=indices)
+        bare = HyperlinkDataset(data.positives, negatives, data.source[keep])
+        with pytest.raises(DomainError, match="train part has no negatives"):
+            train_hyperlink_predictor(pf, bare, split, TrainConfig(learning_rate=0.01, epochs=5))
 
     def test_overflowing_features_raise_numerical_error(self):
         _, _, pf, data, split = self.make_inputs()

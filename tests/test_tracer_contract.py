@@ -184,3 +184,21 @@ def test_counters_read_the_results_and_files_they_name(tmp_path):
     size = tfhn.stat().st_size
     assert counts("propagation.save_propagated") == {"propagation.bytes_written": size}
     assert counts("propagation.load_propagated")["propagation.bytes_read"] == size
+
+
+def test_candidate_counter_counts_every_candidate_pooled():
+    """``tasks.candidates_pooled`` is ``len(a["candidates"])``, so it
+    reads ``Hypergraph.__len__``: pooling one part's candidates counts
+    each of them, positives and negatives alike."""
+    h, x, _ = synthetic.generate(
+        synthetic.PlantedConfig(n=30, m=20, classes=3, feature_dim=4, seed=1)
+    )
+    data = tasks.negative_sample(h, 0.5, 3, 0)
+    cands, targets = tasks._split_candidates(data, tasks.make_split(h.m, 0).train)
+    tracer = _load("tracer")
+    recorder = tracer.Recorder()
+    with tracer.tracing(recorder):
+        tasks.pool_candidates(x, cands)
+    (span,) = [s for s in recorder.spans if s["name"] == "tasks.pool_candidates"]
+    assert span["counts"] == {"tasks.candidates_pooled": cands.m}
+    assert cands.m == len(targets) == 4 * int(targets.sum())
