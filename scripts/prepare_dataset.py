@@ -66,7 +66,7 @@ def load_pickle_dir(raw: Path):
     with open(raw / "features.pickle", "rb") as fh:
         features = _densify(pickle.load(fh))
     with open(raw / "labels.pickle", "rb") as fh:
-        labels = np.asarray(pickle.load(fh), dtype=np.int64)
+        labels = np.asarray(pickle.load(fh))
     return edges, features, labels
 
 
@@ -75,7 +75,7 @@ def load_json_bundle(path: Path):
     features = bundle["features"]
     if isinstance(features, str):
         features = np.load(Path(path).parent / features)
-    return bundle["edges"], _densify(features), np.asarray(bundle["labels"], dtype=np.int64)
+    return bundle["edges"], _densify(features), np.asarray(bundle["labels"])
 
 
 def main(argv=None) -> int:
@@ -95,11 +95,12 @@ def main(argv=None) -> int:
     n = features.shape[0]
     if labels.shape != (n,):
         raise SystemExit(f"labels cover {labels.shape[0]} nodes but features cover {n}")
-    classes = max(int(labels.max(initial=-1)) + 1, 1)
     try:  # validate everything before the output directory exists
         if not np.isfinite(features).all():
             raise DomainError("features contain non-finite entries")
         h = Hypergraph.from_edges(_dedup(edges), n=n)
+        integral = labels.dtype.kind in "iu"  # LabelVector refuses any other nonempty labels
+        classes = max(int(labels.max(initial=-1)) + 1, 1) if integral else 1
         y = LabelVector(labels=labels, num_classes=classes)
     except HyperpropError as exc:
         raise SystemExit(f"{args.name}: {type(exc).__name__}: {exc}") from None

@@ -20,7 +20,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -56,21 +56,29 @@ __all__ = ["main"]
 # Allowed keys of each config section, with the type each value must have:
 # float accepts any JSON number, list means a list of integers, and a
 # JSON boolean is never a number.
-_TOP_KEYS = {
-    "dataset": dict, "synthetic": dict, "propagation": dict, "train": dict,
-    "negative": dict, "task": str, "seeds": list, "out_dir": str,
+_SECTION_KEYS = {
+    "dataset": dict.fromkeys(("name", "edges", "features", "labels", "propagated"), str),
+    "synthetic": {
+        "n": int, "m": int, "classes": int, "size_min": int, "size_max": int,
+        "p_in": float, "feature_dim": int, "feature_noise": float, "seed": int,
+    },
+    "propagation": {"layers": int, "alpha": float},
+    "train": {
+        "learning_rate": float, "epochs": int, "dropout": float, "weight_decay": float,
+        "hidden_dims": list,
+    },
+    "negative": {"alpha": float, "beta": int},
 }
-_DATASET_KEYS = dict.fromkeys(("name", "edges", "features", "labels", "propagated"), str)
-_SYNTHETIC_KEYS = {
-    "n": int, "m": int, "classes": int, "size_min": int, "size_max": int,
-    "p_in": float, "feature_dim": int, "feature_noise": float, "seed": int,
+# What an omitted key of a section resolves to (the README's defaults).
+_SECTION_DEFAULTS = {
+    "propagation": {"layers": 2, "alpha": 0.3},
+    "train": {
+        "learning_rate": 0.01, "epochs": 100, "dropout": 0.0, "weight_decay": 0.0,
+        "hidden_dims": [64],
+    },
+    "negative": {"alpha": 0.5, "beta": 5},
 }
-_PROPAGATION_KEYS = {"layers": int, "alpha": float}
-_TRAIN_KEYS = {
-    "learning_rate": float, "epochs": int, "dropout": float, "weight_decay": float,
-    "hidden_dims": list,
-}
-_NEGATIVE_KEYS = {"alpha": float, "beta": int}
+_TOP_KEYS = {**dict.fromkeys(_SECTION_KEYS, dict), "task": str, "seeds": list, "out_dir": str}
 
 _DEFAULT_SEEDS = {"nc": list(range(10)), "hp": list(range(5))}
 _METRIC = {"nc": "accuracy", "hp": "auc"}
@@ -87,22 +95,12 @@ class RunConfig:
     dataset: dict[str, str]
     synthetic: dict[str, Any]
     propagation: PropagationConfig
-    train: dict[str, Any]
+    train: TrainConfig  # seed 0; each run replaces it with its own seed
     negative: dict[str, Any]
     task: str
     seeds: list[int]
     out_dir: Path
     inline_precompute: bool = False
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.train["learning_rate"],
-            epochs=self.train["epochs"],
-            dropout=self.train["dropout"],
-            weight_decay=self.train["weight_decay"],
-            hidden_dims=tuple(self.train["hidden_dims"]),
-            seed=seed,
-        )
 
     def hash(self) -> str:
         """Digest of everything that affects results (not where they go)."""
@@ -110,7 +108,7 @@ class RunConfig:
             "dataset": self.dataset,
             "synthetic": self.synthetic,
             "propagation": {"layers": self.propagation.layers, "alpha": self.propagation.alpha},
-            "train": self.train,
+            "train": {k: v for k, v in asdict(self.train).items() if k != "seed"},
             "negative": self.negative,
             "task": self.task,
             "seeds": self.seeds,
@@ -162,23 +160,11 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     _check_keys("config", raw, _TOP_KEYS)
-    dataset = dict(raw.get("dataset", {}))
-    _check_keys("dataset", dataset, _DATASET_KEYS)
-    synthetic = dict(raw.get("synthetic", {}))
-    _check_keys("synthetic", synthetic, _SYNTHETIC_KEYS)
-    prop_raw = {"layers": 2, "alpha": 0.3, **raw.get("propagation", {})}
-    _check_keys("propagation", prop_raw, _PROPAGATION_KEYS)
-    train = {
-        "learning_rate": 0.01,
-        "epochs": 100,
-        "dropout": 0.0,
-        "weight_decay": 0.0,
-        "hidden_dims": [64],
-        **raw.get("train", {}),
-    }
-    _check_keys("train", train, _TRAIN_KEYS)
-    negative = {"alpha": 0.5, "beta": 5, **raw.get("negative", {})}
-    _check_keys("negative", negative, _NEGATIVE_KEYS)
+    sections = {}
+    for name, keys in _SECTION_KEYS.items():
+        sections[name] = {**_SECTION_DEFAULTS.get(name, {}), **raw.get(name, {})}
+        _check_keys(name, sections[name], keys)
+    synthetic, train = sections["synthetic"], sections["train"]
     if synthetic.get("seed", 0) < 0:
         raise ConfigError(f"synthetic.seed must be nonnegative, got {synthetic['seed']}")
     if any(seed < 0 for seed in raw.get("seeds", ())):
@@ -200,11 +186,11 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "out", None):
         out_dir = Path(args.out)
     return RunConfig(
-        dataset=dataset,
+        dataset=sections["dataset"],
         synthetic=synthetic,
-        propagation=PropagationConfig(layers=prop_raw["layers"], alpha=prop_raw["alpha"]),
-        train=train,
-        negative=negative,
+        propagation=PropagationConfig(**sections["propagation"]),
+        train=TrainConfig(**{**train, "hidden_dims": tuple(train["hidden_dims"])}),
+        negative=sections["negative"],
         task=task,
         seeds=list(seeds),
         out_dir=out_dir,
@@ -321,11 +307,11 @@ def cmd_precompute(cfg: RunConfig) -> float:
 
 
 def _train_nc(cfg: RunConfig) -> list[dict]:
-    """One record per seed, from a `.tfhn`: ``dataset.propagated``, or
-    the one `cmd_precompute` writes into the output directory when
-    inline.  Each seed reads only its labeled rows, in train|val|test
-    order, so the head trains on views of one matrix, freed before the
-    next seed reads."""
+    """One record per seed, from a `.tfhn` whose rows and layers/alpha are
+    checked once: ``dataset.propagated``, or the one `cmd_precompute`
+    writes into the output directory when inline.  Each seed reads only
+    its labeled rows, in train|val|test order, so the head trains on
+    views of one matrix, freed before the next seed reads."""
     y = load_labels(_require_paths(cfg, "edges", "features", "labels")["labels"])
     if cfg.inline_precompute:
         preprocess_seconds = cmd_precompute(cfg)
@@ -334,31 +320,32 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
         preprocess_seconds = 0.0
         propagated = _require_paths(cfg, "propagated")["propagated"]
     with propagated.open("rb") as fh:
-        stored, _ = _read_header(fh, propagated)
+        stored, _, built = _read_header(fh, propagated)
     if stored != len(y.labels):
         raise DimensionError(f"{stored} feature rows vs {len(y.labels)} labels")
+    if built != cfg.propagation:
+        want = cfg.propagation
+        raise ConfigError(f"propagated file was built with {built}, config wants {want}")
     labeled = y.labeled_indices
     records = []
     for seed in cfg.seeds:
         idx = make_split(len(labeled), seed)
         split = Split(train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test])
-        inputs = _labeled_rows(propagated, y, split, cfg.propagation)
-        _, metrics = train_node_classifier(*inputs, cfg.train_config(seed))
+        inputs = _labeled_rows(propagated, y, split)
+        _, metrics = train_node_classifier(*inputs, replace(cfg.train, seed=seed))
         del inputs  # free this seed's rows before the next seed reads its own
         records.append(_seed_record(cfg, seed, metrics, preprocess_seconds))
     return records
 
 
 def _labeled_rows(
-    path: Path, y: LabelVector, split: Split, want: PropagationConfig
+    path: Path, y: LabelVector, split: Split
 ) -> tuple[np.ndarray, LabelVector, Split]:
     """The rows of ``split`` from the `.tfhn` at ``path``, in
     train|val|test order, with their labels and the split of those local
-    ranges.  A file built with another propagation config is refused."""
+    ranges."""
     order = np.concatenate([split.train, split.val, split.test])
     pf = load_propagated(path, rows=order)
-    if pf.config != want:
-        raise ConfigError(f"propagated file was built with {pf.config}, config wants {want}")
     a, b = len(split.train), len(split.train) + len(split.val)
     local = Split(train=np.arange(a), val=np.arange(a, b), test=np.arange(b, len(order)))
     return pf.matrix, LabelVector(y.labels[order], y.num_classes), local
@@ -371,7 +358,7 @@ def _train_hp(cfg: RunConfig) -> list[dict]:
         split = make_split(h.m, seed)
         data = negative_sample(h, cfg.negative["alpha"], cfg.negative["beta"], seed)
         pf, preprocess_seconds = _propagate(_trainval_hypergraph(data, split), x, cfg.propagation)
-        _, metrics = train_hyperlink_predictor(pf, data, split, cfg.train_config(seed))
+        _, metrics = train_hyperlink_predictor(pf, data, split, replace(cfg.train, seed=seed))
         records.append(_seed_record(cfg, seed, metrics, preprocess_seconds))
     return records
 

@@ -67,6 +67,8 @@ class TrainConfig:
             raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not self.weight_decay >= 0.0:
             raise DomainError(f"weight decay must be nonnegative, got {self.weight_decay}")
+        if any(d <= 0 for d in self.hidden_dims):
+            raise DomainError(f"hidden widths must be positive, got {list(self.hidden_dims)}")
 
 
 @dataclass

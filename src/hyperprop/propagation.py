@@ -327,28 +327,23 @@ def load_propagated(path: str | Path, rows: np.ndarray | None = None) -> Propaga
     """
     path = Path(path)
     with path.open("rb") as fh:
-        stored, cols = _read_header(fh, path)
+        stored, cols, config = _read_header(fh, path)
         if rows is None:
             mat = np.empty((stored, cols), dtype="<f8")
             _read_exactly(fh, mat.reshape(-1).view(np.uint8), path)
         else:
             mat = _read_rows(fh, path, stored, cols, rows)
-        footer = bytearray(_FOOTER_BYTES)
-        _read_exactly(fh, footer, path)
-    provenance = footer[:32].hex()
-    adjacency_hash = footer[32:64].hex()
-    layers, alpha = struct.unpack_from("<Qd", footer, 64)
+        digests = bytearray(64)  # the footer's config was read with the header
+        _read_exactly(fh, digests, path)
     return PropagatedFeatures(
-        matrix=mat,
-        config=PropagationConfig(layers=layers, alpha=alpha),
-        provenance=provenance,
-        adjacency_hash=adjacency_hash,
+        matrix=mat, config=config, provenance=digests[:32].hex(), adjacency_hash=digests[32:].hex()
     )
 
 
-def _read_header(fh, path: Path) -> tuple[int, int]:
-    """The stored (rows, cols) of an open `.tfhn` file, once its magic
-    and its size (header, payload and footer) check out."""
+def _read_header(fh, path: Path) -> tuple[int, int, PropagationConfig]:
+    """Rows, cols and config (the footer's last 16 bytes) of an open
+    `.tfhn` file, once its magic and its size (header, payload and
+    footer) check out.  ``fh`` is left at the start of the payload."""
     header = fh.read(_HEADER_BYTES)
     if header[:4] != _MAGIC:
         raise ParseError(f"{path.name}: bad magic {header[:4]!r}")
@@ -361,7 +356,10 @@ def _read_header(fh, path: Path) -> tuple[int, int]:
     expected = _HEADER_BYTES + rows * cols * 8 + _FOOTER_BYTES
     if size != expected:
         raise ParseError(f"{path.name}: file is {size} bytes, expected {expected}")
-    return rows, cols
+    fh.seek(-16, os.SEEK_END)
+    layers, alpha = struct.unpack("<Qd", fh.read(16))
+    fh.seek(_HEADER_BYTES)
+    return rows, cols, PropagationConfig(layers=layers, alpha=alpha)
 
 
 def _read_rows(fh, path: Path, stored: int, cols: int, rows) -> np.ndarray:

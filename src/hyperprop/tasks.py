@@ -99,6 +99,18 @@ class HyperlinkDataset:
     negatives: Hypergraph
     source: np.ndarray
 
+    def __post_init__(self):
+        pos, neg, source = self.positives, self.negatives, np.asarray(self.source)
+        if source.ndim != 1 or (source.size and source.dtype.kind not in "iu"):
+            raise DomainError(f"source must be 1-d integers, got {source.dtype} {source.shape}")
+        if len(source) != neg.m:
+            raise DimensionError(f"{len(source)} source entries for {neg.m} negatives")
+        if source.size and (source.min() < 0 or source.max() >= pos.m):
+            raise BoundsError(f"source ids must lie in [0, {pos.m})")
+        if neg.n != pos.n:
+            raise DimensionError(f"negatives over {neg.n} nodes, positives over {pos.n}")
+        object.__setattr__(self, "source", source.astype(np.int64, copy=False))
+
 
 def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> HyperlinkDataset:
     """Corrupt each hyperedge ``beta`` times, keeping an alpha fraction.

@@ -1,6 +1,7 @@
 """Tests for the command-line front end (run in-process via main())."""
 
 import argparse
+import dataclasses
 import filecmp
 import hashlib
 import io
@@ -185,17 +186,13 @@ class TestUsageAndConfigErrors:
         file.write_text(block)
         cfg = cli.load_config(str(file), argparse.Namespace())
         raw = json.loads(block)
-        sections = {
-            "dataset": cli._DATASET_KEYS, "synthetic": cli._SYNTHETIC_KEYS,
-            "propagation": cli._PROPAGATION_KEYS, "train": cli._TRAIN_KEYS,
-            "negative": cli._NEGATIVE_KEYS,
-        }
+        sections = cli._SECTION_KEYS
         assert set(raw) == set(cli._TOP_KEYS)
         assert set(sections) == {key for key, kind in cli._TOP_KEYS.items() if kind is dict}
         assert {name: set(raw[name]) for name in sections} == {
             name: set(keys) for name, keys in sections.items()
         }
-        assert (cfg.task, cfg.seeds, cfg.train["epochs"]) == (raw["task"], raw["seeds"], 60)
+        assert (cfg.task, cfg.seeds, cfg.train.epochs) == (raw["task"], raw["seeds"], 60)
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -251,7 +248,9 @@ class TestUsageAndConfigErrors:
         cfg = cli.load_config(None, argparse.Namespace())
         prop = cfg.propagation
         assert settings("propagation") == {"layers": prop.layers, "alpha": prop.alpha}
-        assert settings("train") == cfg.train
+        train = dataclasses.asdict(cfg.train)
+        assert train.pop("seed") == 0
+        assert settings("train") == {**train, "hidden_dims": list(train["hidden_dims"])}
         assert settings("negative") == cfg.negative
         assert spans["task"] == cfg.task
         nc, hp = re.search(r"seeds `0\.\.(\d+)` for nc and `0\.\.(\d+)` for hp", text).groups()
@@ -321,6 +320,61 @@ class TestUsageAndConfigErrors:
         out = str(tmp_path / "out")
         assert cli.main([*command, "--config", str(cfg_file), "--out", out]) == 2
         assert "error: features must be (60, d), got (4, 8)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "train, message",
+        [
+            ({"learning_rate": -1}, "learning rate must be positive, got -1.0"),
+            ({"epochs": 0}, "epochs must be positive, got 0"),
+            ({"dropout": 1}, "dropout must lie in [0, 1), got 1.0"),
+            ({"weight_decay": -0.5}, "weight decay must be nonnegative, got -0.5"),
+            ({"hidden_dims": [16, 0]}, "hidden widths must be positive, got [16, 0]"),
+        ],
+        ids=["lr", "epochs", "dropout", "weight_decay", "hidden_dims"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["generate"], ["precompute"], ["train", "--inline-precompute"],
+            ["train", "--task", "hp"],
+        ],
+        ids=["generate", "precompute", "inline-precompute", "hp"],
+    )
+    def test_bad_train_value_is_refused_before_any_input_is_read(
+        self, workspace, capsys, monkeypatch, command, train, message
+    ):
+        """Every command checks the whole config at load: no input is
+        parsed and ``--out`` is never made."""
+        tmp_path, cfg_file = workspace
+        cfg = json.loads(cfg_file.read_text())
+        cfg_file.write_text(json.dumps({**cfg, "train": {**cfg["train"], **train}}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("load_hypergraph", "load_features", "load_labels", "emit_dataset"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "out"
+        assert cli.main([*command, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_hash_is_pinned(self, tmp_path):
+        """`config_hash` digests the resolved settings, not the file's
+        spelling: the README's complete config, that config for hp, the
+        same with its floats spelled as integers, and the empty config."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A complete config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        file = tmp_path / "readme.json"
+        file.write_text(block)
+        load = cli.load_config
+        assert load(str(file), argparse.Namespace()).hash() == "00a28ef622b11442"
+        assert load(str(file), argparse.Namespace(task="hp")).hash() == "34b9e50126abcb34"
+        assert load(None, argparse.Namespace()).hash() == "d126ff84526bb8cf"
+        raw = json.loads(block)
+        ints = {"dropout": 0, "weight_decay": 0}
+        file.write_text(json.dumps({**raw, "train": {**raw["train"], **ints}}))
+        assert load(str(file), argparse.Namespace()).hash() == "00a28ef622b11442"
 
     def test_bad_synthetic_range_is_data_error(self, tmp_path, capsys):
         file = write_config(tmp_path)
@@ -438,13 +492,25 @@ class TestTrain:
             assert "train_seconds" in line["timing"]
         assert aggregate[0]["payload"]["metric_name"] == "accuracy"
 
-    def test_propagation_config_mismatch_is_data_error(self, workspace, capsys):
+    def test_propagation_config_mismatch_is_data_error(self, workspace, capsys, monkeypatch):
+        """The `.tfhn`'s recorded layers/alpha are checked once, before
+        the first seed reads any of its rows."""
         tmp_path, cfg_file = workspace
         assert cli.main(["precompute", "--config", str(cfg_file), "--out", str(tmp_path / "pre")]) == 0
         cfg = json.loads(cfg_file.read_text())
         cfg["propagation"] = {"layers": 3, "alpha": 0.3}
         cfg_file.write_text(json.dumps(cfg))
+        loads = []
+        monkeypatch.setattr(
+            cli, "load_propagated", lambda *a, **k: loads.append(1) or load_propagated(*a, **k)
+        )
         assert cli.main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "error: propagated file was built with PropagationConfig(layers=2, alpha=0.3), "
+            "config wants PropagationConfig(layers=3, alpha=0.3)\n"
+        )
+        assert loads == []
+        assert not (tmp_path / "r").exists()
 
     def test_propagated_rows_must_match_the_labels(self, workspace, capsys):
         tmp_path, cfg_file = workspace

@@ -112,3 +112,27 @@ def test_non_finite_feature_writes_nothing(tmp_path, prepare):
         prepare(["--name", "nan", "--json", str(bundle), "--out", str(tmp_path / "data")])
     assert exc.value.code == "nan: DomainError: features contain non-finite entries"
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("shape", ["json", "pickle-dir"])
+def test_labels_that_are_not_integers_write_nothing(tmp_path, prepare, shape):
+    """Labels are handed to `LabelVector` as read, so 0.5 and 1.7 are
+    refused instead of being truncated to 0 and 1."""
+    labels = [0.5, 1.7, -1.0, 1.0, 0.0, 2.0]
+    if shape == "json":
+        source = ["--json", str(write_bundle(tmp_path, labels))]
+    else:
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for name, obj in (
+            ("hypergraph", {"a": [0, 1], "b": [2, 3, 4]}),
+            ("features", np.ones((6, 2))),
+            ("labels", labels),
+        ):
+            with open(raw / f"{name}.pickle", "wb") as fh:
+                pickle.dump(obj, fh)
+        source = ["--pickle-dir", str(raw)]
+    with pytest.raises(SystemExit) as exc:
+        prepare(["--name", "frac", *source, "--out", str(tmp_path / "data")])
+    assert exc.value.code == "frac: DomainError: labels must be integers, got dtype float64"
+    assert not (tmp_path / "data").exists()

@@ -322,6 +322,41 @@ class TestNegativeSample:
         assert min(outcomes[k] for k in ("sampled", "no", "only")) >= 20, outcomes
 
 
+class TestHyperlinkDataset:
+    @pytest.fixture()
+    def data(self):
+        h = Hypergraph.from_edges([(0, 1), (1, 2, 3), (3, 4)], n=6)
+        return negative_sample(h, alpha=0.5, beta=2, seed=0)
+
+    def test_sampler_output_builds(self, data):
+        again = HyperlinkDataset(data.positives, data.negatives, data.source.astype(np.int32))
+        assert again.source.dtype == np.int64
+        np.testing.assert_array_equal(again.source, data.source)
+        empty = Hypergraph(n=6, indptr=[0], indices=[])
+        assert HyperlinkDataset(data.positives, empty, np.array([])).source.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ([0.0, 0, 1, 1, 2, 2], DomainError, "source must be 1-d integers"),
+            ([[0, 0, 1, 1, 2, 2]], DomainError, "source must be 1-d integers"),
+            ([0, 0, 1, 1, 2, 2, 0, 1], DimensionError, "8 source entries for 6 negatives"),
+            ([0, 0, 1, 1, 2], DimensionError, "5 source entries for 6 negatives"),
+            ([0, 0, 1, 1, 2, 3], BoundsError, r"source ids must lie in \[0, 3\)"),
+            ([0, 0, 1, 1, 2, -1], BoundsError, r"source ids must lie in \[0, 3\)"),
+        ],
+        ids=["float", "2-d", "longer", "shorter", "past-the-positives", "negative"],
+    )
+    def test_refuses_a_source_that_does_not_fit(self, data, source, error, message):
+        with pytest.raises(error, match=message):
+            HyperlinkDataset(data.positives, data.negatives, np.array(source))
+
+    def test_refuses_negatives_over_other_nodes(self, data):
+        wider = Hypergraph(n=7, indptr=data.negatives.indptr, indices=data.negatives.indices)
+        with pytest.raises(DimensionError, match="negatives over 7 nodes, positives over 6"):
+            HyperlinkDataset(data.positives, wider, data.source)
+
+
 def pool_reference(features, candidates):
     """Per-candidate loop: mean of the member rows in ascending node order."""
     pooled = np.empty((len(candidates), features.shape[1]))
