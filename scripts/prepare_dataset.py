@@ -26,8 +26,10 @@ provides them.  Repeated hyperedges are collapsed to one copy and empty
 ones are dropped.  The class count is one past the largest label, or 1
 when no node is labeled, as ``load_labels`` reads it back.  The
 hypergraph, the features and the labels are checked before anything is
-written: a bad node id or label, or a non-finite feature, ends in a
-one-line message and a nonzero exit before the output directory is made.
+written: ragged or flat features, labels that are not one list entry
+per feature row, a bad node id or label, or a non-finite feature end in
+a one-line message and a nonzero exit before the output directory
+is made.
 """
 
 import argparse
@@ -41,7 +43,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hyperprop.core import Hypergraph, LabelVector, save_features, save_hypergraph, save_labels
-from hyperprop.errors import DomainError, HyperpropError
+from hyperprop.errors import DimensionError, DomainError, HyperpropError
 
 
 def _dedup(edges):
@@ -87,15 +89,20 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=Path("data"), help="output root (default: data)")
     args = ap.parse_args(argv)
 
-    if args.pickle_dir:
-        edges, features, labels = load_pickle_dir(args.pickle_dir)
-    else:
-        edges, features, labels = load_json_bundle(args.json)
+    try:
+        if args.pickle_dir:
+            edges, features, labels = load_pickle_dir(args.pickle_dir)
+        else:
+            edges, features, labels = load_json_bundle(args.json)
+    except ValueError as exc:  # a ragged array, or a bundle that is not JSON
+        raise SystemExit(f"{args.name}: {type(exc).__name__}: {exc}") from None
 
-    n = features.shape[0]
-    if labels.shape != (n,):
-        raise SystemExit(f"labels cover {labels.shape[0]} nodes but features cover {n}")
     try:  # validate everything before the output directory exists
+        if features.ndim != 2:
+            raise DimensionError(f"features must be a (nodes, d) matrix, got {features.shape}")
+        n = features.shape[0]
+        if labels.shape != (n,):
+            raise DimensionError(f"labels must be a list of {n} entries, got shape {labels.shape}")
         if not np.isfinite(features).all():
             raise DomainError("features contain non-finite entries")
         h = Hypergraph.from_edges(_dedup(edges), n=n)

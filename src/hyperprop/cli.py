@@ -43,6 +43,7 @@ from .synthetic import PlantedConfig, emit_dataset
 from .tasks import (
     Metrics,
     Split,
+    _check_corruption,
     _trainval_hypergraph,
     make_split,
     negative_sample,
@@ -165,6 +166,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         sections[name] = {**_SECTION_DEFAULTS.get(name, {}), **raw.get(name, {})}
         _check_keys(name, sections[name], keys)
     synthetic, train = sections["synthetic"], sections["train"]
+    _check_corruption(**sections["negative"])
     if synthetic.get("seed", 0) < 0:
         raise ConfigError(f"synthetic.seed must be nonnegative, got {synthetic['seed']}")
     if any(seed < 0 for seed in raw.get("seeds", ())):

@@ -106,7 +106,8 @@ def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
 
 @dataclass
 class _ForwardCache:
-    inputs: list[np.ndarray] = field(default_factory=list)  # layer inputs a_{i-1}
+    # layer inputs a_{i-1}; mlp_backward writes deltas over the hidden ones
+    inputs: list[np.ndarray] = field(default_factory=list)
     masks: list[np.ndarray | None] = field(default_factory=list)  # dropout keep scale
 
 
@@ -116,15 +117,21 @@ def mlp_forward(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     cache: bool = False,
+    buffers: list[np.ndarray] | None = None,
 ):
     """Batch forward pass; returns logits, plus the cache when asked.
 
     A positive ``dropout`` (on hidden activations only) makes this a
     training pass, which needs a generator so masks are reproducible.
-    Each hidden layer holds one array: the GEMM output takes the bias,
-    the rectifier and the dropout scale in place, and is cached as the
-    next layer's input.  The values are those of z = a @ w + b;
-    h = max(z, 0) * scale.
+    Each layer's output is one array: the GEMM output takes the bias,
+    the rectifier and the dropout scale in place, and a hidden layer's
+    is cached as the next layer's input.  The values are those of
+    z = a @ w + b; h = max(z, 0) * scale.  Without ``buffers`` each
+    output is a new array.  ``buffers`` holds one float64 array per
+    layer, of that layer's width and at least ``len(x)`` rows; layer i
+    then writes into the leading rows of ``buffers[i]``, so the logits
+    and the cache are views of them, valid until the next call that
+    writes those buffers.  The bits are the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
@@ -133,11 +140,21 @@ def mlp_forward(
         )
     if dropout > 0.0 and rng is None:
         raise DomainError("dropout needs a random generator")
+    if buffers is None:
+        outs = [None] * len(params.weights)
+    elif [(b.dtype, b.shape[1:]) for b in buffers] == [
+        (np.float64, w.shape[1:]) for w in params.weights
+    ] and min(len(b) for b in buffers) >= len(x):
+        outs = [b[: len(x)] for b in buffers]
+    else:
+        raise DimensionError(
+            f"buffers must be one float64 array per layer, each (>= {len(x)}, width)"
+        )
     fwd = _ForwardCache()
     a = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+    for w, b, out in zip(params.weights[:-1], params.biases[:-1], outs):
         fwd.inputs.append(a)
-        a = a @ w
+        a = np.matmul(a, w, out=out)
         a += b
         np.maximum(a, 0.0, out=a)
         if dropout > 0.0:
@@ -148,21 +165,25 @@ def mlp_forward(
         else:
             fwd.masks.append(None)
     fwd.inputs.append(a)
-    logits = a @ params.weights[-1]
+    logits = np.matmul(a, params.weights[-1], out=outs[-1])
     logits += params.biases[-1]
     return (logits, fwd) if cache else logits
 
 
 def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray):
-    """Parameter gradients from the cached forward pass.
+    """Parameter gradients from the cached forward pass, which this
+    consumes.
 
     Returns (weight grads, bias grads) aligned with ``params``.  The
     rectifier's mask is read off the cached post-activation h, since
     max(z, 0) > 0 exactly where z > 0, for every z (NaN, signed zeros
     and infinities included).  Where dropout zeroed h, the dropout mask
-    has already zeroed delta, so the product is unchanged.  Each fresh
-    delta is masked in place; ``grad_logits`` and the cache are not
-    written.
+    has already zeroed delta, so the product is unchanged.  Once its
+    mask is read, each hidden h is overwritten by its layer's delta,
+    which is then masked in place: a step holds one batch-sized array
+    per hidden layer, not two, and the cached activations are gone
+    afterwards.  ``grad_logits``, the input ``x`` and the dropout
+    scales are not written.
     """
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
@@ -172,20 +193,27 @@ def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray)
         grads_b[i] = delta.sum(axis=0)
         if i == 0:
             break
-        delta = delta @ params.weights[i].T
+        positive = fwd.inputs[i] > 0.0
+        delta = np.matmul(delta, params.weights[i].T, out=fwd.inputs[i])
         mask = fwd.masks[i - 1]
         if mask is not None:
             delta *= mask
-        delta *= fwd.inputs[i] > 0.0
+        delta *= positive
     return grads_w, grads_b
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+def softmax_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, scratch: np.ndarray | None = None
+):
     """Mean NLL over every row; also the gradient w.r.t. logits.
 
-    The softmax is stabilized by row-max subtraction.  Two batch-sized
-    buffers are held at once: the shifted logits, which become the
-    gradient in place, and their ``exp`` for the normalizer.
+    The softmax is stabilized by row-max subtraction.  Without
+    ``scratch`` two batch-sized arrays are made: the shifted logits,
+    which become the gradient in place, and their ``exp`` for the
+    normalizer, and ``logits`` is not written.  With ``scratch``, a
+    float64 array of the logits' shape, none is: the logits are
+    shifted in place and become the returned gradient, and the ``exp``
+    goes into ``scratch``.  The bits are the same either way.
     """
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != logits.shape[:1]:
@@ -194,8 +222,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise DomainError("loss over an empty batch is undefined")
     if y.min() < 0 or y.max() >= logits.shape[1]:
         raise DomainError("labels must be valid class indices")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    top = logits.max(axis=1, keepdims=True)
+    shifted = logits - top if scratch is None else np.subtract(logits, top, out=logits)
+    log_norm = np.log(np.exp(shifted, out=scratch).sum(axis=1))
     rows = np.arange(len(y))
     loss = float(np.mean(log_norm - shifted[rows, y]))
     shifted -= log_norm[:, None]

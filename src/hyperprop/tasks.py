@@ -123,10 +123,7 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     independent of n.  Negatives come out edge-major, then by draw, and
     each group's draws are written straight into their hypergraph's arrays.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"corruption alpha must lie in [0, 1], got {alpha}")
-    if beta <= 0:
-        raise DomainError(f"negatives per positive must be positive, got {beta}")
+    _check_corruption(alpha, beta)
     rng = np.random.default_rng(seed)
     sizes = np.diff(h.indptr)
     source = np.repeat(np.arange(h.m, dtype=np.int64), beta)
@@ -159,6 +156,15 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     if failures:
         raise SamplingError(failures[min(failures)])
     return HyperlinkDataset(h, Hypergraph(n=h.n, indptr=indptr, indices=indices), source)
+
+
+def _check_corruption(alpha: float, beta: int) -> None:
+    """The ranges `negative_sample` accepts; `load_config` refuses a
+    config's negative section by this same rule."""
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"corruption alpha must lie in [0, 1], got {alpha}")
+    if beta <= 0:
+        raise DomainError(f"negatives per positive must be positive, got {beta}")
 
 
 def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
@@ -200,7 +206,8 @@ def pool_candidates(features: np.ndarray, candidates: Hypergraph) -> np.ndarray:
 
     One sparse product: row i of the candidate-incidence matrix holds a
     one per member of candidate i, then each sum is divided by its
-    member count.  A hypergraph's rows are ascending, so each row adds
+    member count in place, so the result is the one batch-sized array
+    made.  A hypergraph's rows are ascending, so each row adds
     its feature rows in ascending node order and the result depends on
     the set, not on how it was listed.
     """
@@ -216,7 +223,9 @@ def pool_candidates(features: np.ndarray, candidates: Hypergraph) -> np.ndarray:
         (np.ones(candidates.indices.size), candidates.indices, candidates.indptr),
         shape=(candidates.m, candidates.n),
     )
-    return (incidence @ x) / counts[:, None]
+    pooled = incidence @ x
+    pooled /= counts[:, None]
+    return pooled
 
 
 def auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
@@ -266,26 +275,35 @@ def _fit(x_train, x_val, out_dim: int, loss, score, cfg: TrainConfig, out_bias=0
 
     Each epoch runs a dropout forward pass over ``x_train``, takes
     ``loss(logits) -> (value, grad)``, backpropagates, steps Adam, then
-    scores a forward pass over ``x_val`` with ``score(logits)``.  The
-    snapshot of the best-scoring epoch (earliest on ties) is kept.  A
-    non-finite loss or validation logits raise NumericalError instead of
-    steering the selection.  The seconds exclude the first epoch, which
-    absorbs one-time allocation noise.  The output bias starts at ``out_bias``.
+    scores a forward pass over ``x_val`` with ``score(logits)``.  Both
+    passes write into one run-long buffer per layer, with as many rows
+    as the larger part: the backward consumes the training pass's
+    hidden layers, and the validation pass then fills their leading
+    rows.  So ``loss`` may write over its logits, and neither callback
+    may keep them past the call.  The snapshot of the best-scoring
+    epoch (earliest on ties) is kept.  A non-finite loss or validation
+    logits raise NumericalError instead of steering the selection.  The
+    seconds exclude the first epoch, which absorbs one-time allocation
+    noise.  The output bias starts at ``out_bias``.
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_mlp([x_train.shape[1], *cfg.hidden_dims, out_dim], rng)
     params.biases[-1][:] = out_bias
     state = AdamState.like(params)
+    rows = max(len(x_train), len(x_val))
+    buffers = [np.empty((rows, len(b))) for b in params.biases]
     best_val, best_params = -1.0, params.copy()
     epoch_times: list[float] = []
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        logits, fwd = mlp_forward(params, x_train, dropout=cfg.dropout, rng=rng, cache=True)
+        logits, fwd = mlp_forward(
+            params, x_train, dropout=cfg.dropout, rng=rng, cache=True, buffers=buffers
+        )
         value, grad = loss(logits)
         _require_finite(value, f"training loss at epoch {epoch}")
         grads_w, grads_b = mlp_backward(params, fwd, grad)
         adam_step(params, grads_w, grads_b, state, cfg)
-        val_logits = mlp_forward(params, x_val)
+        val_logits = mlp_forward(params, x_val, buffers=buffers)
         _require_finite(val_logits, f"validation logits at epoch {epoch}")
         val_metric = score(val_logits)
         epoch_times.append(time.perf_counter() - tic)
@@ -317,11 +335,12 @@ def train_node_classifier(
     if np.any(y[np.concatenate([split.train, split.val, split.test])] == -1):
         raise DomainError("split contains unlabeled nodes")
     y_train, y_val = y[split.train], y[split.val]
+    scratch = np.empty((len(y_train), labels.num_classes))  # the loss's exp, for every epoch
     best_params, seconds = _fit(
         _take_rows(x, split.train),
         _take_rows(x, split.val),
         labels.num_classes,
-        lambda logits: softmax_cross_entropy(logits, y_train),
+        lambda logits: softmax_cross_entropy(logits, y_train, scratch),
         lambda logits: float(np.mean(logits.argmax(axis=1) == y_val)),
         cfg,
     )

@@ -19,7 +19,14 @@ import pytest
 
 import hyperprop.cli as cli
 import hyperprop.propagation as propagation
-from hyperprop.core import load_features, load_hypergraph, save_features, save_hypergraph
+from hyperprop.core import (
+    Hypergraph,
+    load_features,
+    load_hypergraph,
+    save_features,
+    save_hypergraph,
+)
+from hyperprop.errors import DomainError
 from hyperprop.expansion import normalize_with_self_loops, weighted_clique_expansion
 from hyperprop.propagation import (
     PropagatedFeatures,
@@ -29,6 +36,7 @@ from hyperprop.propagation import (
     save_propagated,
 )
 from hyperprop.synthetic import PlantedConfig, generate
+from hyperprop.tasks import negative_sample
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -358,6 +366,42 @@ class TestUsageAndConfigErrors:
         assert cli.main([*command, "--config", str(cfg_file), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "negative, message",
+        [
+            ({"alpha": -0.1}, "corruption alpha must lie in [0, 1], got -0.1"),
+            ({"alpha": 1.5}, "corruption alpha must lie in [0, 1], got 1.5"),
+            ({"beta": 0}, "negatives per positive must be positive, got 0"),
+            ({"beta": -3}, "negatives per positive must be positive, got -3"),
+        ],
+        ids=["alpha-below", "alpha-above", "beta-zero", "beta-negative"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["precompute"], ["train", "--task", "hp"]], ids=["precompute", "hp"]
+    )
+    def test_bad_negative_value_is_refused_before_any_input_is_read(
+        self, workspace, capsys, monkeypatch, command, negative, message
+    ):
+        """The negative section's ranges are `negative_sample`'s, and
+        every command checks them at load, before it parses an input."""
+        tmp_path, cfg_file = workspace
+        cfg = json.loads(cfg_file.read_text())
+        cfg_file.write_text(json.dumps({**cfg, "negative": negative}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("load_hypergraph", "load_features", "load_labels", "negative_sample"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "out"
+        assert cli.main([*command, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        values = {"alpha": 0.5, "beta": 1, **negative}
+        with pytest.raises(DomainError) as direct:
+            negative_sample(Hypergraph.from_edges([(0, 1)], n=3), **values, seed=0)
+        assert str(direct.value) == message
 
     def test_config_hash_is_pinned(self, tmp_path):
         """`config_hash` digests the resolved settings, not the file's

@@ -235,6 +235,11 @@ class TestSoftmaxCrossEntropy:
             assert loss == want_loss
             assert grad.dtype == want_grad.dtype and grad.shape == (len(mask), logits.shape[1])
             assert grad.tobytes() == want_grad[mask].tobytes()
+            gathered = logits[mask]  # in place: the gradient is written over the logits
+            scratch = np.full_like(gathered, np.nan)
+            loss, grad = softmax_cross_entropy(gathered, labels[mask], scratch)
+            assert loss == want_loss and grad is gathered
+            assert grad.tobytes() == want_grad[mask].tobytes()
 
 
 class TestSigmoidBce:
@@ -328,13 +333,16 @@ class TestInPlaceHead:
         grad = rng.standard_normal((40, width_out))
         return params, x, grad
 
-    @pytest.mark.parametrize("width_out", [1, 6])
-    @pytest.mark.parametrize("hidden", [0, 1, 2])
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_bit_identical_to_the_expressions_with_temporaries(self, dropout, hidden, width_out):
+    @staticmethod
+    def stale_buffers(params, rows):
+        """One buffer per layer, with spare rows, holding stale NaNs."""
+        return [np.full((rows + 3, len(b)), np.nan) for b in params.biases]
+
+    def check_against_reference(self, dropout, hidden, width_out, buffered=False):
         params, x, grad = self.case(hidden, width_out, seed=hidden * 10 + width_out)
+        buffers = self.stale_buffers(params, len(x)) if buffered else None
         logits, fwd = mlp_forward(
-            params, x, dropout=dropout, rng=np.random.default_rng(3), cache=True
+            params, x, dropout=dropout, rng=np.random.default_rng(3), cache=True, buffers=buffers
         )
         want, inputs, preacts, masks = reference_forward(
             params, x, dropout, np.random.default_rng(3)
@@ -346,56 +354,115 @@ class TestInPlaceHead:
         for got, ref in zip(gw + gb, want_w + want_b):
             assert got.shape == ref.shape
             assert np.array_equal(got, ref)
+        return params, x, logits, buffers
+
+    @pytest.mark.parametrize("width_out", [1, 6])
+    @pytest.mark.parametrize("hidden", [0, 1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_bit_identical_to_the_expressions_with_temporaries(self, dropout, hidden, width_out):
+        self.check_against_reference(dropout, hidden, width_out)
+
+    @pytest.mark.parametrize("width_out", [1, 6])
+    @pytest.mark.parametrize("hidden", [0, 1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_bit_identical_with_buffers(self, dropout, hidden, width_out):
+        """Buffers with spare rows and stale NaNs give the same bits; the
+        logits are a view of the last buffer, and a shorter pass after the
+        backward (as validation is) writes the leading rows."""
+        params, x, logits, buffers = self.check_against_reference(
+            dropout, hidden, width_out, buffered=True
+        )
+        assert np.shares_memory(logits, buffers[-1])
+        short = mlp_forward(params, x[:25], buffers=buffers)
+        assert np.shares_memory(short, buffers[-1])
+        assert np.array_equal(short, reference_forward(params, x[:25])[0])
+
+    @pytest.mark.parametrize(
+        "buffers",
+        [
+            lambda rows: [np.empty((rows, 9)), np.empty((rows, 9))],  # one layer short
+            lambda rows: [np.empty((rows, 9)), np.empty((rows, 9)), np.empty((rows, 2))],
+            lambda rows: [np.empty((rows - 1, 9)), np.empty((rows, 9)), np.empty((rows, 1))],
+            lambda rows: [np.empty((rows, 9), "f4"), np.empty((rows, 9)), np.empty((rows, 1))],
+            lambda rows: [np.empty(rows * 9), np.empty((rows, 9)), np.empty((rows, 1))],
+        ],
+        ids=["count", "width", "rows", "dtype", "flat"],
+    )
+    def test_buffers_that_do_not_fit_are_refused(self, buffers):
+        params, x, _ = self.case(2, 1, seed=5)
+        with pytest.raises(DimensionError, match="one float64 array per layer"):
+            mlp_forward(params, x, buffers=buffers(len(x)))
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_inputs_and_params_are_not_written(self, dropout):
-        params, x, grad = self.case(2, 1, seed=5)
-        before = params.copy()
-        x_before, grad_before = x.copy(), grad.copy()
-        logits, fwd = mlp_forward(
-            params, x, dropout=dropout, rng=np.random.default_rng(4), cache=True
-        )
-        mlp_backward(params, fwd, grad)
-        assert np.array_equal(x, x_before) and np.array_equal(grad, grad_before)
-        for got, ref in zip(params.weights + params.biases, before.weights + before.biases):
-            assert np.array_equal(got, ref)
+        for buffered in (False, True):
+            params, x, grad = self.case(2, 1, seed=5)
+            before = params.copy()
+            x_before, grad_before = x.copy(), grad.copy()
+            buffers = self.stale_buffers(params, len(x)) if buffered else None
+            _, fwd = mlp_forward(
+                params, x, dropout=dropout, rng=np.random.default_rng(4), cache=True,
+                buffers=buffers,
+            )
+            mlp_backward(params, fwd, grad)
+            assert np.array_equal(x, x_before) and np.array_equal(grad, grad_before)
+            for got, ref in zip(params.weights + params.biases, before.weights + before.biases):
+                assert np.array_equal(got, ref)
 
-    def test_one_step_peak_memory_is_about_two_batch_arrays(self):
+    def test_backward_writes_each_delta_over_its_cached_activation(self):
+        """The backward consumes its cache: each hidden layer's cached
+        activation holds that layer's masked delta afterwards."""
+        params, x, grad = self.case(2, 1, seed=6)
+        _, fwd = mlp_forward(params, x, cache=True)
+        hidden = fwd.inputs[1:]
+        _, _, preacts, _ = reference_forward(params, x)
+        want = grad @ params.weights[2].T * (preacts[1] > 0.0)
+        mlp_backward(params, fwd, grad)
+        assert np.array_equal(hidden[1], want)
+        assert np.array_equal(hidden[0], want @ params.weights[1].T * (preacts[0] > 0.0))
+
+    def test_one_step_peak_memory_is_about_one_batch_array(self):
         """One forward, loss and backward step at B = 12 000 and dims
         64 -> 64 -> 1 (the hyperlink benchmark's batch) allocates at most
-        2.5 arrays of B x 64 float64 at its peak: the cached hidden
-        activations and the hidden delta, plus small change."""
+        1.25 arrays of B x 64 float64 at its peak: the cached hidden
+        activations, which the hidden delta overwrites, plus the
+        rectifier mask (an eighth) and small change.  With run-long
+        buffers it allocates at most a quarter of one."""
         rows, width = 12_000, 64
         rng = np.random.default_rng(12)
         params = init_mlp([width, width, 1], rng)
         x = rng.standard_normal((rows, width))
         targets = (rng.random(rows) < 0.5).astype(float)
-        tracemalloc.start()
-        try:
-            logits, fwd = mlp_forward(params, x, cache=True)
-            _, grad = sigmoid_bce(logits, targets)
-            mlp_backward(params, fwd, grad)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * rows * width * 8, peak / (rows * width * 8)
+        buffers = [np.empty((rows, width)), np.empty((rows, 1))]
+        for given, bound in ((None, 1.25), (buffers, 0.25)):
+            tracemalloc.start()
+            try:
+                logits, fwd = mlp_forward(params, x, cache=True, buffers=given)
+                _, grad = sigmoid_bce(logits, targets)
+                mlp_backward(params, fwd, grad)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * rows * width * 8, peak / (rows * width * 8)
 
     def test_loss_peak_memory_is_about_two_batch_arrays(self):
         """One `softmax_cross_entropy` call at B = 20 000 rows and 160
         classes allocates at most 2.5 arrays of B x 160 float64 at its
         peak: the shifted logits (which become the gradient) and their
-        exp, plus small change."""
+        exp, plus small change.  Given a scratch array for the exp, it
+        shifts in the logits and allocates at most a tenth of one."""
         rows, classes = 20_000, 160
         rng = np.random.default_rng(14)
         logits = rng.standard_normal((rows, classes))
         labels = rng.integers(0, classes, size=rows)
-        tracemalloc.start()
-        try:
-            softmax_cross_entropy(logits, labels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * rows * classes * 8, peak / (rows * classes * 8)
+        for scratch, bound in ((None, 2.5), (np.empty_like(logits), 0.1)):
+            tracemalloc.start()
+            try:
+                softmax_cross_entropy(logits, labels, scratch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * rows * classes * 8, peak / (rows * classes * 8)
 
 
 class TestAdam:

@@ -85,12 +85,19 @@ def test_bundle_without_any_label_has_one_class(tmp_path, prepare, capsys):
     [
         ([0, -2, 1, 1, 0, -1], None, "BoundsError: label -2 out of range"),
         ([0, 1, -1, 1, 0, 2], [1, 9], "BoundsError"),
+        (3, None, "DimensionError: labels must be a list of 6 entries, got shape ()"),
+        ([0, 1, -1], None, "DimensionError: labels must be a list of 6 entries, got shape (3,)"),
+        ([0, [1], -1, 1, 0, 2], None, "ValueError: setting an array element with a sequence"),
     ],
-    ids=["negative-label", "node-past-the-features"],
+    ids=[
+        "negative-label", "node-past-the-features", "scalar-labels", "short-labels",
+        "ragged-labels",
+    ],
 )
 def test_invalid_bundle_writes_nothing(tmp_path, prepare, labels, edge, message):
-    """A bad label or an edge naming a node past the features ends in a
-    one-line message, before the output directory is made."""
+    """A bad label, labels that are not one list entry per node, or an
+    edge naming a node past the features ends in a one-line message,
+    before the output directory is made."""
     bundle = write_bundle(tmp_path, labels)
     if edge:
         raw = json.loads(bundle.read_text())
@@ -99,6 +106,27 @@ def test_invalid_bundle_writes_nothing(tmp_path, prepare, labels, edge, message)
     with pytest.raises(SystemExit) as exc:
         prepare(["--name", "bad", "--json", str(bundle), "--out", str(tmp_path / "data")])
     assert isinstance(exc.value.code, str) and message in exc.value.code
+    assert "\n" not in exc.value.code
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize(
+    "features, message",
+    [
+        ("[0.5, 1.0, 2.0]", "DimensionError: features must be a (nodes, d) matrix, got (3,)"),
+        ("[[0.5], [1.0, 2.0], [2.0]]", "ValueError: setting an array element with a sequence"),
+    ],
+    ids=["flat", "ragged"],
+)
+def test_features_that_are_not_a_matrix_write_nothing(tmp_path, prepare, features, message):
+    """A flat or ragged feature list ends in the script's one-line
+    message before the output directory is made, not in a traceback
+    after the files are written."""
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(f'{{"edges": [[0, 1]], "features": {features}, "labels": [0, 1, 0]}}')
+    with pytest.raises(SystemExit) as exc:
+        prepare(["--name", "flat", "--json", str(bundle), "--out", str(tmp_path / "data")])
+    assert isinstance(exc.value.code, str) and exc.value.code.startswith(f"flat: {message}")
     assert "\n" not in exc.value.code
     assert not (tmp_path / "data").exists()
 

@@ -3,10 +3,12 @@
 import collections
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hyperprop.tasks as tasks
 from hyperprop.core import Hypergraph, LabelVector
 from hyperprop.errors import (
     BoundsError,
@@ -822,3 +824,59 @@ class TestTrainHyperlinkPredictor:
         n_pos = int(targets.sum())
         assert n_pos == len(split.test)
         assert len(cands) - n_pos == 5 * n_pos  # beta = 5 in make_inputs
+
+
+class TestEpochWorkspace:
+    """Both heads train in one run-long workspace: after the first
+    epoch, no epoch allocates a batch-sized array."""
+
+    @staticmethod
+    def nc_run():
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((4000, 8))
+        labels = LabelVector(labels=rng.integers(0, 64, size=4000), num_classes=64)
+        split = make_split(4000, 0)
+        return len(split.train), lambda cfg: train_node_classifier(x, labels, split, cfg)
+
+    @staticmethod
+    def hp_run():
+        h, x, _ = generate(PlantedConfig(
+            n=600, m=1500, classes=4, size_range=(3, 5), p_in=0.95,
+            feature_dim=8, feature_noise=0.3, seed=0,
+        ))
+        split = make_split(h.m, 0)
+        data = negative_sample(h, 0.5, 5, 0)
+        visible = _trainval_hypergraph(data, split)
+        atilde = normalize_with_self_loops(weighted_clique_expansion(visible))
+        pf = propagate(atilde, x, PropagationConfig(layers=2, alpha=0.5))
+        rows = len(_split_candidates(data, split.train)[1])
+        return rows, lambda cfg: train_hyperlink_predictor(pf, data, split, cfg)
+
+    @pytest.mark.parametrize("head", ["nc", "hp"])
+    def test_no_epoch_after_the_first_allocates_a_batch_array(self, head, monkeypatch):
+        """At the default config (hidden [64], dropout 0), every batch
+        array is at least rows x 64 float64: the hidden layer, its delta,
+        and for nc (64 classes here) the logits and the loss's exp.  The
+        spy marks each Adam step, so one interval holds an epoch's
+        validation pass and the next epoch's training pass, loss and
+        backward.  What each allocates beyond what it began with stays
+        under half such an array: the rectifier mask (an eighth) and
+        vectors of one value per row."""
+        rows, run = self.nc_run() if head == "nc" else self.hp_run()
+        marks = []
+
+        def spy(*args):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return adam_step(*args)
+
+        monkeypatch.setattr(tasks, "adam_step", spy)
+        tracemalloc.start()
+        try:
+            run(TrainConfig(learning_rate=0.01, epochs=6))
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == 6
+        batch = rows * 64 * 8
+        grown = [(peak - held) / batch for (held, _), (_, peak) in zip(marks, marks[1:])]
+        assert max(grown) < 0.5, grown
