@@ -27,13 +27,15 @@ ones are dropped.  The class count is one past the largest label, or 1
 when no node is labeled, as ``load_labels`` reads it back.  The
 hypergraph, the features and the labels are checked before anything is
 written: ragged or flat features, labels that are not one list entry
-per feature row, a bad node id or label, or a non-finite feature end in
-a one-line message and a nonzero exit before the output directory
-is made.
+per feature row, a node id that is not an integer (a bool, float or
+string is refused, not converted) or is past the features, a bad label,
+or a non-finite feature end in a one-line message and a nonzero exit
+before the output directory is made.
 """
 
 import argparse
 import json
+import operator
 import pickle
 import sys
 from pathlib import Path
@@ -46,10 +48,19 @@ from hyperprop.core import Hypergraph, LabelVector, save_features, save_hypergra
 from hyperprop.errors import DimensionError, DomainError, HyperpropError
 
 
+def _node_id(v):
+    if isinstance(v, bool):  # operator.index takes True as 1
+        raise TypeError
+    return operator.index(v)  # refuses a float or string rather than rewriting it
+
+
 def _dedup(edges):
     seen, out = set(), []
-    for e in edges:
-        key = tuple(sorted(int(v) for v in e))
+    for k, e in enumerate(edges):
+        try:
+            key = tuple(sorted(map(_node_id, e)))
+        except TypeError:
+            raise DomainError(f"hyperedge {k} is not a set of integer node ids") from None
         if key and key not in seen:
             seen.add(key)
             out.append(key)

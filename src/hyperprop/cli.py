@@ -26,7 +26,15 @@ from typing import Any
 
 import numpy as np
 
-from .core import _DECIMAL, Hypergraph, LabelVector, load_features, load_hypergraph, load_labels
+from .core import (
+    _DECIMAL,
+    Hypergraph,
+    LabelVector,
+    _feature_matrix,
+    load_features,
+    load_hypergraph,
+    load_labels,
+)
 from .errors import ConfigError, DimensionError, HyperpropError
 from .expansion import normalize_with_self_loops, weighted_clique_expansion
 from .nn import TrainConfig
@@ -244,10 +252,7 @@ def _load_inputs(paths: dict[str, Path]):
     """The hypergraph and the features, refused with `propagate`'s error
     when their node counts differ, before any operator is built."""
     h = load_hypergraph(paths["edges"])
-    x = load_features(paths["features"])
-    if x.shape[0] != h.n:
-        raise DimensionError(f"features must be ({h.n}, d), got {x.shape}")
-    return h, x
+    return h, _feature_matrix(load_features(paths["features"]), h.n)
 
 
 def _propagate(

@@ -322,6 +322,14 @@ def load_features(path: str | Path) -> np.ndarray:
     return arr
 
 
+def _feature_matrix(x, n: int) -> np.ndarray:
+    """``x`` as a C-ordered float64 array, refused unless it is (n, d)."""
+    x = np.asarray(x, dtype=np.float64, order="C")
+    if x.ndim != 2 or x.shape[0] != n:
+        raise DimensionError(f"features must be ({n}, d), got {x.shape}")
+    return x
+
+
 def save_features(path: str | Path, x: np.ndarray) -> None:
     np.save(Path(path), np.asarray(x, dtype=np.float64))
 

@@ -31,6 +31,7 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_MASK_BLOCK = 8192  # values per dropout keep-mask draw (64 KB): no mask is batch-sized
 
 
 @dataclass
@@ -106,9 +107,9 @@ def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
 
 @dataclass
 class _ForwardCache:
-    # layer inputs a_{i-1}; mlp_backward writes deltas over the hidden ones
+    # layer inputs a_{i-1} (dropped units 0) and 1/(1-p); the backward writes over them
     inputs: list[np.ndarray] = field(default_factory=list)
-    masks: list[np.ndarray | None] = field(default_factory=list)  # dropout keep scale
+    scale: float = 1.0
 
 
 def mlp_forward(
@@ -121,23 +122,22 @@ def mlp_forward(
 ):
     """Batch forward pass; returns logits, plus the cache when asked.
 
-    A positive ``dropout`` (on hidden activations only) makes this a
+    A positive ``dropout`` p (on hidden activations only) makes this a
     training pass, which needs a generator so masks are reproducible.
-    Each layer's output is one array: the GEMM output takes the bias,
-    the rectifier and the dropout scale in place, and a hidden layer's
-    is cached as the next layer's input.  The values are those of
-    z = a @ w + b; h = max(z, 0) * scale.  Without ``buffers`` each
-    output is a new array.  ``buffers`` holds one float64 array per
-    layer, of that layer's width and at least ``len(x)`` rows; layer i
-    then writes into the leading rows of ``buffers[i]``, so the logits
-    and the cache are views of them, valid until the next call that
-    writes those buffers.  The bits are the same either way.
+    Each layer's output is one array that takes the bias, the rectifier,
+    a boolean keep mask (drawn in 64 KB row blocks, the draws of one
+    call) and the scalar 1/(1-p) in place: h = max(a @ w + b, 0) * keep
+    / (1-p).  A hidden h is cached as the next layer's input, and the
+    cache keeps no mask.  Without ``buffers`` each output is a new
+    array.  ``buffers`` holds one float64 array per layer, of that
+    layer's width and at least ``len(x)`` rows; layer i then writes
+    into the leading rows of ``buffers[i]``, so the logits and the
+    cache are views of them, valid until the next call that writes
+    those buffers.  The bits are the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
-        raise DimensionError(
-            f"input must be (batch, {params.weights[0].shape[0]}), got {x.shape}"
-        )
+        raise DimensionError(f"input must be (batch, {params.weights[0].shape[0]}), got {x.shape}")
     if dropout > 0.0 and rng is None:
         raise DomainError("dropout needs a random generator")
     if buffers is None:
@@ -150,7 +150,7 @@ def mlp_forward(
         raise DimensionError(
             f"buffers must be one float64 array per layer, each (>= {len(x)}, width)"
         )
-    fwd = _ForwardCache()
+    fwd = _ForwardCache(scale=1.0 / (1.0 - dropout))  # inverted: eval is identity
     a = x
     for w, b, out in zip(params.weights[:-1], params.biases[:-1], outs):
         fwd.inputs.append(a)
@@ -158,12 +158,10 @@ def mlp_forward(
         a += b
         np.maximum(a, 0.0, out=a)
         if dropout > 0.0:
-            keep = rng.random(a.shape) >= dropout
-            scale = keep / (1.0 - dropout)  # inverted dropout: eval path is identity
-            a *= scale
-            fwd.masks.append(scale)
-        else:
-            fwd.masks.append(None)
+            rows = max(1, _MASK_BLOCK // a.shape[1])
+            for block in (a[i : i + rows] for i in range(0, len(a), rows)):
+                block *= rng.random(block.shape) >= dropout
+            a *= fwd.scale
     fwd.inputs.append(a)
     logits = np.matmul(a, params.weights[-1], out=outs[-1])
     logits += params.biases[-1]
@@ -175,15 +173,14 @@ def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray)
     consumes.
 
     Returns (weight grads, bias grads) aligned with ``params``.  The
-    rectifier's mask is read off the cached post-activation h, since
-    max(z, 0) > 0 exactly where z > 0, for every z (NaN, signed zeros
-    and infinities included).  Where dropout zeroed h, the dropout mask
-    has already zeroed delta, so the product is unchanged.  Once its
-    mask is read, each hidden h is overwritten by its layer's delta,
-    which is then masked in place: a step holds one batch-sized array
-    per hidden layer, not two, and the cached activations are gone
-    afterwards.  ``grad_logits``, the input ``x`` and the dropout
-    scales are not written.
+    rectifier's mask is read off the cached activation h: max(z, 0) > 0
+    exactly where z > 0, for every z (NaN, signed zeros and infinities
+    included), and a dropped unit is not positive, so it is the dropout
+    mask too.  Each hidden h is then overwritten by its layer's delta,
+    masked and scaled by 1/(1-p) in place, so a step holds one
+    batch-sized array per hidden layer and the cache is gone afterwards.
+    This order differs from scaling first only where |delta| / (1-p)
+    overflows.  ``grad_logits`` and the input ``x`` are not written.
     """
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
@@ -195,10 +192,9 @@ def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray)
             break
         positive = fwd.inputs[i] > 0.0
         delta = np.matmul(delta, params.weights[i].T, out=fwd.inputs[i])
-        mask = fwd.masks[i - 1]
-        if mask is not None:
-            delta *= mask
         delta *= positive
+        if fwd.scale != 1.0:
+            delta *= fwd.scale
     return grads_w, grads_b
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _feature_matrix
 from .errors import (
     BoundsError,
     ContractViolation,
@@ -171,11 +172,7 @@ def propagate(
     _require_normalized(atilde)
     if out is not None:
         _check_in_place(out, x)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != atilde.n:
-        raise DimensionError(
-            f"features must be ({atilde.n}, d), got {x.shape}"
-        )
+    x = _feature_matrix(x, atilde.n)
     n, d = x.shape
     width = max(1, _BLOCK_BYTES // (8 * max(1, n)))
     z = np.empty_like(x) if out is None else x
@@ -254,9 +251,7 @@ def energy(atilde: SparseAdjacency, x: np.ndarray, x0: np.ndarray, alpha: float)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"energy requires alpha in (0, 1), got {alpha}")
     if x.shape != x0.shape or x.shape[0] != atilde.n:
-        raise DimensionError(
-            f"shape mismatch: x {x.shape}, x0 {x0.shape}, n={atilde.n}"
-        )
+        raise DimensionError(f"shape mismatch: x {x.shape}, x0 {x0.shape}, n={atilde.n}")
     lap_x = x - atilde.matrix @ x
     smooth = float(np.sum(x * lap_x))
     anchor = float(np.sum((x - x0) ** 2))
@@ -273,9 +268,7 @@ def closed_form_limit(atilde: SparseAdjacency, x0: np.ndarray, alpha: float) -> 
     _require_normalized(atilde)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"closed-form limit requires alpha in (0, 1), got {alpha}")
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    if x0.ndim != 2 or x0.shape[0] != atilde.n:
-        raise DimensionError(f"features must be ({atilde.n}, d), got {x0.shape}")
+    x0 = _feature_matrix(x0, atilde.n)
     _require_dense_size(atilde.n, "closed-form limit")
     system = np.eye(atilde.n) - (1.0 - alpha) * atilde.matrix.toarray()
     return np.linalg.solve(system, alpha * x0)

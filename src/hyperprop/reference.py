@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Hypergraph
-from .errors import DimensionError, DomainError
+from .core import Hypergraph, _feature_matrix
+from .errors import DomainError
 from .expansion import SparseAdjacency, _deephgnn_base, _star_base, _unignn_base
 
 __all__ = ["ModelKind", "LinearizedModelSpec", "run_linearized", "unified_equivalent"]
@@ -93,9 +93,7 @@ def run_linearized(spec: LinearizedModelSpec, h: Hypergraph, x: np.ndarray) -> n
     where W is the model's unscaled expansion; the (1-g) factor the
     papers fold into W is applied here exactly once per layer.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != h.n:
-        raise DimensionError(f"features must be ({h.n}, d), got {x.shape}")
+    x = _feature_matrix(x, h.n)
     w = _base_matrix(_BASES[spec.kind], h).matrix
     g = spec.gamma
     z = x.copy()

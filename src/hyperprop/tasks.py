@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, LabelVector, _structure_digest
+from .core import Hypergraph, LabelVector, _feature_matrix, _structure_digest
 from .errors import (
     BoundsError,
     ContractViolation,
@@ -53,7 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/val/test index sets; a nonempty part holds integers."""
+    """Disjoint 1-d train/val/test index sets; a nonempty part holds integers."""
 
     train: np.ndarray
     val: np.ndarray
@@ -62,6 +62,8 @@ class Split:
     def __post_init__(self):
         for name in ("train", "val", "test"):
             arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1:
+                raise DimensionError(f"split part {name} must be 1-d, got shape {arr.shape}")
             if arr.size and arr.dtype.kind not in "iu":
                 raise DomainError(f"split part {name} must hold integers, got dtype {arr.dtype}")
             object.__setattr__(self, name, np.sort(arr.astype(np.int64)))
@@ -213,9 +215,7 @@ def pool_candidates(features: np.ndarray, candidates: Hypergraph) -> np.ndarray:
     """
     import scipy.sparse as sp
 
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != candidates.n:
-        raise DimensionError(f"features must be ({candidates.n}, d), got {x.shape}")
+    x = _feature_matrix(features, candidates.n)
     counts = np.diff(candidates.indptr)
     if not counts.all():
         raise DomainError(f"candidate {int(np.argmin(counts))} is empty")

@@ -311,8 +311,9 @@ class TestBackprop:
         x = np.abs(rng.standard_normal((2, 3))) + 0.5
         logits, fwd = mlp_forward(params, x, dropout=0.5, rng=np.random.default_rng(0), cache=True)
         _, grad = sigmoid_bce(logits, np.ones(2))
+        dropped_cols = np.all(fwd.inputs[1] == 0.0, axis=0)  # read before the backward consumes it
+        assert dropped_cols.any()
         gw, _ = mlp_backward(params, fwd, grad)
-        dropped_cols = np.all(fwd.masks[0] == 0.0, axis=0)
         assert np.all(gw[0][:, dropped_cols] == 0.0)
 
 
@@ -376,6 +377,26 @@ class TestInPlaceHead:
         short = mlp_forward(params, x[:25], buffers=buffers)
         assert np.shares_memory(short, buffers[-1])
         assert np.array_equal(short, reference_forward(params, x[:25])[0])
+
+    @pytest.mark.parametrize("rows, widths", [(1000, (300, 70)), (7, (9000,))])
+    def test_dropout_masks_drawn_in_blocks_are_one_draw(self, rows, widths):
+        """Hidden layers wider and taller than one 64 KB mask block
+        (including one wider than a block, one row per draw) give the
+        bits of one draw per layer and leave the generator where one
+        draw per layer leaves it."""
+        rng = np.random.default_rng(9)
+        params = init_mlp([5, *widths, 3], rng)
+        x = rng.standard_normal((rows, 5))
+        grad = rng.standard_normal((rows, 3))
+        got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+        logits, fwd = mlp_forward(params, x, dropout=0.6, rng=got_rng, cache=True)
+        want, inputs, preacts, masks = reference_forward(params, x, 0.6, want_rng)
+        assert np.array_equal(logits, want)
+        for got, ref in zip(mlp_backward(params, fwd, grad), reference_backward(
+            params, inputs, preacts, masks, grad
+        )):
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+        assert got_rng.random() == want_rng.random()
 
     @pytest.mark.parametrize(
         "buffers",
@@ -444,6 +465,30 @@ class TestInPlaceHead:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * rows * width * 8, peak / (rows * width * 8)
+
+    def test_dropout_step_with_buffers_peaks_under_half_a_batch_array(self):
+        """One training step at B = 12 000, dims 64 -> 64 -> 64 -> 1,
+        dropout 0.3 and run-long buffers allocates at most half an array
+        of B x 64 float64 at its peak: no keep mask is cached, and each
+        is drawn in row blocks of 64 KB, so what is left is the
+        rectifier mask (an eighth) and vectors of one value per row."""
+        rows, width = 12_000, 64
+        rng = np.random.default_rng(13)
+        params = init_mlp([width, width, width, 1], rng)
+        x = rng.standard_normal((rows, width))
+        targets = (rng.random(rows) < 0.5).astype(float)
+        buffers = [np.empty((rows, width)), np.empty((rows, width)), np.empty((rows, 1))]
+        tracemalloc.start()
+        try:
+            logits, fwd = mlp_forward(
+                params, x, dropout=0.3, rng=np.random.default_rng(0), cache=True, buffers=buffers
+            )
+            _, grad = sigmoid_bce(logits, targets)
+            mlp_backward(params, fwd, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * rows * width * 8, peak / (rows * width * 8)
 
     def test_loss_peak_memory_is_about_two_batch_arrays(self):
         """One `softmax_cross_entropy` call at B = 20 000 rows and 160

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hyperprop.core import load_features, load_hypergraph, load_labels
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "prepare_dataset.py"
+NOT_IDS = "hyperedge 5 is not a set of integer node ids"  # the edge a case appends
 
 
 @pytest.fixture(scope="module")
@@ -88,16 +89,21 @@ def test_bundle_without_any_label_has_one_class(tmp_path, prepare, capsys):
         (3, None, "DimensionError: labels must be a list of 6 entries, got shape ()"),
         ([0, 1, -1], None, "DimensionError: labels must be a list of 6 entries, got shape (3,)"),
         ([0, [1], -1, 1, 0, 2], None, "ValueError: setting an array element with a sequence"),
+        ([0, 1, -1, 1, 0, 2], [0, 1.7], f"DomainError: {NOT_IDS}"),
+        ([0, 1, -1, 1, 0, 2], [2.0, 3], f"DomainError: {NOT_IDS}"),
+        ([0, 1, -1, 1, 0, 2], ["2", 3], f"DomainError: {NOT_IDS}"),
+        ([0, 1, -1, 1, 0, 2], [True, 2], f"DomainError: {NOT_IDS}"),
     ],
     ids=[
         "negative-label", "node-past-the-features", "scalar-labels", "short-labels",
-        "ragged-labels",
+        "ragged-labels", "float-id", "integral-float-id", "string-id", "bool-id",
     ],
 )
 def test_invalid_bundle_writes_nothing(tmp_path, prepare, labels, edge, message):
     """A bad label, labels that are not one list entry per node, or an
-    edge naming a node past the features ends in a one-line message,
-    before the output directory is made."""
+    edge naming a node past the features or a node id that is not an
+    integer (which int() rewrote: 1.7 -> 1, "2" -> 2, True -> 1) ends in
+    a one-line message, before the output directory is made."""
     bundle = write_bundle(tmp_path, labels)
     if edge:
         raw = json.loads(bundle.read_text())
@@ -108,6 +114,18 @@ def test_invalid_bundle_writes_nothing(tmp_path, prepare, labels, edge, message)
     assert isinstance(exc.value.code, str) and message in exc.value.code
     assert "\n" not in exc.value.code
     assert not (tmp_path / "data").exists()
+
+
+def test_numpy_integer_node_ids_are_taken(tmp_path, prepare):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    edges = {"a": np.array([2, 0], np.uint8), "b": np.array([1, 2], np.int64), "c": (np.int32(3),)}
+    for name, obj in (("hypergraph", edges), ("features", np.ones((4, 1))), ("labels", [0] * 4)):
+        with open(raw / f"{name}.pickle", "wb") as fh:
+            pickle.dump(obj, fh)
+    assert prepare(["--name", "np", "--pickle-dir", str(raw), "--out", str(tmp_path / "data")]) == 0
+    h, _, _ = read_back(tmp_path / "data" / "np")
+    assert h.edges == ((0, 2), (1, 2), (3,))
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,56 @@
+"""Every public function of the package is used inside it: each function
+named in a module's ``__all__`` is loaded somewhere in ``src/hyperprop``
+besides its own ``def``."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperprop"
+TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def exported(tree) -> list[str] | None:
+    """The module's ``__all__``, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def loads(node) -> Counter:
+    """How often each name is read in ``node``, as a bare name or as an
+    attribute (``tasks.auc`` reads ``auc``)."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            counts[sub.attr] += 1
+    return counts
+
+
+def public_functions(tree) -> list[ast.FunctionDef]:
+    names = exported(tree)
+    return [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+
+
+MODULES = sorted(name for name, tree in TREES.items() if exported(tree) is not None)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_function_is_loaded_besides_its_own_def(module):
+    everywhere = sum((loads(tree) for tree in TREES.values()), Counter())
+    unused = [
+        f.name
+        for f in public_functions(TREES[module])
+        if everywhere[f.name] == loads(f)[f.name]
+    ]
+    assert not unused, f"{module}: public, but nothing in the package calls {unused}"
+
+
+def test_the_scan_sees_the_package():
+    assert {"cli", "core", "nn", "propagation", "tasks"} <= set(MODULES)
+    assert "mlp_backward" in [f.name for f in public_functions(TREES["nn"])]

@@ -88,6 +88,15 @@ class TestMakeSplit:
             with pytest.raises(DomainError, match=f"split part {name} must hold integers"):
                 Split(**parts)
 
+    @pytest.mark.parametrize("part", [np.array(5), np.array([[1, 2]])], ids=["0-d", "2-d"])
+    def test_split_rejects_a_part_that_is_not_1d(self, part):
+        """A 0-d part raised numpy's AxisError and a 2-d one a bare
+        ValueError from the disjointness check."""
+        for name in ("train", "val", "test"):
+            parts = {"train": [10], "val": [11], "test": [12], name: part}
+            with pytest.raises(DimensionError, match=f"split part {name} must be 1-d, got shape"):
+                Split(**parts)
+
     def test_split_takes_empty_parts_of_any_dtype_and_unsigned_ids(self):
         s = Split(train=np.array([3, 1], np.uint8), val=[], test=np.array([], np.float64))
         assert s.train.tolist() == [1, 3] and s.val.size == s.test.size == 0
@@ -852,16 +861,17 @@ class TestEpochWorkspace:
         rows = len(_split_candidates(data, split.train)[1])
         return rows, lambda cfg: train_hyperlink_predictor(pf, data, split, cfg)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("head", ["nc", "hp"])
-    def test_no_epoch_after_the_first_allocates_a_batch_array(self, head, monkeypatch):
-        """At the default config (hidden [64], dropout 0), every batch
-        array is at least rows x 64 float64: the hidden layer, its delta,
-        and for nc (64 classes here) the logits and the loss's exp.  The
-        spy marks each Adam step, so one interval holds an epoch's
-        validation pass and the next epoch's training pass, loss and
-        backward.  What each allocates beyond what it began with stays
-        under half such an array: the rectifier mask (an eighth) and
-        vectors of one value per row."""
+    def test_no_epoch_after_the_first_allocates_a_batch_array(self, head, dropout, monkeypatch):
+        """At the default head (hidden [64]), every batch array is at
+        least rows x 64 float64: the hidden layer, its delta, and for nc
+        (64 classes here) the logits and the loss's exp.  The spy marks
+        each Adam step, so one interval holds an epoch's validation pass
+        and the next epoch's training pass, loss and backward.  What each
+        allocates beyond what it began with stays under half such an
+        array: the rectifier mask (an eighth), vectors of one value per
+        row and, under dropout, one 64 KB block of the keep mask."""
         rows, run = self.nc_run() if head == "nc" else self.hp_run()
         marks = []
 
@@ -873,7 +883,7 @@ class TestEpochWorkspace:
         monkeypatch.setattr(tasks, "adam_step", spy)
         tracemalloc.start()
         try:
-            run(TrainConfig(learning_rate=0.01, epochs=6))
+            run(TrainConfig(learning_rate=0.01, epochs=6, dropout=dropout))
         finally:
             tracemalloc.stop()
         assert len(marks) == 6
