@@ -22,20 +22,20 @@ Example:
     python3 scripts/prepare_dataset.py --name citeseer --json raw/citeseer.json --out data
 
 No downloading happens here; fetch the raw archives however your mirror
-provides them.  Repeated hyperedges are collapsed to one copy and empty
-ones are dropped.  The class count is one past the largest label, or 1
-when no node is labeled, as ``load_labels`` reads it back.  The
-hypergraph, the features and the labels are checked before anything is
-written: ragged or flat features, labels that are not one list entry
-per feature row, a node id that is not an integer (a bool, float or
-string is refused, not converted) or is past the features, a bad label,
-or a non-finite feature end in a one-line message and a nonzero exit
-before the output directory is made.
+provides them.  ``Hypergraph.from_edges`` reads the raw hyperedges, so
+node ids follow the library's one rule; then repeated rows are collapsed
+to their first copy and empty ones are dropped.  The class count is one
+past the largest label, or 1 when no node is labeled, as ``load_labels``
+reads it back.  The hypergraph, the features and the labels are checked
+before anything is written: ragged or flat features, labels that are
+not one list entry per feature row, a node id that is not an integer (a
+bool, float or string is refused, not converted) or is past the
+features, a bad label, or a non-finite feature end in a one-line
+message and a nonzero exit before the output directory is made.
 """
 
 import argparse
 import json
-import operator
 import pickle
 import sys
 from pathlib import Path
@@ -46,25 +46,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hyperprop.core import Hypergraph, LabelVector, save_features, save_hypergraph, save_labels
 from hyperprop.errors import DimensionError, DomainError, HyperpropError
-
-
-def _node_id(v):
-    if isinstance(v, bool):  # operator.index takes True as 1
-        raise TypeError
-    return operator.index(v)  # refuses a float or string rather than rewriting it
-
-
-def _dedup(edges):
-    seen, out = set(), []
-    for k, e in enumerate(edges):
-        try:
-            key = tuple(sorted(map(_node_id, e)))
-        except TypeError:
-            raise DomainError(f"hyperedge {k} is not a set of integer node ids") from None
-        if key and key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
 
 
 def _densify(features):
@@ -116,7 +97,8 @@ def main(argv=None) -> int:
             raise DimensionError(f"labels must be a list of {n} entries, got shape {labels.shape}")
         if not np.isfinite(features).all():
             raise DomainError("features contain non-finite entries")
-        h = Hypergraph.from_edges(_dedup(edges), n=n)
+        h = Hypergraph.from_edges(edges, n=n)
+        h = Hypergraph.from_edges(dict.fromkeys(e for e in h.edges if e), n=n)  # first copy of each
         integral = labels.dtype.kind in "iu"  # LabelVector refuses any other nonempty labels
         classes = max(int(labels.max(initial=-1)) + 1, 1) if integral else 1
         y = LabelVector(labels=labels, num_classes=classes)

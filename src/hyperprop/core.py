@@ -55,7 +55,10 @@ class Hypergraph:
     indices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = operator.index(self.n)
+        try:
+            n = _integer(self.n)
+        except TypeError:
+            raise DomainError(f"node count must be an integer, got n={self.n!r}") from None
         if n < 0:
             raise BoundsError(f"node count must be nonnegative, got n={n}")
         indptr, indices = (np.asarray(a) for a in (self.indptr, self.indices))
@@ -101,14 +104,15 @@ class Hypergraph:
     @classmethod
     def from_edges(cls, edges, n: int | None = None) -> "Hypergraph":
         """Build a hypergraph from an iterable of integer node-id
-        collections, sorting each.  ``n`` defaults to one past the largest
-        node id seen; passing a larger ``n`` declares isolated nodes,
-        passing a smaller one is a bounds error.
+        collections, sorting each.  A bool, float or string id is refused,
+        not converted.  ``n`` defaults to one past the largest node id
+        seen; passing a larger ``n`` declares isolated nodes, passing a
+        smaller one is a bounds error.
         """
         members, indptr = [], [0]
         for k, edge in enumerate(edges):
             try:
-                members.extend(sorted(map(operator.index, edge)))
+                members.extend(sorted(map(_integer, edge)))
             except TypeError:
                 raise DomainError(f"hyperedge {k} is not a set of integer node ids") from None
             indptr.append(len(members))
@@ -123,6 +127,22 @@ class Hypergraph:
         if n is None:
             n = max(int(indices.max(initial=-1)) + 1, 0)
         return cls(n=n, indptr=indptr, indices=indices)
+
+
+def _integer(v) -> int:
+    """``operator.index(v)``, except that a bool, which it reads as 0 or
+    1, is a TypeError too: a node id, a count or a width is never a bool."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not an integer")
+    return operator.index(v)
+
+
+def _positive_integers(values) -> bool:
+    """Whether every value is an integer (by ``_integer``) above 0."""
+    try:
+        return all(_integer(v) > 0 for v in values)
+    except TypeError:
+        return False
 
 
 def _tuple_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -182,8 +202,7 @@ def khop_neighbours(h: Hypergraph, source: int, k: int) -> set[int]:
         raise BoundsError(f"source node {source} out of range for n={h.n}")
     if k < 0:
         raise DomainError(f"hop count must be nonnegative, got {k}")
-    members, bounds = h.indices.tolist(), h.indptr.tolist()
-    edges = [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    edges = _tuple_rows(h.indptr, h.indices)
     seen = frontier = {source}
     for _ in range(k):
         frontier = {u for e in edges if not frontier.isdisjoint(e) for u in e} - seen
@@ -208,8 +227,8 @@ class LabelVector:
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1:
             raise DimensionError("labels must be a 1-d vector")
-        if self.num_classes <= 0:
-            raise DomainError(f"num_classes must be positive, got {self.num_classes}")
+        if not _positive_integers([self.num_classes]):
+            raise DomainError(f"num_classes must be a positive integer, got {self.num_classes!r}")
         bad = labels[(labels != -1) & ((labels < 0) | (labels >= self.num_classes))]
         if bad.size:
             raise BoundsError(
@@ -245,7 +264,7 @@ def load_hypergraph(path: str | Path) -> Hypergraph:
     for lineno, line in _text_lines(path):
         if line.startswith("#"):
             if lineno == 1 and line.startswith(_HEADER_PREFIX):
-                declared_n, declared_m = _parse_header(line, lineno)
+                declared_n, declared_m = _parse_header(line, f"{path.name}:{lineno}")
             continue
         tokens = line.split()
         if not (line.isascii() and "_" not in line):
@@ -282,7 +301,7 @@ def _text_lines(path: Path):
         raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_header(line: str, lineno: int) -> tuple[int, int]:
+def _parse_header(line: str, where: str) -> tuple[int, int]:
     try:
         if not (line.isascii() and "_" not in line):
             raise ValueError
@@ -290,9 +309,9 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int]:
         n = int(n_part.removeprefix("n="))
         m = int(m_part.removeprefix("m="))
     except ValueError:
-        raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+        raise ParseError(f"{where}: malformed header {line!r}") from None
     if n < 0 or m < 0:
-        raise ParseError(f"line {lineno}: header dimensions must be nonnegative")
+        raise ParseError(f"{where}: header dimensions must be nonnegative")
     return n, m
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _positive_integers
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -68,8 +69,9 @@ class TrainConfig:
             raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not self.weight_decay >= 0.0:
             raise DomainError(f"weight decay must be nonnegative, got {self.weight_decay}")
-        if any(d <= 0 for d in self.hidden_dims):
-            raise DomainError(f"hidden widths must be positive, got {list(self.hidden_dims)}")
+        if not _positive_integers(self.hidden_dims):
+            widths = list(self.hidden_dims)
+            raise DomainError(f"hidden widths must be positive integers, got {widths}")
 
 
 @dataclass
@@ -94,9 +96,10 @@ class AdamState:
 
 def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
     """Uniform(-a, a) weights with a = sqrt(6 / (d_in + d_out)); zero biases."""
+    dims = list(dims)
+    if len(dims) < 2 or not _positive_integers(dims):
+        raise DomainError(f"need at least in/out dims, all positive integers; got {dims}")
     dims = [int(d) for d in dims]
-    if len(dims) < 2 or any(d <= 0 for d in dims):
-        raise DomainError(f"need at least in/out dims, all positive; got {dims}")
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (d_in + d_out))

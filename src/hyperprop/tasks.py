@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, LabelVector, _feature_matrix, _structure_digest
+from .core import Hypergraph, LabelVector, _feature_matrix, _structure_digest, incidence_matrix
 from .errors import (
     BoundsError,
     ContractViolation,
@@ -206,24 +206,18 @@ def _collides(cands: np.ndarray, members: np.ndarray) -> np.ndarray:
 def pool_candidates(features: np.ndarray, candidates: Hypergraph) -> np.ndarray:
     """Mean-pool feature rows for each candidate node set.
 
-    One sparse product: row i of the candidate-incidence matrix holds a
-    one per member of candidate i, then each sum is divided by its
-    member count in place, so the result is the one batch-sized array
-    made.  A hypergraph's rows are ascending, so each row adds
-    its feature rows in ascending node order and the result depends on
-    the set, not on how it was listed.
+    One sparse product with the transposed incidence matrix of the
+    candidates (row i holds a one per member of candidate i), then each
+    sum is divided by its member count in place, so the result is the
+    one batch-sized array made.  A hypergraph's rows are ascending, so
+    each row adds its feature rows in ascending node order and the
+    result depends on the set, not on how it was listed.
     """
-    import scipy.sparse as sp
-
     x = _feature_matrix(features, candidates.n)
     counts = np.diff(candidates.indptr)
     if not counts.all():
         raise DomainError(f"candidate {int(np.argmin(counts))} is empty")
-    incidence = sp.csr_matrix(
-        (np.ones(candidates.indices.size), candidates.indices, candidates.indptr),
-        shape=(candidates.m, candidates.n),
-    )
-    pooled = incidence @ x
+    pooled = incidence_matrix(candidates).T @ x
     pooled /= counts[:, None]
     return pooled
 

@@ -336,7 +336,7 @@ class TestUsageAndConfigErrors:
             ({"epochs": 0}, "epochs must be positive, got 0"),
             ({"dropout": 1}, "dropout must lie in [0, 1), got 1.0"),
             ({"weight_decay": -0.5}, "weight decay must be nonnegative, got -0.5"),
-            ({"hidden_dims": [16, 0]}, "hidden widths must be positive, got [16, 0]"),
+            ({"hidden_dims": [16, 0]}, "hidden widths must be positive integers, got [16, 0]"),
         ],
         ids=["lr", "epochs", "dropout", "weight_decay", "hidden_dims"],
     )

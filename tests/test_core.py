@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -246,6 +247,17 @@ class TestCsrStorage:
         with pytest.raises(DomainError, match="1-d"):
             Hypergraph(n=4, indptr=[[0, 2]], indices=[0, 1])
 
+    @pytest.mark.parametrize("n", [True, 2.5, "3", None], ids=["bool", "float", "string", "none"])
+    def test_node_count_must_be_an_integer(self, n):
+        """True is not 1 node, and 2.5 is refused by name, not by a bare TypeError."""
+        message = f"node count must be an integer, got n={n!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            Hypergraph(n=n, indptr=[0], indices=[])
+        if n is not None:  # from_edges reads None as "one past the largest id"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                Hypergraph.from_edges([(0,)], n=n)
+        assert Hypergraph(n=np.int64(3), indptr=[0], indices=[]).n == 3
+
     def test_earliest_faulty_hyperedge_is_reported(self):
         with pytest.raises(BoundsError, match="hyperedge 0 contains negative"):
             Hypergraph.from_edges([(-1, 2), (3, 3)])
@@ -387,7 +399,13 @@ class TestEdgeListLoader:
     def test_header_must_be_ascii_decimal(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("#n=1_0 m=1\n0 1\n")
-        with pytest.raises(ParseError, match="malformed header"):
+        with pytest.raises(ParseError, match="^edges.txt:1: malformed header '#n=1_0 m=1'$"):
+            load_hypergraph(path)
+
+    def test_header_dimensions_must_be_nonnegative(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("#n=-1 m=1\n0 1\n")
+        with pytest.raises(ParseError, match="^edges.txt:1: header dimensions must be nonneg"):
             load_hypergraph(path)
 
     def test_non_ascii_text_outside_the_ids_is_kept(self, tmp_path):
@@ -442,6 +460,14 @@ class TestFeatureAndLabelFiles:
         (tmp_path / "y.txt").write_text(f"0\n{label}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f":2: malformed label {label!r}"):
             load_labels(tmp_path / "y.txt")
+
+    @pytest.mark.parametrize("num_classes", [True, 2.5, "2", 0, -1])
+    def test_class_count_must_be_a_positive_integer(self, num_classes):
+        """True is not 1 class, and 2.5 is no class count."""
+        message = f"num_classes must be a positive integer, got {num_classes!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            LabelVector(labels=np.array([0, 1]), num_classes=num_classes)
+        assert LabelVector(labels=np.array([0, 1]), num_classes=np.int64(2)).num_classes == 2
 
     def test_label_out_of_range(self):
         with pytest.raises(BoundsError):

@@ -155,6 +155,16 @@ class TestInit:
         with pytest.raises(DomainError):
             init_mlp([5, 0, 2], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("width", [64.5, True, "64"], ids=["float", "bool", "string"])
+    def test_widths_must_be_integers(self, width):
+        """int() would truncate 64.5 to a 64-wide layer and read True as 1."""
+        with pytest.raises(DomainError, match="all positive integers"):
+            init_mlp([3, width, 2], np.random.default_rng(0))
+        with pytest.raises(DomainError, match="hidden widths must be positive integers"):
+            TrainConfig(learning_rate=0.1, epochs=1, hidden_dims=(width,))
+        params = init_mlp([np.int64(3), np.uint8(4), 2], np.random.default_rng(0))
+        assert [w.shape for w in params.weights] == [(3, 4), (4, 2)]
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_klasses(self):

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hyperprop.core import load_features, load_hypergraph, load_labels
+from hyperprop.core import Hypergraph, load_features, load_hypergraph, load_labels
+from hyperprop.errors import DomainError
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "prepare_dataset.py"
 NOT_IDS = "hyperedge 5 is not a set of integer node ids"  # the edge a case appends
+NOT_A_COUNT = "node count must be an integer, got n=True"
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +34,12 @@ def read_back(out: Path):
     )
 
 
-def write_bundle(tmp_path: Path, labels) -> Path:
+def write_bundle(tmp_path: Path, labels, extra=()) -> Path:
+    """A six-node bundle of five hyperedges, then the ``extra`` ones."""
     x = np.arange(12, dtype=np.float32).reshape(6, 2)
     np.save(tmp_path / "feats.npy", x)
     bundle = {
-        "edges": [[2, 0, 1], [1, 2, 0], [], [3, 1], [4]],
+        "edges": [[2, 0, 1], [1, 2, 0], [], [3, 1], [4], *extra],
         "features": "feats.npy",
         "labels": labels,
     }
@@ -92,28 +95,56 @@ def test_bundle_without_any_label_has_one_class(tmp_path, prepare, capsys):
         ([0, 1, -1, 1, 0, 2], [0, 1.7], f"DomainError: {NOT_IDS}"),
         ([0, 1, -1, 1, 0, 2], [2.0, 3], f"DomainError: {NOT_IDS}"),
         ([0, 1, -1, 1, 0, 2], ["2", 3], f"DomainError: {NOT_IDS}"),
-        ([0, 1, -1, 1, 0, 2], [True, 2], f"DomainError: {NOT_IDS}"),
     ],
     ids=[
         "negative-label", "node-past-the-features", "scalar-labels", "short-labels",
-        "ragged-labels", "float-id", "integral-float-id", "string-id", "bool-id",
+        "ragged-labels", "float-id", "integral-float-id", "string-id",
     ],
 )
 def test_invalid_bundle_writes_nothing(tmp_path, prepare, labels, edge, message):
     """A bad label, labels that are not one list entry per node, or an
     edge naming a node past the features or a node id that is not an
-    integer (which int() rewrote: 1.7 -> 1, "2" -> 2, True -> 1) ends in
-    a one-line message, before the output directory is made."""
-    bundle = write_bundle(tmp_path, labels)
-    if edge:
-        raw = json.loads(bundle.read_text())
-        raw["edges"].append(edge)
-        bundle.write_text(json.dumps(raw))
+    integer (which int() rewrote: 1.7 -> 1, "2" -> 2) ends in a one-line
+    message, before the output directory is made."""
+    bundle = write_bundle(tmp_path, labels, [edge] if edge else [])
+    assert message in refusal(tmp_path, prepare, bundle)
+
+
+def refusal(tmp_path, prepare, bundle) -> str:
+    """The script's one-line exit message on ``bundle``, after checking
+    that it wrote nothing."""
     with pytest.raises(SystemExit) as exc:
         prepare(["--name", "bad", "--json", str(bundle), "--out", str(tmp_path / "data")])
-    assert isinstance(exc.value.code, str) and message in exc.value.code
-    assert "\n" not in exc.value.code
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
     assert not (tmp_path / "data").exists()
+    return exc.value.code
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (lambda: Hypergraph.from_edges([[True, 2]]), "hyperedge 0 is not a set of integer node ids"),
+        (lambda: Hypergraph.from_edges([[0, 1]], n=True), NOT_A_COUNT),
+        (lambda: Hypergraph(n=True, indptr=[0], indices=[]), NOT_A_COUNT),
+        ([[True, 2]], NOT_IDS),
+        ([[1, 2], [True, 2]], "hyperedge 6 is not a set of integer node ids"),
+    ],
+    ids=[
+        "from_edges-id", "from_edges-n", "constructor-n", "script-bool-id",
+        "script-after-its-int-copy",
+    ],
+)
+def test_a_bool_is_refused_at_every_entry(tmp_path, prepare, entry, message):
+    """One id rule: `operator.index` reads True as 1, but no entry does.
+    The script runs the raw edges through `from_edges` before it drops
+    repeats, so [True, 2] after [1, 2] is refused, not merged into it."""
+    if callable(entry):
+        with pytest.raises(DomainError) as exc:
+            entry()
+        assert str(exc.value) == message
+    else:
+        bundle = write_bundle(tmp_path, [0, 1, -1, 1, 0, 2], entry)
+        assert refusal(tmp_path, prepare, bundle) == f"bad: DomainError: {message}"
 
 
 def test_numpy_integer_node_ids_are_taken(tmp_path, prepare):

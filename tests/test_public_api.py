@@ -1,6 +1,6 @@
-"""Every public function of the package is used inside it: each function
-named in a module's ``__all__`` is loaded somewhere in ``src/hyperprop``
-besides its own ``def``."""
+"""Every function of the package is used inside it: each function named
+in a module's ``__all__``, and each module-level ``_`` helper, is loaded
+somewhere in ``src/hyperprop`` besides its own ``def``."""
 
 import ast
 from collections import Counter
@@ -37,20 +37,31 @@ def public_functions(tree) -> list[ast.FunctionDef]:
     return [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
 
 
+def private_functions(tree) -> list[ast.FunctionDef]:
+    return [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_")]
+
+
 MODULES = sorted(name for name, tree in TREES.items() if exported(tree) is not None)
+PRIVATE = "private"  # the scope of every module's `_` helpers
+SCOPES = {
+    **{module: {module: public_functions(TREES[module])} for module in MODULES},
+    PRIVATE: {module: private_functions(tree) for module, tree in TREES.items()},
+}
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", [*MODULES, PRIVATE])
 def test_every_public_function_is_loaded_besides_its_own_def(module):
     everywhere = sum((loads(tree) for tree in TREES.values()), Counter())
     unused = [
-        f.name
-        for f in public_functions(TREES[module])
+        f"{owner}.{f.name}"
+        for owner, functions in SCOPES[module].items()
+        for f in functions
         if everywhere[f.name] == loads(f)[f.name]
     ]
-    assert not unused, f"{module}: public, but nothing in the package calls {unused}"
+    assert not unused, f"{module}: nothing in the package calls {unused}"
 
 
 def test_the_scan_sees_the_package():
     assert {"cli", "core", "nn", "propagation", "tasks"} <= set(MODULES)
     assert "mlp_backward" in [f.name for f in public_functions(TREES["nn"])]
+    assert "_tuple_rows" in [f.name for f in SCOPES[PRIVATE]["core"]]

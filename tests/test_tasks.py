@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hyperprop.tasks as tasks
 from hyperprop.core import Hypergraph, LabelVector
@@ -414,6 +415,23 @@ class TestPoolCandidates:
             assert got == want
             assert targets.tolist() == [1.0] * len(part) + [0.0] * (len(want) - len(part))
             assert np.array_equal(pool_candidates(x, cands), pool_reference(x, want))
+
+    def test_equals_the_product_with_an_inline_candidate_csr(self):
+        """The transposed incidence matrix pools bit for bit as the
+        candidate-by-node CSR of ones that `pool_candidates` used to
+        build itself, on each part of an hp split."""
+        h, x, _ = planted_case(3, n=120, noise=0.3)
+        data = negative_sample(h, 0.5, 4, seed=3)
+        split = make_split(h.m, 3)
+        for part in (split.train, split.val, split.test):
+            cands, _ = _split_candidates(data, part)
+            ones = sp.csr_matrix(
+                (np.ones(cands.indices.size), cands.indices, cands.indptr),
+                shape=(cands.m, cands.n),
+            )
+            want = ones @ x
+            want /= np.diff(cands.indptr)[:, None]
+            assert np.array_equal(pool_candidates(x, cands), want)
 
     def test_row_selection_equals_a_list_comprehension(self):
         """New, writable arrays of the selected hyperedges, in order."""
