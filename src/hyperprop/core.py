@@ -61,21 +61,19 @@ class Hypergraph:
             raise DomainError(f"node count must be an integer, got n={self.n!r}") from None
         if n < 0:
             raise BoundsError(f"node count must be nonnegative, got n={n}")
-        indptr, indices = (np.asarray(a) for a in (self.indptr, self.indices))
-        if any(a.ndim != 1 or (a.size and a.dtype.kind not in "iu") for a in (indptr, indices)):
-            raise DomainError("indptr and indices must be 1-d integer arrays")
-        indptr = np.array(indptr, dtype=np.int64)
+        raw = np.asarray(self.indices)  # the ids before the int64 cast, for the range check
+        indptr = np.array(_index_vector(self.indptr, "indptr"))  # copies, made read-only below
+        indices = np.array(_index_vector(raw, "indices"))
         sizes = np.diff(indptr)
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(sizes < 0):
             raise DomainError("indptr must start at 0, never decrease and end at len(indices)")
         owner = np.repeat(np.arange(len(sizes)), sizes)
-        wide = np.flatnonzero(indices > np.uint64(2**63 - 1)) if indices.dtype.kind == "u" else ()
-        if len(wide):  # unsigned ids the int64 cast would wrap
+        wide = np.flatnonzero(raw > np.uint64(2**63 - 1)) if raw.dtype.kind == "u" else ()
+        if len(wide):  # unsigned ids the int64 cast wrapped
             i = wide[0]
             raise BoundsError(
-                f"hyperedge {owner[i]} contains node id {indices[i]} beyond the int64 range"
+                f"hyperedge {owner[i]} contains node id {raw[i]} beyond the int64 range"
             )
-        indices = np.array(indices, dtype=np.int64)
         same, step = owner[1:] == owner[:-1], np.diff(indices)
         faults = (owner[1:][same & (step < 0)], owner[1:][same & (step == 0)], owner[indices < 0])
         k, fault = min(((int(o[0]), i) for i, o in enumerate(faults) if o.size), default=(0, -1))
@@ -137,12 +135,25 @@ def _integer(v) -> int:
     return operator.index(v)
 
 
-def _positive_integers(values) -> bool:
-    """Whether every value is an integer (by ``_integer``) above 0."""
+def _positive_integers(values, low: int = 1) -> bool:
+    """Whether every value is an integer (by ``_integer``) of at least
+    ``low``: 1 for a count or a width, 0 for a depth or a hop count."""
     try:
-        return all(_integer(v) > 0 for v in values)
+        return all(_integer(v) >= low for v in values)
     except TypeError:
         return False
+
+
+def _index_vector(values, what: str) -> np.ndarray:
+    """``values`` as a 1-d int64 array (the input itself when it already
+    is one).  Anything but 1-d is a DimensionError; a nonempty array of
+    bools, floats or strings is a DomainError, not converted."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise DimensionError(f"{what} must be 1-d, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DomainError(f"{what} must hold integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _tuple_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -198,10 +209,14 @@ def khop_neighbours(h: Hypergraph, source: int, k: int) -> set[int]:
     each hop reaches the members of every hyperedge that meets the last
     frontier.
     """
+    try:
+        source = _integer(source)
+    except TypeError:
+        raise DomainError(f"source node must be an integer, got {source!r}") from None
     if not 0 <= source < h.n:
         raise BoundsError(f"source node {source} out of range for n={h.n}")
-    if k < 0:
-        raise DomainError(f"hop count must be nonnegative, got {k}")
+    if not _positive_integers([k], 0):
+        raise DomainError(f"hop count must be a nonnegative integer, got {k!r}")
     edges = _tuple_rows(h.indptr, h.indices)
     seen = frontier = {source}
     for _ in range(k):
@@ -220,13 +235,8 @@ class LabelVector:
     num_classes: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.size and labels.dtype.kind not in "iu":
-            raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
-        labels = labels.astype(np.int64, copy=False)
+        labels = _index_vector(self.labels, "labels")
         object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1:
-            raise DimensionError("labels must be a 1-d vector")
         if not _positive_integers([self.num_classes]):
             raise DomainError(f"num_classes must be a positive integer, got {self.num_classes!r}")
         bad = labels[(labels != -1) & ((labels < 0) | (labels >= self.num_classes))]

@@ -63,8 +63,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0.0:
             raise DomainError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.epochs <= 0:
-            raise DomainError(f"epochs must be positive, got {self.epochs}")
+        if not _positive_integers([self.epochs]):
+            raise DomainError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not self.weight_decay >= 0.0:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _feature_matrix
+from .core import _feature_matrix, _index_vector, _positive_integers
 from .errors import (
     BoundsError,
     ContractViolation,
@@ -67,8 +67,8 @@ class PropagationConfig:
     alpha: float
 
     def __post_init__(self):
-        if self.layers < 0:
-            raise DomainError(f"layers must be nonnegative, got {self.layers}")
+        if not _positive_integers([self.layers], 0):
+            raise DomainError(f"layers must be a nonnegative integer, got {self.layers!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {self.alpha}")
 
@@ -250,8 +250,9 @@ def energy(atilde: SparseAdjacency, x: np.ndarray, x0: np.ndarray, alpha: float)
     _require_normalized(atilde)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"energy requires alpha in (0, 1), got {alpha}")
-    if x.shape != x0.shape or x.shape[0] != atilde.n:
-        raise DimensionError(f"shape mismatch: x {x.shape}, x0 {x0.shape}, n={atilde.n}")
+    x, x0 = _feature_matrix(x, atilde.n), _feature_matrix(x0, atilde.n)
+    if x.shape != x0.shape:
+        raise DimensionError(f"shape mismatch: x {x.shape}, x0 {x0.shape}")
     lap_x = x - atilde.matrix @ x
     smooth = float(np.sum(x * lap_x))
     anchor = float(np.sum((x - x0) ** 2))
@@ -307,25 +308,20 @@ def save_propagated(path: str | Path, pf: PropagatedFeatures) -> None:
 
 def load_propagated(path: str | Path, rows: np.ndarray | None = None) -> PropagatedFeatures:
     """Inverse of `save_propagated`.  The file size is checked against
-    the header's shape before the matrix is allocated, and the payload
-    is read straight into it, so loading holds one copy of the matrix.
+    the header's shape before the matrix is allocated.
 
-    With ``rows`` (distinct row indices, any order) the matrix holds just
-    those rows, in that order.  The payload is still read once, front to
-    back, in chunks of half `_BLOCK_BYTES`, and each chunk's selected
-    rows are scattered into place, so loading holds the selected rows
-    plus at most about `_BLOCK_BYTES` more.  A row outside the stored
-    matrix is a BoundsError and a repeated row a DomainError, both raised
-    before the matrix is allocated.
+    The matrix holds the rows ``rows`` (distinct row indices, any order;
+    every row when None), in that order.  The payload is read once,
+    front to back, in chunks of half `_BLOCK_BYTES`, and each chunk's
+    selected rows are scattered into place, so loading holds the
+    selected rows plus at most about `_BLOCK_BYTES` more.  A row outside
+    the stored matrix is a BoundsError and a repeated row a DomainError,
+    both raised before the matrix is allocated.
     """
     path = Path(path)
     with path.open("rb") as fh:
         stored, cols, config = _read_header(fh, path)
-        if rows is None:
-            mat = np.empty((stored, cols), dtype="<f8")
-            _read_exactly(fh, mat.reshape(-1).view(np.uint8), path)
-        else:
-            mat = _read_rows(fh, path, stored, cols, rows)
+        mat = _read_rows(fh, path, stored, cols, np.arange(stored) if rows is None else rows)
         digests = bytearray(64)  # the footer's config was read with the header
         _read_exactly(fh, digests, path)
     return PropagatedFeatures(
@@ -358,10 +354,7 @@ def _read_header(fh, path: Path) -> tuple[int, int, PropagationConfig]:
 def _read_rows(fh, path: Path, stored: int, cols: int, rows) -> np.ndarray:
     """The payload rows ``rows`` of ``fh``, in that order; see
     `load_propagated`."""
-    rows = np.asarray(rows)
-    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-        raise DimensionError(f"rows must be a 1-d integer array, got {rows.dtype} {rows.shape}")
-    rows = rows.astype(np.int64, copy=False)
+    rows = _index_vector(rows, "rows")
     if rows.size and (rows.min() < 0 or rows.max() >= stored):
         raise BoundsError(f"{path.name}: rows must lie in [0, {stored})")
     order = np.argsort(rows, kind="stable")

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Hypergraph, _feature_matrix
+from .core import Hypergraph, _feature_matrix, _positive_integers
 from .errors import DomainError
 from .expansion import SparseAdjacency, _deephgnn_base, _star_base, _unignn_base
 
@@ -51,8 +51,8 @@ class LinearizedModelSpec:
             object.__setattr__(self, "kind", ModelKind(self.kind))
         except ValueError:
             raise DomainError(f"unknown model kind {self.kind!r}") from None
-        if self.layers < 0:
-            raise DomainError(f"layers must be nonnegative, got {self.layers}")
+        if not _positive_integers([self.layers], 0):
+            raise DomainError(f"layers must be a nonnegative integer, got {self.layers!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise DomainError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.kind is ModelKind.ALLDEEPSETS and self.gamma != 0.0:

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Hypergraph, LabelVector, save_features, save_hypergraph, save_labels
+from .core import Hypergraph, LabelVector, _positive_integers
+from .core import save_features, save_hypergraph, save_labels
 from .errors import ConfigError
 
 __all__ = ["PlantedConfig", "generate", "emit_dataset"]
@@ -35,19 +36,20 @@ class PlantedConfig:
 
     def __post_init__(self):
         lo, hi = self.size_range
-        if self.n <= 0 or self.m < 0:
-            raise ConfigError(f"need n > 0 and m >= 0, got n={self.n}, m={self.m}")
-        if self.classes <= 0 or self.classes > self.n:
-            raise ConfigError(f"classes must lie in [1, n], got {self.classes}")
-        if lo < 2 or hi < lo:
-            raise ConfigError(f"size range must satisfy 2 <= lo <= hi, got ({lo}, {hi})")
+        if not (_positive_integers([self.n]) and _positive_integers([self.m], 0)):
+            raise ConfigError(f"need integers n > 0 and m >= 0, got n={self.n!r}, m={self.m!r}")
+        if not _positive_integers([self.classes]) or self.classes > self.n:
+            raise ConfigError(f"classes must be an integer in [1, n], got {self.classes!r}")
+        if not _positive_integers([lo, hi], 2) or hi < lo:
+            raise ConfigError(f"size range must be integers 2 <= lo <= hi, got ({lo!r}, {hi!r})")
         if hi > self.n:
             raise ConfigError(f"max hyperedge size {hi} exceeds n={self.n}")
         if not 0.0 <= self.p_in <= 1.0:
             raise ConfigError(f"p_in must lie in [0, 1], got {self.p_in}")
-        if self.feature_dim < self.classes:
+        if not _positive_integers([self.feature_dim], self.classes):
             raise ConfigError(
-                f"feature_dim {self.feature_dim} too small for {self.classes} orthogonal class means"
+                f"feature_dim must be an integer >= {self.classes}, one orthogonal mean per class,"
+                f" got {self.feature_dim!r}"
             )
         if not self.feature_noise >= 0.0:
             raise ConfigError(f"feature noise must be nonnegative, got {self.feature_noise}")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, LabelVector, _feature_matrix, _structure_digest, incidence_matrix
+from .core import Hypergraph, LabelVector, _feature_matrix, _index_vector, _positive_integers
+from .core import _structure_digest, incidence_matrix
 from .errors import (
     BoundsError,
     ContractViolation,
@@ -61,12 +62,8 @@ class Split:
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
-            arr = np.asarray(getattr(self, name))
-            if arr.ndim != 1:
-                raise DimensionError(f"split part {name} must be 1-d, got shape {arr.shape}")
-            if arr.size and arr.dtype.kind not in "iu":
-                raise DomainError(f"split part {name} must hold integers, got dtype {arr.dtype}")
-            object.__setattr__(self, name, np.sort(arr.astype(np.int64)))
+            part = _index_vector(getattr(self, name), f"split part {name}")
+            object.__setattr__(self, name, np.sort(part))
         every = np.sort(np.concatenate([self.train, self.val, self.test]))
         if np.any(every[1:] == every[:-1]):
             raise DomainError("split parts must be pairwise disjoint")
@@ -78,8 +75,8 @@ def make_split(size: int, seed: int) -> Split:
     Val and test sizes are floored; the remainder goes to train, so
     every index is used exactly once.
     """
-    if size <= 0:
-        raise DomainError(f"cannot split an empty universe (size={size})")
+    if not _positive_integers([size]):
+        raise DomainError(f"split size must be a positive integer, got {size!r}")
     n_val = n_test = size // 4
     n_train = size - n_val - n_test
     perm = np.random.default_rng(seed).permutation(size)
@@ -102,16 +99,14 @@ class HyperlinkDataset:
     source: np.ndarray
 
     def __post_init__(self):
-        pos, neg, source = self.positives, self.negatives, np.asarray(self.source)
-        if source.ndim != 1 or (source.size and source.dtype.kind not in "iu"):
-            raise DomainError(f"source must be 1-d integers, got {source.dtype} {source.shape}")
+        pos, neg, source = self.positives, self.negatives, _index_vector(self.source, "source")
         if len(source) != neg.m:
             raise DimensionError(f"{len(source)} source entries for {neg.m} negatives")
         if source.size and (source.min() < 0 or source.max() >= pos.m):
             raise BoundsError(f"source ids must lie in [0, {pos.m})")
         if neg.n != pos.n:
             raise DimensionError(f"negatives over {neg.n} nodes, positives over {pos.n}")
-        object.__setattr__(self, "source", source.astype(np.int64, copy=False))
+        object.__setattr__(self, "source", source)
 
 
 def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> HyperlinkDataset:
@@ -165,8 +160,8 @@ def _check_corruption(alpha: float, beta: int) -> None:
     config's negative section by this same rule."""
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"corruption alpha must lie in [0, 1], got {alpha}")
-    if beta <= 0:
-        raise DomainError(f"negatives per positive must be positive, got {beta}")
+    if not _positive_integers([beta]):
+        raise DomainError(f"negatives per positive must be a positive integer, got {beta!r}")
 
 
 def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
@@ -321,10 +316,8 @@ def train_node_classifier(
     on the same matrices, bit for bit, without a second copy of them.
     Test rows are read only after the loop, and unlabeled rows never.
     """
-    x = np.ascontiguousarray(features, dtype=np.float64)
     y = labels.labels
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(f"{x.shape[0]} feature rows vs {y.shape[0]} labels")
+    x = _feature_matrix(features, len(y))
     _require_parts(split, x.shape[0], "a row outside the feature matrix")
     if np.any(y[np.concatenate([split.train, split.val, split.test])] == -1):
         raise DomainError("split contains unlabeled nodes")

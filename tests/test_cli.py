@@ -333,7 +333,7 @@ class TestUsageAndConfigErrors:
         "train, message",
         [
             ({"learning_rate": -1}, "learning rate must be positive, got -1.0"),
-            ({"epochs": 0}, "epochs must be positive, got 0"),
+            ({"epochs": 0}, "epochs must be a positive integer, got 0"),
             ({"dropout": 1}, "dropout must lie in [0, 1), got 1.0"),
             ({"weight_decay": -0.5}, "weight decay must be nonnegative, got -0.5"),
             ({"hidden_dims": [16, 0]}, "hidden widths must be positive integers, got [16, 0]"),
@@ -372,8 +372,8 @@ class TestUsageAndConfigErrors:
         [
             ({"alpha": -0.1}, "corruption alpha must lie in [0, 1], got -0.1"),
             ({"alpha": 1.5}, "corruption alpha must lie in [0, 1], got 1.5"),
-            ({"beta": 0}, "negatives per positive must be positive, got 0"),
-            ({"beta": -3}, "negatives per positive must be positive, got -3"),
+            ({"beta": 0}, "negatives per positive must be a positive integer, got 0"),
+            ({"beta": -3}, "negatives per positive must be a positive integer, got -3"),
         ],
         ids=["alpha-below", "alpha-above", "beta-zero", "beta-negative"],
     )

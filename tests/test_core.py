@@ -244,8 +244,24 @@ class TestCsrStorage:
             Hypergraph.from_edges([], n=-2)
         with pytest.raises(DomainError, match="integer"):
             Hypergraph(n=4, indptr=[0, 2], indices=[0.0, 1.5])
-        with pytest.raises(DomainError, match="1-d"):
+        with pytest.raises(DimensionError, match=re.escape("indptr must be 1-d, got shape (1, 2)")):
             Hypergraph(n=4, indptr=[[0, 2]], indices=[0, 1])
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ([[0, 1]], DimensionError, "must be 1-d, got shape (1, 2)"),
+            ([0.0, 1.0], DomainError, "must hold integers, got dtype float64"),
+            ([False, True], DomainError, "must hold integers, got dtype bool"),
+        ],
+        ids=["2-d", "float", "bool"],
+    )
+    def test_index_arrays_follow_the_index_rule(self, bad, error, message):
+        """indptr and indices are refused by name, by the rule every index array follows."""
+        with pytest.raises(error, match=re.escape(f"indptr {message}")):
+            Hypergraph(n=2, indptr=bad, indices=[0])
+        with pytest.raises(error, match=re.escape(f"indices {message}")):
+            Hypergraph(n=2, indptr=[0, 2], indices=bad)
 
     @pytest.mark.parametrize("n", [True, 2.5, "3", None], ids=["bool", "float", "string", "none"])
     def test_node_count_must_be_an_integer(self, n):
@@ -350,6 +366,14 @@ class TestKhopNeighbours:
             khop_neighbours(h, 5, 1)
         with pytest.raises(DomainError):
             khop_neighbours(h, 0, -1)
+        for value in (True, 1.5):  # True was node 1 or one hop, 1.5 hops a bare TypeError
+            hops = f"hop count must be a nonnegative integer, got {value!r}"
+            with pytest.raises(DomainError, match=re.escape(hops)):
+                khop_neighbours(h, 0, value)
+            source = f"source node must be an integer, got {value!r}"
+            with pytest.raises(DomainError, match=re.escape(source)):
+                khop_neighbours(h, value, 1)
+        assert khop_neighbours(h, np.int64(1), np.uint8(1)) == {0}
 
 
 class TestEdgeListLoader:
@@ -479,8 +503,12 @@ class TestFeatureAndLabelFiles:
     )
     def test_labels_must_be_integers(self, labels):
         """Floats were truncated, strings parsed and bools read as 0/1."""
-        with pytest.raises(DomainError, match="labels must be integers, got dtype"):
+        with pytest.raises(DomainError, match="labels must hold integers, got dtype"):
             LabelVector(labels=labels, num_classes=2)
+
+    def test_labels_must_be_1d(self):
+        with pytest.raises(DimensionError, match=re.escape("labels must be 1-d, got shape (1, 2)")):
+            LabelVector(labels=[[0, 1]], num_classes=2)
 
     @pytest.mark.parametrize(
         "labels", [[], np.array([], dtype=np.float64), np.array([], dtype=np.uint8), [0, 1, -1]]

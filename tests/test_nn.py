@@ -1,5 +1,6 @@
 """Tests for the MLP head: forward, losses, gradients, Adam."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -580,6 +581,10 @@ class TestAdam:
             TrainConfig(learning_rate=0.0, epochs=10)
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=0.1, epochs=0)
+        for epochs in (True, 2.5):  # both were accepted
+            message = f"epochs must be a positive integer, got {epochs!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                TrainConfig(learning_rate=0.1, epochs=epochs)
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=0.1, epochs=10, dropout=1.0)
 

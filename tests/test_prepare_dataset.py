@@ -211,5 +211,5 @@ def test_labels_that_are_not_integers_write_nothing(tmp_path, prepare, shape):
         source = ["--pickle-dir", str(raw)]
     with pytest.raises(SystemExit) as exc:
         prepare(["--name", "frac", *source, "--out", str(tmp_path / "data")])
-    assert exc.value.code == "frac: DomainError: labels must be integers, got dtype float64"
+    assert exc.value.code == "frac: DomainError: labels must hold integers, got dtype float64"
     assert not (tmp_path / "data").exists()

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -78,6 +79,10 @@ class TestPropagationConfig:
         PropagationConfig(layers=0, alpha=0.0)  # both boundaries are legal
         with pytest.raises(DomainError):
             PropagationConfig(layers=-1, alpha=0.3)
+        for layers in (True, 1.5):  # True was one layer, 1.5 a bare TypeError in propagate
+            message = f"layers must be a nonnegative integer, got {layers!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                PropagationConfig(layers=layers, alpha=0.3)
         with pytest.raises(DomainError):
             PropagationConfig(layers=2, alpha=1.0)
         with pytest.raises(DomainError):
@@ -546,6 +551,16 @@ class TestEnergyAndLimit:
         want = np.trace(x.T @ lap @ x) + 0.25 / 0.75 * np.sum((x - x0) ** 2)
         np.testing.assert_allclose(energy(atilde, x, x0, 0.25), want, rtol=1e-10)
 
+    def test_energy_refuses_features_that_are_not_a_matrix(self):
+        """1-d features once gave a number, and 3-d ones a scipy ValueError."""
+        x = np.zeros((2, 1))
+        for bad in (np.zeros(2), np.zeros((2, 1, 1)), np.zeros((3, 1))):
+            for args in ((bad, x), (x, bad)):
+                with pytest.raises(DimensionError, match=r"features must be \(2, d\), got"):
+                    energy(TWO_NODE, *args, 0.3)
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            energy(TWO_NODE, x, np.zeros((2, 2)), 0.3)
+
     def test_alpha_zero_has_no_anchor(self):
         x = np.zeros((2, 1))
         with pytest.raises(DomainError):
@@ -719,8 +734,10 @@ class TestLoadRows:
                 load_propagated(path, rows=rows)
         with pytest.raises(DomainError, match="distinct"):
             load_propagated(path, rows=[5, 2, 5])
-        for rows in ([[0, 1]], [0.0, 1.0], [True]):
-            with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=re.escape("rows must be 1-d, got shape (1, 2)")):
+            load_propagated(path, rows=[[0, 1]])
+        for rows, dtype in (([0.0, 1.0], "float64"), ([True], "bool")):
+            with pytest.raises(DomainError, match=f"rows must hold integers, got dtype {dtype}"):
                 load_propagated(path, rows=rows)
 
     def test_damaged_file_is_a_parse_error(self, saved):

@@ -1,6 +1,7 @@
 """Every function of the package is used inside it: each function named
 in a module's ``__all__``, and each module-level ``_`` helper, is loaded
-somewhere in ``src/hyperprop`` besides its own ``def``."""
+somewhere in ``src/hyperprop`` besides its own ``def``.  And the dtype
+rule of an input array is spelled in ``core`` alone."""
 
 import ast
 from collections import Counter
@@ -65,3 +66,26 @@ def test_the_scan_sees_the_package():
     assert {"cli", "core", "nn", "propagation", "tasks"} <= set(MODULES)
     assert "mlp_backward" in [f.name for f in public_functions(TREES["nn"])]
     assert "_tuple_rows" in [f.name for f in SCOPES[PRIVATE]["core"]]
+
+
+def dtype_kind_reads(tree) -> list[int]:
+    """Line of each ``<expr>.dtype.kind`` read in ``tree``."""
+    return [
+        sub.lineno
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and sub.attr == "kind"
+        and isinstance(sub.value, ast.Attribute) and sub.value.attr == "dtype"
+    ]
+
+
+def test_only_core_reads_a_dtype_kind():
+    """An index array goes through `core._index_vector` and a feature
+    matrix through `core._feature_matrix`; no other module re-spells
+    which dtypes they take."""
+    assert dtype_kind_reads(TREES["core"])  # the scan sees the rule where it lives
+    elsewhere = {
+        module: lines
+        for module, tree in TREES.items()
+        if module != "core" and (lines := dtype_kind_reads(tree))
+    }
+    assert not elsewhere, f"dtype.kind read outside core at {elsewhere}"

@@ -5,6 +5,8 @@ recursion is reproduced exactly by the shared polynomial once the
 right (W, alpha) pair is plugged in.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,10 @@ class TestModelSpec:
             LinearizedModelSpec(kind=ModelKind.EDHNN, layers=2, gamma=1.0)
         with pytest.raises(DomainError):
             LinearizedModelSpec(kind=ModelKind.UNIGCNII, layers=-1, gamma=0.2)
+        for layers in (True, 1.5):  # both were accepted
+            message = f"layers must be a nonnegative integer, got {layers!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                LinearizedModelSpec(kind=ModelKind.UNIGCNII, layers=layers, gamma=0.2)
 
     def test_alldeepsets_has_no_residual(self):
         with pytest.raises(DomainError):

@@ -37,6 +37,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             base_cfg(feature_noise=-1.0)
 
+    @pytest.mark.parametrize("value", [True, 2.5], ids=["bool", "float"])
+    @pytest.mark.parametrize("field", ["n", "m", "classes", "feature_dim", "size_range"])
+    def test_counts_must_be_integers(self, field, value):
+        """m=True built one hyperedge, and a float count ended in a bare
+        TypeError or ValueError inside `generate`."""
+        with pytest.raises(ConfigError, match="integer"):
+            base_cfg(**{field: (2, value) if field == "size_range" else value})
+
     def test_nan_feature_noise_is_refused(self):
         """NaN fails every comparison, so the check is written to fail on
         it; otherwise `generate` writes all-NaN features."""

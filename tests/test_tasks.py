@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,10 @@ class TestMakeSplit:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             make_split(0, seed=0)
+        for size in (True, 1.5, 4.0):  # True split one index, and 4.0 raised numpy's AxisError
+            message = f"split size must be a positive integer, got {size!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                make_split(size, seed=0)
 
     def test_split_rejects_overlap(self):
         with pytest.raises(DomainError):
@@ -291,6 +296,10 @@ class TestNegativeSample:
             negative_sample(h, alpha=1.5, beta=1, seed=0)
         with pytest.raises(DomainError):
             negative_sample(h, alpha=0.5, beta=0, seed=0)
+        for beta in (True, 1.5):  # True drew one negative per edge, 1.5 raised an IndexError
+            message = f"negatives per positive must be a positive integer, got {beta!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                negative_sample(h, 0.5, beta, 0)
 
     def test_empty_hyperedge_has_no_corruption(self):
         # the only set of size 0 is the empty hyperedge itself
@@ -350,14 +359,15 @@ class TestHyperlinkDataset:
     @pytest.mark.parametrize(
         "source, error, message",
         [
-            ([0.0, 0, 1, 1, 2, 2], DomainError, "source must be 1-d integers"),
-            ([[0, 0, 1, 1, 2, 2]], DomainError, "source must be 1-d integers"),
+            ([0.0, 0, 1, 1, 2, 2], DomainError, "source must hold integers, got dtype float64"),
+            ([[0, 0, 1, 1, 2, 2]], DimensionError, r"source must be 1-d, got shape \(1, 6\)"),
+            ([True] * 6, DomainError, "source must hold integers, got dtype bool"),
             ([0, 0, 1, 1, 2, 2, 0, 1], DimensionError, "8 source entries for 6 negatives"),
             ([0, 0, 1, 1, 2], DimensionError, "5 source entries for 6 negatives"),
             ([0, 0, 1, 1, 2, 3], BoundsError, r"source ids must lie in \[0, 3\)"),
             ([0, 0, 1, 1, 2, -1], BoundsError, r"source ids must lie in \[0, 3\)"),
         ],
-        ids=["float", "2-d", "longer", "shorter", "past-the-positives", "negative"],
+        ids=["float", "2-d", "bool", "longer", "shorter", "past-the-positives", "negative"],
     )
     def test_refuses_a_source_that_does_not_fit(self, data, source, error, message):
         with pytest.raises(error, match=message):
@@ -739,6 +749,14 @@ class TestTrainNodeClassifier:
         bad = Split(train=np.arange(10), val=np.array([], dtype=int), test=np.array([11]))
         with pytest.raises(DomainError):
             train_node_classifier(px, y, bad, TrainConfig(learning_rate=0.01, epochs=5))
+
+    def test_refuses_features_that_are_not_a_matrix(self):
+        """1-d features raised a bare IndexError in init_mlp."""
+        _, y, split = self.make_inputs()
+        n = len(y.labels)
+        for features in (np.zeros(n), np.zeros((n, 2, 1)), np.zeros((n - 1, 2))):
+            with pytest.raises(DimensionError, match=rf"features must be \({n}, d\), got"):
+                train_node_classifier(features, y, split, TrainConfig(learning_rate=0.01, epochs=1))
 
 
 class TestTrainHyperlinkPredictor:
