@@ -44,7 +44,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hyperprop.core import Hypergraph, LabelVector, save_features, save_hypergraph, save_labels
+from hyperprop.core import Hypergraph, _label_vector, save_features, save_hypergraph, save_labels
 from hyperprop.errors import DimensionError, DomainError, HyperpropError
 
 
@@ -99,9 +99,7 @@ def main(argv=None) -> int:
             raise DomainError("features contain non-finite entries")
         h = Hypergraph.from_edges(edges, n=n)
         h = Hypergraph.from_edges(dict.fromkeys(e for e in h.edges if e), n=n)  # first copy of each
-        integral = labels.dtype.kind in "iu"  # LabelVector refuses any other nonempty labels
-        classes = max(int(labels.max(initial=-1)) + 1, 1) if integral else 1
-        y = LabelVector(labels=labels, num_classes=classes)
+        y = _label_vector(labels)
     except HyperpropError as exc:
         raise SystemExit(f"{args.name}: {type(exc).__name__}: {exc}") from None
 
@@ -110,7 +108,7 @@ def main(argv=None) -> int:
     save_hypergraph(out / "edges.txt", h)
     save_features(out / "features.npy", features)
     save_labels(out / "labels.txt", y)
-    print(f"{args.name}: n={h.n} m={h.m} d={features.shape[1]} classes={classes} -> {out}")
+    print(f"{args.name}: n={h.n} m={h.m} d={features.shape[1]} classes={y.num_classes} -> {out}")
     return 0
 
 

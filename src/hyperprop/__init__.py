@@ -7,7 +7,6 @@ or hyperlink prediction.
 """
 
 from .core import (
-    DegreeVectors,
     Hypergraph,
     LabelVector,
     degrees,

@@ -222,11 +222,8 @@ def _require_paths(cfg: RunConfig, *keys: str) -> dict[str, Path]:
 
 
 def _dataset_name(cfg: RunConfig) -> str:
-    if cfg.dataset.get("name"):
-        return cfg.dataset["name"]
-    if cfg.dataset.get("edges"):
-        return Path(cfg.dataset["edges"]).stem
-    return "unnamed"
+    """Callers run after `_require_paths` has accepted ``dataset.edges``."""
+    return cfg.dataset.get("name") or Path(cfg.dataset["edges"]).stem
 
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -327,7 +324,7 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
         preprocess_seconds = 0.0
         propagated = _require_paths(cfg, "propagated")["propagated"]
     with propagated.open("rb") as fh:
-        stored, _, built = _read_header(fh, propagated)
+        stored, _, built, _ = _read_header(fh, propagated)
     if stored != len(y.labels):
         raise DimensionError(f"{stored} feature rows vs {len(y.labels)} labels")
     if built != cfg.propagation:

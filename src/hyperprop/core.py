@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Hypergraph",
-    "DegreeVectors",
     "LabelVector",
     "degrees",
     "incidence_matrix",
@@ -63,7 +62,8 @@ class Hypergraph:
             raise BoundsError(f"node count must be nonnegative, got n={n}")
         raw = np.asarray(self.indices)  # the ids before the int64 cast, for the range check
         indptr = np.array(_index_vector(self.indptr, "indptr"))  # copies, made read-only below
-        indices = np.array(_index_vector(raw, "indices"))
+        wrapped = raw.astype(np.int64) if raw.dtype.kind == "u" else raw  # checked below
+        indices = np.array(_index_vector(wrapped, "indices"))
         sizes = np.diff(indptr)
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or np.any(sizes < 0):
             raise DomainError("indptr must start at 0, never decrease and end at len(indices)")
@@ -147,12 +147,16 @@ def _positive_integers(values, low: int = 1) -> bool:
 def _index_vector(values, what: str) -> np.ndarray:
     """``values`` as a 1-d int64 array (the input itself when it already
     is one).  Anything but 1-d is a DimensionError; a nonempty array of
-    bools, floats or strings is a DomainError, not converted."""
+    bools, floats or strings is a DomainError, not converted; an
+    unsigned value past the int64 range is a BoundsError, not wrapped."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise DimensionError(f"{what} must be 1-d, got shape {arr.shape}")
     if arr.size and arr.dtype.kind not in "iu":
         raise DomainError(f"{what} must hold integers, got dtype {arr.dtype}")
+    wide = arr[arr > np.uint64(2**63 - 1)] if arr.dtype.kind == "u" else ()
+    if len(wide):
+        raise BoundsError(f"{what} must fit in int64, got {wide[0]}")
     return arr.astype(np.int64, copy=False)
 
 
@@ -161,24 +165,17 @@ def _tuple_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...
     return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-@dataclass(frozen=True)
-class DegreeVectors:
-    """Node and hyperedge degrees with the degenerate-degree convention.
+def degrees(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Node and hyperedge degrees ``(node, edge)`` as float64.
 
     ``node[i]`` counts hyperedges containing node ``i`` and ``edge[k]``
     counts nodes inside hyperedge ``k``; zero entries are replaced by
     1.0 so that the D^-1 / D^-1/2 factors used by the expansions stay
     finite on isolated nodes and empty hyperedges.
     """
-
-    node: np.ndarray
-    edge: np.ndarray
-
-
-def degrees(h: Hypergraph) -> DegreeVectors:
     node = np.maximum(np.bincount(h.indices, minlength=h.n), 1).astype(np.float64)
     edge = np.maximum(np.diff(h.indptr), 1).astype(np.float64)
-    return DegreeVectors(node=node, edge=edge)
+    return node, edge
 
 
 def incidence_matrix(h: Hypergraph) -> sp.csr_matrix:
@@ -313,11 +310,10 @@ def _text_lines(path: Path):
 
 def _parse_header(line: str, where: str) -> tuple[int, int]:
     try:
-        if not (line.isascii() and "_" not in line):
-            raise ValueError
         n_part, m_part = line[1:].split()
-        n = int(n_part.removeprefix("n="))
-        m = int(m_part.removeprefix("m="))
+        if not (line.isascii() and "_" not in line and m_part.startswith("m=")):
+            raise ValueError
+        n, m = int(n_part[2:]), int(m_part[2:])  # the line starts "#n="
     except ValueError:
         raise ParseError(f"{where}: malformed header {line!r}") from None
     if n < 0 or m < 0:
@@ -377,9 +373,14 @@ def load_labels(path: str | Path) -> LabelVector:
             values.append(int(line))
         except ValueError:
             raise ParseError(f"{path.name}:{lineno}: malformed label {line!r}") from None
-    labels = np.array(values, dtype=np.int64)
-    num_classes = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 1
-    return LabelVector(labels=labels, num_classes=num_classes)
+    return _label_vector(np.array(values, dtype=np.int64))
+
+
+def _label_vector(values) -> LabelVector:
+    """``values`` as labels (by the index rule) of as many classes as
+    one past the largest label, or 1 when no label is set."""
+    labels = _index_vector(values, "labels")
+    return LabelVector(labels=labels, num_classes=max(int(labels.max(initial=-1)) + 1, 1))
 
 
 def save_labels(path: str | Path, y: LabelVector) -> None:

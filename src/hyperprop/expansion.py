@@ -78,8 +78,8 @@ def weighted_clique_expansion(h: Hypergraph) -> SparseAdjacency:
     normalization step owns the (single) self-loop.  The result is
     tagged with the structure digest of ``h``.
     """
-    deg = degrees(h)
-    b = _scaled_incidence(incidence_matrix(h), np.ones(h.n), 1.0 / np.sqrt(deg.edge))
+    _, edge = degrees(h)
+    b = _scaled_incidence(incidence_matrix(h), np.ones(h.n), 1.0 / np.sqrt(edge))
     w = (b @ b.T).tocsr()
     w.setdiag(0.0)
     w.eliminate_zeros()
@@ -90,19 +90,19 @@ def _unignn_base(h: Hypergraph) -> sp.csr_matrix:
     # D_V^-1/2 H Dtilde_E^-1/2 D_E^-1 H^T where Dtilde_E[k] is the mean
     # node degree inside hyperedge k.  Only the left side carries
     # D_V^-1/2, so the result is not symmetric in general.
-    deg = degrees(h)
+    node, edge = degrees(h)
     b = incidence_matrix(h)
-    deg_sums = np.asarray(b.T @ deg.node).ravel()  # sum of node degrees per edge
-    dtilde = deg_sums / deg.edge
+    deg_sums = np.asarray(b.T @ node).ravel()  # sum of node degrees per edge
+    dtilde = deg_sums / edge
     dtilde[dtilde == 0.0] = 1.0  # empty hyperedge: keep the factor finite
-    left = _scaled_incidence(b, 1.0 / np.sqrt(deg.node), 1.0 / (np.sqrt(dtilde) * deg.edge))
+    left = _scaled_incidence(b, 1.0 / np.sqrt(node), 1.0 / (np.sqrt(dtilde) * edge))
     return (left @ b.T).tocsr()
 
 
 def _deephgnn_base(h: Hypergraph) -> sp.csr_matrix:
     # D_V^-1/2 H D_E^-1 H^T D_V^-1/2, symmetric by construction.
-    deg = degrees(h)
-    b = _scaled_incidence(incidence_matrix(h), 1.0 / np.sqrt(deg.node), 1.0 / np.sqrt(deg.edge))
+    node, edge = degrees(h)
+    b = _scaled_incidence(incidence_matrix(h), 1.0 / np.sqrt(node), 1.0 / np.sqrt(edge))
     return (b @ b.T).tocsr()
 
 
@@ -110,9 +110,9 @@ def _star_base(h: Hypergraph) -> sp.csr_matrix:
     # Row-stochastic two-step walk D_V^-1 H D_E^-1 H^T, shared by
     # AllDeepSets and ED-HNN: average within each hyperedge, then over a
     # node's hyperedges.  Rows of nodes with nonzero degree sum to one.
-    deg = degrees(h)
+    node, edge = degrees(h)
     b = incidence_matrix(h)
-    left = _scaled_incidence(b, 1.0 / deg.node, 1.0 / deg.edge)
+    left = _scaled_incidence(b, 1.0 / node, 1.0 / edge)
     return (left @ b.T).tocsr()
 
 

@@ -76,22 +76,17 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators, one per parameter in
+    ``params.weights + params.biases`` order, plus the shared step counter."""
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step: int = 0
 
     @classmethod
     def like(cls, params: MlpParams) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-        )
+        order = params.weights + params.biases
+        return cls(m=[np.zeros_like(p) for p in order], v=[np.zeros_like(p) for p in order])
 
 
 def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
@@ -270,12 +265,7 @@ def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainC
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     decay = cfg.learning_rate * cfg.weight_decay
-    for p, g, m, v in zip(
-        params.weights + params.biases,
-        list(grads_w) + list(grads_b),
-        state.m_weights + state.m_biases,
-        state.v_weights + state.v_biases,
-    ):
+    for p, g, m, v in zip(params.weights + params.biases, [*grads_w, *grads_b], state.m, state.v):
         update, denom = np.empty_like(p), np.empty_like(p)
         m *= b1
         np.multiply(1.0 - b1, g, out=update)

@@ -320,17 +320,15 @@ def load_propagated(path: str | Path, rows: np.ndarray | None = None) -> Propaga
     """
     path = Path(path)
     with path.open("rb") as fh:
-        stored, cols, config = _read_header(fh, path)
+        stored, cols, config, digests = _read_header(fh, path)
         mat = _read_rows(fh, path, stored, cols, np.arange(stored) if rows is None else rows)
-        digests = bytearray(64)  # the footer's config was read with the header
-        _read_exactly(fh, digests, path)
     return PropagatedFeatures(
         matrix=mat, config=config, provenance=digests[:32].hex(), adjacency_hash=digests[32:].hex()
     )
 
 
-def _read_header(fh, path: Path) -> tuple[int, int, PropagationConfig]:
-    """Rows, cols and config (the footer's last 16 bytes) of an open
+def _read_header(fh, path: Path) -> tuple[int, int, PropagationConfig, bytes]:
+    """Rows, cols, config and the footer's 64 digest bytes of an open
     `.tfhn` file, once its magic and its size (header, payload and
     footer) check out.  ``fh`` is left at the start of the payload."""
     header = fh.read(_HEADER_BYTES)
@@ -345,10 +343,11 @@ def _read_header(fh, path: Path) -> tuple[int, int, PropagationConfig]:
     expected = _HEADER_BYTES + rows * cols * 8 + _FOOTER_BYTES
     if size != expected:
         raise ParseError(f"{path.name}: file is {size} bytes, expected {expected}")
-    fh.seek(-16, os.SEEK_END)
-    layers, alpha = struct.unpack("<Qd", fh.read(16))
+    fh.seek(-_FOOTER_BYTES, os.SEEK_END)
+    footer = fh.read(_FOOTER_BYTES)
+    layers, alpha = struct.unpack_from("<Qd", footer, 64)
     fh.seek(_HEADER_BYTES)
-    return rows, cols, PropagationConfig(layers=layers, alpha=alpha)
+    return rows, cols, PropagationConfig(layers=layers, alpha=alpha), footer[:64]
 
 
 def _read_rows(fh, path: Path, stored: int, cols: int, rows) -> np.ndarray:

@@ -42,8 +42,6 @@ class PlantedConfig:
             raise ConfigError(f"classes must be an integer in [1, n], got {self.classes!r}")
         if not _positive_integers([lo, hi], 2) or hi < lo:
             raise ConfigError(f"size range must be integers 2 <= lo <= hi, got ({lo!r}, {hi!r})")
-        if hi > self.n:
-            raise ConfigError(f"max hyperedge size {hi} exceeds n={self.n}")
         if not 0.0 <= self.p_in <= 1.0:
             raise ConfigError(f"p_in must lie in [0, 1], got {self.p_in}")
         if not _positive_integers([self.feature_dim], self.classes):

@@ -184,9 +184,9 @@ class TestCsrStorage:
             assert h.n == n and h.m == len(canon)
             assert h.edges == canon
             assert memberships(h) == member_tuples
-            deg = degrees(h)
+            got_node, got_edge = degrees(h)
             node, edge = tuple_degrees(n, canon)
-            assert np.array_equal(deg.node, node) and np.array_equal(deg.edge, edge)
+            assert np.array_equal(got_node, node) and np.array_equal(got_edge, edge)
             assert_same_csr(incidence_matrix(h), tuple_incidence(n, canon))
             assert _structure_digest(h) == tuple_digest(n, canon)
             w = weighted_clique_expansion(h)
@@ -305,16 +305,16 @@ class TestCsrStorage:
 class TestDegrees:
     def test_two_edge_example(self):
         h = Hypergraph.from_edges([(0, 1, 2), (0, 1)])
-        deg = degrees(h)
-        np.testing.assert_array_equal(deg.node, [2.0, 2.0, 1.0])
-        np.testing.assert_array_equal(deg.edge, [3.0, 2.0])
+        node, edge = degrees(h)
+        np.testing.assert_array_equal(node, [2.0, 2.0, 1.0])
+        np.testing.assert_array_equal(edge, [3.0, 2.0])
 
     def test_degenerate_degrees_become_one(self):
         # isolated node 2 and an empty hyperedge both get degree 1.0
         h = Hypergraph.from_edges([(0, 1), ()], n=3)
-        deg = degrees(h)
-        np.testing.assert_array_equal(deg.node, [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(deg.edge, [2.0, 1.0])
+        node, edge = degrees(h)
+        np.testing.assert_array_equal(node, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(edge, [2.0, 1.0])
 
 
 class TestKhopNeighbours:
@@ -420,10 +420,12 @@ class TestEdgeListLoader:
         with pytest.raises(ParseError, match=f":2: malformed node id {token!r}"):
             load_hypergraph(path)
 
-    def test_header_must_be_ascii_decimal(self, tmp_path):
+    @pytest.mark.parametrize("header", ["#n=1_0 m=1", "#n=5 1"])
+    def test_header_must_be_ascii_decimal(self, tmp_path, header):
+        """Each dimension is an ASCII decimal after its own `n=` or `m=`."""
         path = tmp_path / "edges.txt"
-        path.write_text("#n=1_0 m=1\n0 1\n")
-        with pytest.raises(ParseError, match="^edges.txt:1: malformed header '#n=1_0 m=1'$"):
+        path.write_text(f"{header}\n0 1\n")
+        with pytest.raises(ParseError, match=f"^edges.txt:1: malformed header '{header}'$"):
             load_hypergraph(path)
 
     def test_header_dimensions_must_be_nonnegative(self, tmp_path):
@@ -496,6 +498,11 @@ class TestFeatureAndLabelFiles:
     def test_label_out_of_range(self):
         with pytest.raises(BoundsError):
             LabelVector(labels=np.array([0, 7]), num_classes=3)
+
+    def test_unsigned_label_past_int64_is_refused_unwrapped(self):
+        """2**64 - 1 was cast to -1, the unlabeled sentinel."""
+        with pytest.raises(BoundsError, match=f"^labels must fit in int64, got {2**64 - 1}$"):
+            LabelVector(labels=np.array([0, 2**64 - 1], np.uint64), num_classes=2)
 
     @pytest.mark.parametrize(
         "labels",

@@ -295,8 +295,8 @@ def _scaled_incidence_rebuilt(h, row_scale, col_scale):
 
 
 def clique_rebuilt(h):
-    deg = degrees(h)
-    b = _scaled_incidence_rebuilt(h, np.ones(h.n), 1.0 / np.sqrt(deg.edge))
+    _, edge = degrees(h)
+    b = _scaled_incidence_rebuilt(h, np.ones(h.n), 1.0 / np.sqrt(edge))
     w = (b @ b.T).tocsr()
     w.setdiag(0.0)
     w.eliminate_zeros()
@@ -304,23 +304,23 @@ def clique_rebuilt(h):
 
 
 def unignn_rebuilt(h):
-    deg = degrees(h)
+    node, edge = degrees(h)
     b = incidence_matrix(h)
-    dtilde = np.asarray(b.T @ deg.node).ravel() / deg.edge
+    dtilde = np.asarray(b.T @ node).ravel() / edge
     dtilde[dtilde == 0.0] = 1.0
-    left = _scaled_incidence_rebuilt(h, 1.0 / np.sqrt(deg.node), 1.0 / (np.sqrt(dtilde) * deg.edge))
+    left = _scaled_incidence_rebuilt(h, 1.0 / np.sqrt(node), 1.0 / (np.sqrt(dtilde) * edge))
     return (left @ b.T).tocsr()
 
 
 def deephgnn_rebuilt(h):
-    deg = degrees(h)
-    b = _scaled_incidence_rebuilt(h, 1.0 / np.sqrt(deg.node), 1.0 / np.sqrt(deg.edge))
+    node, edge = degrees(h)
+    b = _scaled_incidence_rebuilt(h, 1.0 / np.sqrt(node), 1.0 / np.sqrt(edge))
     return (b @ b.T).tocsr()
 
 
 def star_rebuilt(h):
-    deg = degrees(h)
-    left = _scaled_incidence_rebuilt(h, 1.0 / deg.node, 1.0 / deg.edge)
+    node, edge = degrees(h)
+    left = _scaled_incidence_rebuilt(h, 1.0 / node, 1.0 / edge)
     return (left @ incidence_matrix(h).T).tocsr()
 
 

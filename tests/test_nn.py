@@ -571,9 +571,9 @@ class TestAdam:
         assert state.step == 7
         for got, ref in zip(params.weights + params.biases, want.weights + want.biases):
             assert np.array_equal(got, ref)
-        for got, ref in zip(state.m_weights + state.m_biases, want_m):
+        for got, ref in zip(state.m, want_m):
             assert np.array_equal(got, ref)
-        for got, ref in zip(state.v_weights + state.v_biases, want_v):
+        for got, ref in zip(state.v, want_v):
             assert np.array_equal(got, ref)
 
     def test_config_domains(self):

@@ -95,10 +95,11 @@ def test_bundle_without_any_label_has_one_class(tmp_path, prepare, capsys):
         ([0, 1, -1, 1, 0, 2], [0, 1.7], f"DomainError: {NOT_IDS}"),
         ([0, 1, -1, 1, 0, 2], [2.0, 3], f"DomainError: {NOT_IDS}"),
         ([0, 1, -1, 1, 0, 2], ["2", 3], f"DomainError: {NOT_IDS}"),
+        ([2**64 - 1] * 6, None, f"BoundsError: labels must fit in int64, got {2**64 - 1}"),
     ],
     ids=[
         "negative-label", "node-past-the-features", "scalar-labels", "short-labels",
-        "ragged-labels", "float-id", "integral-float-id", "string-id",
+        "ragged-labels", "float-id", "integral-float-id", "string-id", "label-past-int64",
     ],
 )
 def test_invalid_bundle_writes_nothing(tmp_path, prepare, labels, edge, message):

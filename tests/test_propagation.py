@@ -732,6 +732,8 @@ class TestLoadRows:
         for rows in ([40], [-1], [0, 40]):
             with pytest.raises(BoundsError):
                 load_propagated(path, rows=rows)
+        with pytest.raises(BoundsError, match=f"rows must fit in int64, got {2**64 - 1}"):
+            load_propagated(path, rows=np.array([0, 2**64 - 1], np.uint64))
         with pytest.raises(DomainError, match="distinct"):
             load_propagated(path, rows=[5, 2, 5])
         with pytest.raises(DimensionError, match=re.escape("rows must be 1-d, got shape (1, 2)")):

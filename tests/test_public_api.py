@@ -1,7 +1,8 @@
 """Every function of the package is used inside it: each function named
 in a module's ``__all__``, and each module-level ``_`` helper, is loaded
 somewhere in ``src/hyperprop`` besides its own ``def``.  And the dtype
-rule of an input array is spelled in ``core`` alone."""
+rule of an input array is spelled in ``core`` alone, not in the package's
+other modules nor in ``scripts/``."""
 
 import ast
 from collections import Counter
@@ -9,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperprop"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hyperprop"
 TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+SCRIPTS = {
+    f"scripts/{p.name}": ast.parse(p.read_text(), filename=str(p))
+    for p in sorted((ROOT / "scripts").glob("*.py"))
+}
 
 
 def exported(tree) -> list[str] | None:
@@ -83,9 +89,10 @@ def test_only_core_reads_a_dtype_kind():
     matrix through `core._feature_matrix`; no other module re-spells
     which dtypes they take."""
     assert dtype_kind_reads(TREES["core"])  # the scan sees the rule where it lives
+    assert "scripts/prepare_dataset.py" in SCRIPTS
     elsewhere = {
         module: lines
-        for module, tree in TREES.items()
+        for module, tree in {**TREES, **SCRIPTS}.items()
         if module != "core" and (lines := dtype_kind_reads(tree))
     }
     assert not elsewhere, f"dtype.kind read outside core at {elsewhere}"

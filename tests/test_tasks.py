@@ -103,6 +103,14 @@ class TestMakeSplit:
             with pytest.raises(DimensionError, match=f"split part {name} must be 1-d, got shape"):
                 Split(**parts)
 
+    def test_split_rejects_a_part_past_int64(self):
+        """An unsigned index of 2**64 - 1 was stored as -1."""
+        wide = np.array([2**64 - 1], np.uint64)
+        for name in ("train", "val", "test"):
+            parts = {"train": [10], "val": [11], "test": [12], name: wide}
+            with pytest.raises(BoundsError, match=f"split part {name} must fit in int64, got"):
+                Split(**parts)
+
     def test_split_takes_empty_parts_of_any_dtype_and_unsigned_ids(self):
         s = Split(train=np.array([3, 1], np.uint8), val=[], test=np.array([], np.float64))
         assert s.train.tolist() == [1, 3] and s.val.size == s.test.size == 0
@@ -366,8 +374,12 @@ class TestHyperlinkDataset:
             ([0, 0, 1, 1, 2], DimensionError, "5 source entries for 6 negatives"),
             ([0, 0, 1, 1, 2, 3], BoundsError, r"source ids must lie in \[0, 3\)"),
             ([0, 0, 1, 1, 2, -1], BoundsError, r"source ids must lie in \[0, 3\)"),
+            (np.array([0, 0, 1, 1, 2, 2**64 - 1], np.uint64), BoundsError, "source must fit in int64"),
         ],
-        ids=["float", "2-d", "bool", "longer", "shorter", "past-the-positives", "negative"],
+        ids=[
+            "float", "2-d", "bool", "longer", "shorter", "past-the-positives", "negative",
+            "past-int64",
+        ],
     )
     def test_refuses_a_source_that_does_not_fit(self, data, source, error, message):
         with pytest.raises(error, match=message):
