@@ -11,8 +11,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import operator
+import os
 import re
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -158,6 +160,13 @@ def _index_vector(values, what: str) -> np.ndarray:
     if len(wide):
         raise BoundsError(f"{what} must fit in int64, got {wide[0]}")
     return arr.astype(np.int64, copy=False)
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """A new thread pool of one worker per core this process may run on.
+    Its workers run native code that releases the GIL: `propagate`'s
+    sparse panels and the head's dense row panels."""
+    return ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)))
 
 
 def _tuple_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -361,7 +370,9 @@ def save_features(path: str | Path, x: np.ndarray) -> None:
 
 def load_labels(path: str | Path) -> LabelVector:
     """Read one integer label per line; -1 marks an unlabeled node.  The
-    class count is one past the largest label (1 when none is set)."""
+    class count is one past the largest label (1 when none is set).  A
+    label that is not a decimal integer is a ParseError, and one past
+    the int64 range a BoundsError, each naming its line."""
     path = Path(path)
     values: list[int] = []
     for lineno, line in _text_lines(path):
@@ -370,9 +381,12 @@ def load_labels(path: str | Path) -> LabelVector:
         try:
             if not (line.isascii() and "_" not in line):
                 raise ValueError
-            values.append(int(line))
+            value = int(line)
         except ValueError:
             raise ParseError(f"{path.name}:{lineno}: malformed label {line!r}") from None
+        if not -(2**63) <= value < 2**63:
+            raise BoundsError(f"{path.name}:{lineno}: label {value} is beyond the int64 range")
+        values.append(value)
     return _label_vector(np.array(values, dtype=np.int64))
 
 

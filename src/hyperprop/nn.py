@@ -5,15 +5,22 @@ inverted dropout, numerically stabilized losses, and Adam with
 decoupled weight decay.  Gradients are exact (verified against finite
 differences in the test suite), and every stochastic choice flows from
 an explicit generator, so training is bit-reproducible per seed.
+Inside a head run (`_head_threads`) the wide products run in fixed row
+panels (`_matmul`) on one worker per core, with the bits of one call.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _positive_integers
+from .core import _positive_integers, _worker_pool
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -33,6 +40,24 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 _MASK_BLOCK = 8192  # values per dropout keep-mask draw (64 KB): no mask is batch-sized
+
+# Row panels of the head's wide products (see `_matmul`).  At one BLAS
+# thread, panels that start at multiples of the SkylakeX dgemm kernel's
+# 16-row tile gave the bits of one call for outputs of 32 to 192 columns.
+# That was measured on that kernel only; other OpenBLAS cores (Haswell,
+# Zen, generic, ARM) tile differently and are unchecked.
+# Wider outputs changed bits unless the panels followed OpenBLAS's
+# 192-row blocks, narrower ones (2, 6, 8, 12, 20 columns) at any step, and
+# so did panels of under about 10^6 multiply-adds, where OpenBLAS takes
+# its small-matrix path; all of these run as one call.  The floor
+# _SPLIT_MNK keeps every panel far above that size, and below it
+# panels gain nothing: the hyperlink head's 12 000 x 64 x 64 ran no faster
+# on two workers.  Equal panels balance one, two or four workers; more
+# of them would each pack the weights again.
+_ROW_TILE = 16
+_PANELS = 4
+_SPLIT_WIDTHS = range(32, 193)
+_SPLIT_MNK = 1 << 26
 
 
 @dataclass
@@ -103,6 +128,93 @@ def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
     return MlpParams(weights=weights, biases=biases)
 
 
+@functools.cache
+def _openblas():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS,
+    or None when numpy links no such library.  Looked up on first use,
+    so importing the package loads nothing."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# The pool `_matmul` runs its panels on: set inside `_head_threads` only.
+_PANEL_POOL: ContextVar[ThreadPoolExecutor | None] = ContextVar("_PANEL_POOL", default=None)
+
+
+@contextmanager
+def _head_threads():
+    """Run the body with OpenBLAS on one thread and `_matmul`'s panels on
+    one worker per core; then join the workers and restore the count.
+
+    A head's bits then do not depend on the BLAS thread count or the
+    core count, and the panels have the cores to themselves.  The BLAS
+    thread count is process-wide; the pool is bound in a context
+    variable (as ``np.errstate`` binds its state), so only products on
+    the calling thread use it.  Without the library nothing is pinned,
+    no pool is bound, and every product is one ``np.matmul``.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        with _worker_pool() as pool:
+            token = _PANEL_POOL.set(pool)
+            try:
+                yield
+            finally:
+                _PANEL_POOL.reset(token)
+    finally:
+        set_(before)
+
+
+def _row_panels(m: int, k: int, n: int) -> list[int]:
+    """Row bounds of the panels `_matmul` runs an (m, k) @ (k, n)
+    product in; ``[0, m]`` is one call.  They depend on the shape alone:
+    _PANELS near-equal panels, each starting on a multiple of _ROW_TILE."""
+    if n not in _SPLIT_WIDTHS or m < _PANELS * _ROW_TILE or m * k * n < _SPLIT_MNK:
+        return [0, m]
+    tiles = m / (_PANELS * _ROW_TILE)
+    return [_ROW_TILE * round(i * tiles) for i in range(_PANELS)] + [m]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` of 2-d operands, with its bits.
+
+    Inside `_head_threads`, a product that `_row_panels` splits runs in
+    those panels on its workers, each written into its rows of ``out``
+    (a new array when None); a panel of the transposed ``a`` is a
+    strided view, not a copy.  Only ``np.matmul`` runs on a worker.
+    Outside a head run every product is one call.
+    """
+    pool = _PANEL_POOL.get()
+    m, (k, n) = len(a), np.shape(b)
+    bounds = _row_panels(m, k, n)
+    if pool is None or len(bounds) == 2:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+    panels = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def fill(rows: slice) -> None:
+        np.matmul(a[rows], b, out=out[rows])
+
+    for _ in pool.map(fill, panels):
+        pass  # each panel's result, so that a failed one raises
+    return out
+
+
 @dataclass
 class _ForwardCache:
     # layer inputs a_{i-1} (dropped units 0) and 1/(1-p); the backward writes over them
@@ -152,7 +264,7 @@ def mlp_forward(
     a = x
     for w, b, out in zip(params.weights[:-1], params.biases[:-1], outs):
         fwd.inputs.append(a)
-        a = np.matmul(a, w, out=out)
+        a = _matmul(a, w, out)
         a += b
         np.maximum(a, 0.0, out=a)
         if dropout > 0.0:
@@ -161,7 +273,7 @@ def mlp_forward(
                 block *= rng.random(block.shape) >= dropout
             a *= fwd.scale
     fwd.inputs.append(a)
-    logits = np.matmul(a, params.weights[-1], out=outs[-1])
+    logits = _matmul(a, params.weights[-1], outs[-1])
     logits += params.biases[-1]
     return (logits, fwd) if cache else logits
 
@@ -184,7 +296,7 @@ def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray)
     grads_b = [None] * len(params.biases)
     delta = grad_logits
     for i in range(len(params.weights) - 1, -1, -1):
-        grads_w[i] = fwd.inputs[i].T @ delta
+        grads_w[i] = _matmul(fwd.inputs[i].T, delta)
         grads_b[i] = delta.sum(axis=0)
         if i == 0:
             break

@@ -15,14 +15,13 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import _feature_matrix, _index_vector, _positive_integers
+from .core import _feature_matrix, _index_vector, _positive_integers, _worker_pool
 from .errors import (
     BoundsError,
     ContractViolation,
@@ -181,7 +180,7 @@ def propagate(
     def fill(cols: slice) -> None:
         z[:, cols] = _panel(atilde.matrix, x, cols, cfg)
 
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+    with _worker_pool() as pool:
         filled = pool.map(fill, [slice(lo, lo + width) for lo in range(0, d, width)])
         adj_hash = adjacency_fingerprint(atilde)
         for _ in filled:  # the first failed panel raises and cancels the ones still queued

@@ -29,6 +29,7 @@ from .nn import (
     AdamState,
     MlpParams,
     TrainConfig,
+    _head_threads,
     adam_step,
     init_mlp,
     mlp_backward,
@@ -315,6 +316,8 @@ def train_node_classifier(
     train|val|test order and passes a split of those local ranges trains
     on the same matrices, bit for bit, without a second copy of them.
     Test rows are read only after the loop, and unlabeled rows never.
+    The loop and the test pass run inside `_head_threads`, so the
+    parameters depend on neither the BLAS thread count nor the cores.
     """
     y = labels.labels
     x = _feature_matrix(features, len(y))
@@ -323,15 +326,16 @@ def train_node_classifier(
         raise DomainError("split contains unlabeled nodes")
     y_train, y_val = y[split.train], y[split.val]
     scratch = np.empty((len(y_train), labels.num_classes))  # the loss's exp, for every epoch
-    best_params, seconds = _fit(
-        _take_rows(x, split.train),
-        _take_rows(x, split.val),
-        labels.num_classes,
-        lambda logits: softmax_cross_entropy(logits, y_train, scratch),
-        lambda logits: float(np.mean(logits.argmax(axis=1) == y_val)),
-        cfg,
-    )
-    test_logits = mlp_forward(best_params, _take_rows(x, split.test))
+    with _head_threads():
+        best_params, seconds = _fit(
+            _take_rows(x, split.train),
+            _take_rows(x, split.val),
+            labels.num_classes,
+            lambda logits: softmax_cross_entropy(logits, y_train, scratch),
+            lambda logits: float(np.mean(logits.argmax(axis=1) == y_val)),
+            cfg,
+        )
+        test_logits = mlp_forward(best_params, _take_rows(x, split.test))
     _require_finite(test_logits, "test logits")
     test_acc = float(np.mean(test_logits.argmax(axis=1) == y[split.test]))
     return best_params, Metrics(accuracy=test_acc, auc=None, train_seconds=seconds)
@@ -393,7 +397,8 @@ def train_hyperlink_predictor(
     ``features`` carry the structure digest of exactly the train+val
     positives (test edges must not leak into message passing),
     DomainError when no negative follows a train positive, and
-    NumericalError on a non-finite loss, logits or scores.
+    NumericalError on a non-finite loss, logits or scores.  The loop and
+    the test pass run inside `_head_threads`, as the classifier's do.
     """
     _require_parts(split, data.positives.m, "a positive outside the dataset")
     if features.structure is None:
@@ -410,17 +415,18 @@ def train_hyperlink_predictor(
         raise DomainError("the train part has no negatives, so its prior log-odds is undefined")
     val_cands, _ = _split_candidates(data, split.val)
     # a part's candidates start with its positives, so slicing splits its scores
-    best_params, seconds = _fit(
-        pool_candidates(x, train_cands),
-        pool_candidates(x, val_cands),
-        1,
-        lambda logits: sigmoid_bce(logits, train_t),
-        lambda logits: auc(logits[: len(split.val)], logits[len(split.val) :]),
-        cfg,
-        out_bias=np.log(len(split.train) / (len(train_t) - len(split.train))),
-    )
-    test_cands, _ = _split_candidates(data, split.test)
-    test_scores = mlp_forward(best_params, pool_candidates(x, test_cands))
+    with _head_threads():
+        best_params, seconds = _fit(
+            pool_candidates(x, train_cands),
+            pool_candidates(x, val_cands),
+            1,
+            lambda logits: sigmoid_bce(logits, train_t),
+            lambda logits: auc(logits[: len(split.val)], logits[len(split.val) :]),
+            cfg,
+            out_bias=np.log(len(split.train) / (len(train_t) - len(split.train))),
+        )
+        test_cands, _ = _split_candidates(data, split.test)
+        test_scores = mlp_forward(best_params, pool_candidates(x, test_cands))
     _require_finite(test_scores, "test scores")
     test_auc = auc(test_scores[: len(split.test)], test_scores[len(split.test) :])
     return best_params, Metrics(accuracy=None, auc=test_auc, train_seconds=seconds)

@@ -481,6 +481,14 @@ class TestFeatureAndLabelFiles:
         with pytest.raises(ParseError, match=":2"):
             load_labels(tmp_path / "y.txt")
 
+    @pytest.mark.parametrize("label", [2**63, 99999999999999999999, -(2**63) - 1])
+    def test_label_beyond_int64_names_its_line(self, tmp_path, label):
+        """Such a line was a bare OverflowError from the int64 array."""
+        (tmp_path / "labels.txt").write_text(f"0\n{label}\n1\n")
+        message = f"^labels.txt:2: label {label} is beyond the int64 range$"
+        with pytest.raises(BoundsError, match=message):
+            load_labels(tmp_path / "labels.txt")
+
     @pytest.mark.parametrize("label", ["1_0", "\u0663", "-\uff11"])
     def test_label_must_be_ascii_decimal(self, tmp_path, label):
         (tmp_path / "y.txt").write_text(f"0\n{label}\n", encoding="utf-8")

@@ -1,16 +1,23 @@
 """Tests for the MLP head: forward, losses, gradients, Adam."""
 
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import hyperprop.nn as nn
 from hyperprop.errors import DimensionError, DomainError
 from hyperprop.nn import (
     AdamState,
     MlpParams,
     TrainConfig,
+    _head_threads,
+    _matmul,
+    _openblas,
+    _row_panels,
     adam_step,
     init_mlp,
     mlp_backward,
@@ -519,6 +526,131 @@ class TestInPlaceHead:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * rows * classes * 8, peak / (rows * classes * 8)
+
+
+class TestRowPanels:
+    """The head's wide products run in row panels on one worker per
+    core (`_matmul`); at one BLAS thread each must give the bits of one
+    ``np.matmul``, whatever the worker count."""
+
+    @pytest.fixture(autouse=True)
+    def needs_openblas(self):
+        if _openblas() is None:
+            pytest.skip("the BLAS thread count is pinned through numpy's bundled OpenBLAS")
+
+    @staticmethod
+    def check(a, b, split=True):
+        """``_matmul(a, b)`` inside a head run, new and into an ``out``
+        with stale rows, equals one ``np.matmul`` at one BLAS thread."""
+        assert (len(_row_panels(len(a), *b.shape)) > 2) == split
+        out = np.full((len(a) + 5, b.shape[1]), np.nan)
+        with _head_threads():
+            want = np.matmul(a, b)
+            got = _matmul(a, b)
+            into = _matmul(a, b, out[: len(a)])
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(into, out) and into.tobytes() == want.tobytes()
+        assert np.isnan(out[len(a) :]).all()
+
+    def test_head_shapes_of_the_benchmark(self):
+        """cocite-wide's train and val forwards and first-layer weight
+        gradient (its train rows' columns in panels) split; the
+        hyperlink head's 12 000 x 64 x 64 is below the floor."""
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((1656, 3703))
+        self.check(x, rng.standard_normal((3703, 64)))
+        self.check(x[:828], rng.standard_normal((3703, 64)))
+        self.check(x.T, rng.standard_normal((1656, 64)))
+        self.check(rng.standard_normal((12000, 64)), rng.standard_normal((64, 64)), split=False)
+
+    def test_random_shapes_in_both_layouts(self):
+        """A seeded sweep of split shapes, at or above the floor, in the
+        forward layout and in the transposed layout of the gradient."""
+        rng = np.random.default_rng(31)
+        for case in range(40):
+            m, n = int(rng.integers(nn._PANELS * nn._ROW_TILE, 3000)), int(rng.integers(32, 193))
+            k = -(-nn._SPLIT_MNK // (m * n)) + int(rng.integers(0, 700))
+            a = rng.standard_normal((k, m)).T if case % 2 else rng.standard_normal((m, k))
+            self.check(a, rng.standard_normal((k, n)))
+
+    def test_narrow_and_wide_outputs_and_input_gradients_stay_one_call(self, monkeypatch):
+        """Outputs under 32 or over 192 columns were not bit-equal in
+        these panels, and neither was ``delta @ W.T``: the backward runs
+        that as one call even where a forward of its shape would split."""
+        for n in [*range(1, 32), 193, 256, 300]:
+            assert _row_panels(10**5, 4096, n) == [0, 10**5]
+        monkeypatch.setattr(nn, "_SPLIT_MNK", 1)
+        rng = np.random.default_rng(32)
+        params = init_mlp([40, 64, 64, 6], rng)
+        x = rng.standard_normal((1000, 40))
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        with _head_threads():
+            _, fwd = mlp_forward(params, x, cache=True)
+            assert ((1000, 64), (64, 64)) not in calls  # the forward's hidden layer split
+            mlp_backward(params, fwd, rng.standard_normal((1000, 6)))
+        assert ((1000, 64), (64, 64)) in calls  # delta @ W.T, in one call
+
+    def test_worker_count_changes_no_byte(self, monkeypatch):
+        """A dropout step on 1 and 4 workers gives the bytes of the same
+        step outside a head run, where every product is one call (at one
+        BLAS thread)."""
+        rng = np.random.default_rng(33)
+        params = init_mlp([600, 64, 6], rng)
+        x, grad = rng.standard_normal((2000, 600)), rng.standard_normal((2000, 6))
+        assert len(_row_panels(2000, 600, 64)) > 2 and len(_row_panels(600, 2000, 64)) > 2
+
+        def step():
+            logits, fwd = mlp_forward(
+                params, x, dropout=0.3, rng=np.random.default_rng(0), cache=True
+            )
+            gw, gb = mlp_backward(params, fwd, grad)
+            return b"".join(a.tobytes() for a in [logits, *gw, *gb])
+
+        results = []
+        for workers in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=workers: set(range(k)))
+            with _head_threads():
+                results.append(step())
+        get, set_ = _openblas()
+        before = get()
+        set_(1)
+        try:
+            results.append(step())
+        finally:
+            set_(before)
+        assert results[0] == results[1] == results[2]
+
+    def test_a_head_run_runs_panels_on_workers_and_restores_the_threads(self, monkeypatch):
+        """Inside a head run OpenBLAS has one thread and the panels run
+        off the calling thread; afterwards the count is restored and
+        every worker joined."""
+        monkeypatch.setattr(nn, "_SPLIT_MNK", 1)
+        callers = set()
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        get, set_ = _openblas()
+        before, threads = get(), threading.active_count()
+        set_(2)
+        try:
+            with _head_threads():
+                assert get() == 1
+                _matmul(np.ones((1000, 50)), np.ones((50, 64)))
+            assert get() == 2 and threading.active_count() == threads
+        finally:
+            set_(before)
+        assert callers and threading.get_ident() not in callers
 
 
 class TestAdam:

@@ -3,8 +3,12 @@
 import collections
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -618,6 +622,38 @@ class TestTrainNodeClassifier:
         assert metrics.accuracy is not None and metrics.accuracy >= 0.9
         assert metrics.auc is None
         assert metrics.train_seconds >= 0.0
+
+    def test_blas_thread_count_changes_no_byte(self):
+        """Child processes with OPENBLAS_NUM_THREADS at 1, at 2 and unset
+        train the same head to the same bytes.  The first layer's train
+        forward (1000 x 1100 x 64) splits into row panels, and each
+        product is large enough that OpenBLAS would run it on two
+        threads, which changed the bits before the head pinned one."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from hyperprop.core import LabelVector\n"
+            "from hyperprop.nn import TrainConfig\n"
+            "from hyperprop.tasks import make_split, train_node_classifier\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.standard_normal((2000, 1100))\n"
+            "y = LabelVector(labels=rng.integers(0, 6, 2000), num_classes=6)\n"
+            "cfg = TrainConfig(learning_rate=0.01, epochs=3, dropout=0.3)\n"
+            "params, _ = train_node_classifier(x, y, make_split(2000, 0), cfg)\n"
+            "print(hashlib.sha256(b''.join(p.tobytes() for p in params.weights + params.biases))"
+            ".hexdigest())\n"
+        )
+        paths = [str(Path(tasks.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        digests = []
+        for threads in ("1", "2", None):
+            env = base if threads is None else {**base, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1] == digests[2]
 
     def test_seed_determinism(self):
         px, y, split = self.make_inputs()
