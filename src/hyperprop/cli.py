@@ -51,6 +51,7 @@ from .synthetic import PlantedConfig, emit_dataset
 from .tasks import (
     Metrics,
     Split,
+    _check_class_count,
     _check_corruption,
     _trainval_hypergraph,
     make_split,
@@ -253,16 +254,16 @@ def _load_inputs(paths: dict[str, Path]):
 
 
 def _propagate(
-    h: Hypergraph, x, cfg: PropagationConfig, out=None
+    h: Hypergraph, x: np.ndarray, cfg: PropagationConfig
 ) -> tuple[PropagatedFeatures, float]:
-    """Propagate ``x`` over the normalized clique expansion of ``h``,
-    into ``out`` when given (see `propagate`); also returns the seconds
-    the expansion and propagation took.  scipy is imported before the
-    clock starts, so its one-time import is not counted."""
+    """Propagate ``x`` in place over the normalized clique expansion of
+    ``h`` (see `propagate`); also returns the seconds the expansion and
+    propagation took.  scipy is imported before the clock starts, so its
+    one-time import is not counted."""
     import scipy.sparse  # noqa: F401
 
     tic = time.perf_counter()
-    pf = propagate(normalize_with_self_loops(weighted_clique_expansion(h)), x, cfg, out=out)
+    pf = propagate(normalize_with_self_loops(weighted_clique_expansion(h)), x, cfg, out=x)
     return pf, time.perf_counter() - tic
 
 
@@ -286,7 +287,7 @@ def _seed_record(cfg: RunConfig, seed: int, metrics: Metrics, preprocess_seconds
 def cmd_precompute(cfg: RunConfig) -> float:
     """Write ``propagated.tfhn`` and ``precompute.json``; return the propagation's seconds."""
     h, x = _load_inputs(_require_paths(cfg, "edges", "features"))
-    pf, preprocess_seconds = _propagate(h, x, cfg.propagation, out=x)
+    pf, preprocess_seconds = _propagate(h, x, cfg.propagation)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_file = cfg.out_dir / "propagated.tfhn"
     save_propagated(out_file, pf)
@@ -317,6 +318,7 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
     its labeled rows, in train|val|test order, so the head trains on
     views of one matrix, freed before the next seed reads."""
     y = load_labels(_require_paths(cfg, "edges", "features", "labels")["labels"])
+    _check_class_count(y)
     if cfg.inline_precompute:
         preprocess_seconds = cmd_precompute(cfg)
         propagated = cfg.out_dir / "propagated.tfhn"
@@ -356,15 +358,21 @@ def _labeled_rows(
 
 
 def _train_hp(cfg: RunConfig) -> list[dict]:
-    h, x = _load_inputs(_require_paths(cfg, "edges", "features"))
-    records = []
-    for seed in cfg.seeds:
-        split = make_split(h.m, seed)
-        data = negative_sample(h, cfg.negative["alpha"], cfg.negative["beta"], seed)
-        pf, preprocess_seconds = _propagate(_trainval_hypergraph(data, split), x, cfg.propagation)
-        _, metrics = train_hyperlink_predictor(pf, data, split, replace(cfg.train, seed=seed))
-        records.append(_seed_record(cfg, seed, metrics, preprocess_seconds))
-    return records
+    """One record per seed.  Each seed reads the features afresh and
+    propagates them in place, so the run holds one feature matrix at a
+    time: the previous seed's is freed before the next one is read."""
+    paths = _require_paths(cfg, "edges", "features")
+    h = load_hypergraph(paths["edges"])
+    return [_hp_record(cfg, h, paths["features"], seed) for seed in cfg.seeds]
+
+
+def _hp_record(cfg: RunConfig, h: Hypergraph, features: Path, seed: int) -> dict:
+    x = _feature_matrix(load_features(features), h.n)
+    split = make_split(h.m, seed)
+    data = negative_sample(h, cfg.negative["alpha"], cfg.negative["beta"], seed)
+    pf, preprocess_seconds = _propagate(_trainval_hypergraph(data, split), x, cfg.propagation)
+    _, metrics = train_hyperlink_predictor(pf, data, split, replace(cfg.train, seed=seed))
+    return _seed_record(cfg, seed, metrics, preprocess_seconds)
 
 
 def cmd_train(cfg: RunConfig) -> int:

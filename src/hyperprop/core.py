@@ -27,6 +27,12 @@ from .errors import BoundsError, DimensionError, DomainError, ParseError
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+# Working-set budget of one block of streamed work, about one core's L2
+# cache: `load_features` checks finiteness this many bytes of flags at a
+# time, `propagate` sizes its column panels from it and `load_propagated`
+# reads its payload in chunks of half of it.
+_BLOCK_BYTES = 2 << 20
+
 __all__ = [
     "Hypergraph",
     "LabelVector",
@@ -339,7 +345,9 @@ def save_hypergraph(path: str | Path, h: Hypergraph) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """Load a dense feature matrix (``.npy``) as float64, checking finiteness."""
+    """Load a dense feature matrix (``.npy``) as float64, checking
+    finiteness in row blocks of at most `_BLOCK_BYTES` flags, so the
+    check holds no matrix-sized temporary."""
     path = Path(path)
     try:
         with path.open("rb") as fh:
@@ -351,7 +359,8 @@ def load_features(path: str | Path) -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"{path.name}: features must be 2-d, got {arr.ndim}-d")
     arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    rows = max(1, _BLOCK_BYTES // max(1, arr.shape[1]))
+    if not all(np.isfinite(arr[lo : lo + rows]).all() for lo in range(0, len(arr), rows)):
         raise DomainError(f"{path.name}: features contain non-finite entries")
     return arr
 

@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _feature_matrix, _index_vector, _positive_integers, _worker_pool
+from .core import (
+    _BLOCK_BYTES,
+    _feature_matrix,
+    _index_vector,
+    _positive_integers,
+    _worker_pool,
+)
 from .errors import (
     BoundsError,
     ContractViolation,
@@ -50,8 +56,6 @@ DENSE_CAP = 2000
 _MAGIC = b"TFHN"
 _HEADER_BYTES = 4 + 16  # magic, u64 rows, u64 cols
 _FOOTER_BYTES = 32 + 32 + 16  # provenance, adjacency hash, u64 layers + f64 alpha
-
-_BLOCK_BYTES = 2 << 20  # column panel of `propagate`, about one core's L2 cache
 
 
 @dataclass(frozen=True)
@@ -99,13 +103,18 @@ def _require_normalized(atilde: SparseAdjacency) -> None:
 
 
 def adjacency_fingerprint(a: SparseAdjacency) -> str:
-    """Order-independent sha256 of the sparse structure and values."""
+    """Order-independent sha256 of the sparse structure and values.
+
+    The int64 indptr and indices and the float64 values are digested in
+    blocks of `_BLOCK_BYTES`, so no copy of a whole array is made (scipy
+    may store the indices as int32)."""
     mat = a.matrix
     hasher = hashlib.sha256()
     hasher.update(struct.pack("<QQ", *mat.shape))
-    hasher.update(np.ascontiguousarray(mat.indptr, dtype=np.int64))
-    hasher.update(np.ascontiguousarray(mat.indices, dtype=np.int64))
-    hasher.update(np.ascontiguousarray(mat.data, dtype=np.float64))
+    step = _BLOCK_BYTES // 8
+    for arr, dtype in ((mat.indptr, np.int64), (mat.indices, np.int64), (mat.data, np.float64)):
+        for lo in range(0, len(arr), step):
+            hasher.update(np.ascontiguousarray(arr[lo : lo + step], dtype=dtype))
     return hasher.hexdigest()
 
 
@@ -124,20 +133,41 @@ def _provenance(feature_hasher: hashlib._Hash, adj_hash: str, cfg: PropagationCo
     return feature_hasher.hexdigest()
 
 
+def _panel_width(n: int, nnz: int) -> int:
+    """Columns per panel of `propagate` over an n-node operator with
+    ``nnz`` stored entries: the wider of two widths, and at least 1.
+
+    - The widest panel whose three arrays (the anchor alpha * X, Z^{l-1}
+      and Z^l, 8n bytes per column each) fit in `_BLOCK_BYTES`.
+    - Each step of a panel streams all of A~, 12 bytes per entry (a
+      float64 value and an int32 column index) however narrow the
+      panel, while its three arrays move 24n bytes per column, so the
+      operator's traffic dominates below nnz / 2n columns.  The width is
+      1.2 times that balance: 11 columns at n = 172 000 and nnz = 3.4M,
+      where one column per panel took 2.5 s and 10 to 14 columns 1.5 to
+      1.8 s.  Wider panels ran no faster there, and each column more
+      holds another 24n bytes per worker.
+    """
+    n = max(1, n)
+    return max(1, _BLOCK_BYTES // (24 * n), 3 * nnz // (5 * n))
+
+
 def _panel(a, x: np.ndarray, cols: slice, cfg: PropagationConfig) -> np.ndarray:
     """Z^L of the columns ``cols`` of ``x``, as a new C-ordered array.
 
     The panel is copied out of ``x`` and checked for non-finite entries
-    before the L steps run, in the operation order of `propagate`.
+    before the L steps run, in the operation order of `propagate`.  It
+    holds three panel-sized arrays at most: the anchor alpha * X, Z^{l-1}
+    and Z^l (the copied columns are Z^0).
     """
-    xp = x[:, cols].copy()
-    if not np.isfinite(xp).all():
+    z = x[:, cols].copy()
+    if not np.isfinite(z).all():
         raise DomainError("features contain non-finite entries")
-    z = xp
+    anchor = cfg.alpha * z
     for _ in range(cfg.layers):
         z = a @ z
         z *= 1.0 - cfg.alpha
-        z += cfg.alpha * xp
+        z += anchor
     return z
 
 
@@ -152,7 +182,7 @@ def propagate(
 
     The columns of S X are independent, and the sparse product does the
     same operations in the same order per column at any width, so the
-    recurrence runs on column panels of about _BLOCK_BYTES each, all L
+    recurrence runs on column panels `_panel_width` columns wide, all L
     steps on one panel before the next, and the result is bit-identical
     to the expression above.  The feature hash (for the provenance) is
     taken before any panel starts.  Each panel is then copied out of
@@ -162,9 +192,9 @@ def propagate(
 
     ``out`` is None or ``x`` itself, which must then be a writable
     C-ordered float64 array.  With None the result's ``matrix`` is a new
-    array, so the call holds ``x``, the output and a few panel-sized
-    arrays per worker.  With ``out=x`` it holds ``x`` and the panels
-    alone: on return ``x`` holds Z^L, bit-identical to the default, and
+    array, so the call holds ``x``, the output and three panel arrays
+    per worker.  With ``out=x`` it holds ``x`` and the panels alone: on
+    return ``x`` holds Z^L, bit-identical to the default, and
     is the result's ``matrix``.  A call that fails part-way (a panel
     with a non-finite entry) leaves ``x`` partly overwritten.
     """
@@ -173,7 +203,7 @@ def propagate(
         _check_in_place(out, x)
     x = _feature_matrix(x, atilde.n)
     n, d = x.shape
-    width = max(1, _BLOCK_BYTES // (8 * max(1, n)))
+    width = _panel_width(n, atilde.matrix.nnz)
     z = np.empty_like(x) if out is None else x
     feature_hasher = _feature_hasher(x)  # before any panel can overwrite x
 

@@ -250,6 +250,17 @@ def _require_finite(values, what: str) -> None:
         raise NumericalError(f"non-finite {what}; the head diverged or its inputs overflow")
 
 
+def _check_class_count(labels: LabelVector) -> None:
+    """Refuse more classes than labeled nodes.  The head has one output
+    column per class and the loss a (train rows x classes) scratch, so
+    one stray large label would otherwise be a huge allocation."""
+    labeled = int(np.count_nonzero(labels.labels != -1))
+    if labels.num_classes > labeled:
+        raise DomainError(
+            f"labels name {labels.num_classes} classes but only {labeled} nodes are labeled"
+        )
+
+
 def _require_parts(split: Split, size: int, outside: str) -> None:
     """Every part of ``split`` is nonempty and inside ``[0, size)``."""
     for part in (split.train, split.val, split.test):
@@ -318,7 +329,10 @@ def train_node_classifier(
     Test rows are read only after the loop, and unlabeled rows never.
     The loop and the test pass run inside `_head_threads`, so the
     parameters depend on neither the BLAS thread count nor the cores.
+    More classes than labeled nodes is a DomainError, raised before any
+    array of the head is allocated.
     """
+    _check_class_count(labels)
     y = labels.labels
     x = _feature_matrix(features, len(y))
     _require_parts(split, x.shape[0], "a row outside the feature matrix")

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +522,42 @@ class TestPrecompute:
             z = (1.0 - alpha) * (atilde.matrix @ z) + alpha * x
 
 
+    def test_peak_is_the_features_plus_three_panel_arrays_per_worker(
+        self, tmp_path, monkeypatch
+    ):
+        """`precompute` of a 2000 x 512 matrix on two workers allocates
+        at most the features, three panel arrays of `_panel_width`'s
+        width per worker, and 1 MiB for the hypergraph, the operator and
+        the digests: `load_features` checks finiteness in row blocks and
+        a panel holds its anchor, Z^{l-1} and Z^l alone."""
+        n, d = 2000, 512
+        synthetic = {
+            "n": n, "m": 1000, "classes": 4, "size_min": 2, "size_max": 4,
+            "p_in": 0.9, "feature_dim": d, "feature_noise": 0.8, "seed": 5,
+        }
+        data_dir = tmp_path / "data"
+        cfg_file = write_config(tmp_path, synthetic=synthetic)
+        assert cli.main(["generate", "--config", str(cfg_file), "--out", str(data_dir)]) == 0
+        dataset = {
+            "edges": str(data_dir / "edges_seed5.txt"),
+            "features": str(data_dir / "features_seed5.npy"),
+        }
+        cfg_file = write_config(tmp_path, dataset=dataset)
+        h = load_hypergraph(data_dir / "edges_seed5.txt")
+        nnz = normalize_with_self_loops(weighted_clique_expansion(h)).matrix.nnz
+        width = propagation._panel_width(n, nnz)
+        assert 1 < width < d // 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tracemalloc.start()
+        try:
+            assert cli.main(["precompute", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        features, panel = 8 * n * d, 8 * n * width
+        assert peak <= features + 2 * 3 * panel + (1 << 20), (peak - features) / panel
+
+
 class TestTrain:
     def test_node_classification_from_precomputed_file(self, workspace):
         tmp_path, cfg_file = workspace
@@ -696,6 +733,56 @@ class TestTrain:
         assert [p.name for p in inline.iterdir()] == ["metrics.jsonl"]
         got, want = (read_payloads(out / "metrics.jsonl") for out in (inline, plain))
         assert "\n".join(got).encode() == "\n".join(want).encode()
+
+    def test_hp_reads_and_propagates_each_seeds_features_in_place(self, workspace, monkeypatch):
+        """Two hp seeds: each reads the features afresh and propagates
+        them in place, and the first seed's matrix is freed before the
+        second is read, so the run never holds two n x d matrices.  The
+        payloads equal those of propagating into a new array, the
+        features left as read."""
+        tmp_path, cfg_file = workspace
+        argv = ["train", "--config", str(cfg_file), "--task", "hp"]
+        real_load, real_propagate = cli.load_features, cli.propagate
+        reads, in_place = [], []
+
+        def load_once_freed(path):
+            assert all(ref() is None for ref in reads), "the last seed's features are alive"
+            x = real_load(path)
+            reads.append(weakref.ref(x))
+            return x
+
+        def spy(atilde, x, cfg, *, out=None):
+            in_place.append(out is x is reads[-1]())
+            return real_propagate(atilde, x, cfg, out=out)
+
+        monkeypatch.setattr(cli, "load_features", load_once_freed)
+        monkeypatch.setattr(cli, "propagate", spy)
+        assert cli.main([*argv, "--out", str(tmp_path / "in_place")]) == 0
+        assert len(reads) == 2 and in_place == [True, True]
+        monkeypatch.setattr(cli, "load_features", real_load)
+        monkeypatch.setattr(cli, "propagate", lambda a, x, cfg, out=None: real_propagate(a, x, cfg))
+        assert cli.main([*argv, "--out", str(tmp_path / "new_array")]) == 0
+        got, want = (
+            read_payloads(tmp_path / out / "metrics.jsonl") for out in ("in_place", "new_array")
+        )
+        assert len(got) == 3 and "\n".join(got).encode() == "\n".join(want).encode()
+
+    def test_more_classes_than_labeled_nodes_is_data_error(self, workspace, capsys, monkeypatch):
+        """A label of 10**12 in labels.txt is refused once the labels
+        are read, before any feature row is."""
+        tmp_path, cfg_file = workspace
+        labels = Path(json.loads(cfg_file.read_text())["dataset"]["labels"])
+        lines = ["1000000000000", *labels.read_text().splitlines()[1:]]
+        labels.write_text("\n".join(lines) + "\n")
+        labeled = sum(1 for line in lines if line != "-1")
+        monkeypatch.setattr(cli, "load_propagated", None)  # reading rows would fail
+        for extra in ([], ["--inline-precompute"]):
+            out = tmp_path / f"r{len(extra)}"
+            assert cli.main(["train", "--config", str(cfg_file), "--out", str(out), *extra]) == 2
+            assert capsys.readouterr().err == (
+                f"error: labels name 1000000000001 classes but only {labeled} nodes are labeled\n"
+            )
+            assert not out.exists()
 
     def test_hyperlink_task_via_flag(self, workspace):
         tmp_path, cfg_file = workspace

@@ -5,11 +5,13 @@ import dataclasses
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hyperprop.core as core
 from hyperprop.core import (
     Hypergraph,
     _structure_digest,
@@ -467,6 +469,30 @@ class TestFeatureAndLabelFiles:
         np.save(tmp_path / "bad2.npy", np.array([[1.0, np.nan]]))
         with pytest.raises(DomainError):
             load_features(tmp_path / "bad2.npy")
+
+    def test_finiteness_is_checked_in_row_blocks(self, tmp_path, monkeypatch):
+        """With 64 KiB of flags per block, loading a 2000 x 512 matrix
+        allocates the matrix plus at most one block and 64 KiB for the
+        header, where one `isfinite` over the whole matrix takes 1 MB
+        more.  An infinity in the last entry, inside the last, partial
+        block, is still found."""
+        block = 1 << 16
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+        x = np.random.default_rng(1).standard_normal((2000, 512))
+        assert x.size > block and x.shape[0] % (block // x.shape[1]) != 0
+        np.save(tmp_path / "x.npy", x)
+        tracemalloc.start()
+        try:
+            got = load_features(tmp_path / "x.npy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == x.tobytes()
+        assert peak <= x.nbytes + block + (1 << 16), (peak - x.nbytes) / block
+        x[-1, -1] = np.inf
+        np.save(tmp_path / "x.npy", x)
+        with pytest.raises(DomainError, match="non-finite"):
+            load_features(tmp_path / "x.npy")
 
     def test_labels_round_trip_with_sentinel(self, tmp_path):
         y = LabelVector(labels=np.array([0, 2, -1, 1]), num_classes=3)

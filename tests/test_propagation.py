@@ -145,20 +145,21 @@ class TestPropagateRecurrence:
         parts = 2.0 * propagate(atilde, x, cfg).matrix - 0.5 * propagate(atilde, y, cfg).matrix
         np.testing.assert_allclose(combo, parts, rtol=1e-10, atol=1e-12)
 
-    def test_bit_identical_to_the_literal_recurrence(self):
-        """The blockwise anchor term changes no bit: the features span
-        several row blocks, the last one partial."""
-        from hyperprop.propagation import _BLOCK_BYTES
-
+    @pytest.mark.parametrize("width", ["one", "rule", "all"])
+    def test_bit_identical_to_the_literal_recurrence(self, monkeypatch, width):
+        """Panels of one column, of `_panel_width`'s width (neither 1 nor
+        d here) and of all d columns give the literal recurrence's bits."""
         rng = np.random.default_rng(7)
         n, d = 1500, 1000
-        block_rows = _BLOCK_BYTES // (8 * d)
-        assert n > 2 * block_rows and n % block_rows != 0
         edges = {tuple(sorted(rng.choice(n, size=int(rng.integers(2, 6)), replace=False)))
                  for _ in range(900)}
         atilde = normalize_with_self_loops(
             weighted_clique_expansion(Hypergraph.from_edges(sorted(edges), n=n))
         )
+        rule = propagation._panel_width(n, atilde.matrix.nnz)
+        assert 1 < rule < d and d % rule != 0
+        cols = {"one": 1, "rule": rule, "all": d}[width]
+        monkeypatch.setattr(propagation, "_panel_width", lambda n, nnz: cols)
         x = rng.standard_normal((n, d))
         for layers, alpha in ((1, 0.3), (3, 0.15)):
             z = x
@@ -184,15 +185,15 @@ class TestPropagateRecurrence:
 
 class TestColumnPanels:
     """`propagate` runs the recurrence one column panel at a time.  The
-    panel budget is shrunk here so that a 40-node operator gets panels
-    of WIDTH columns."""
+    panel width is fixed here so that a 40-node operator gets panels of
+    WIDTH columns."""
 
     WIDTH = 3
 
     @pytest.fixture()
     def atilde(self, monkeypatch):
         _, atilde = random_atilde(np.random.default_rng(20), n_range=(40, 40), m_range=(30, 30))
-        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * atilde.n * self.WIDTH)
+        monkeypatch.setattr(propagation, "_panel_width", lambda n, nnz: self.WIDTH)
         return atilde
 
     @pytest.mark.parametrize("d", [0, 1, WIDTH - 1, WIDTH, WIDTH + 1, 3 * WIDTH + 2])
@@ -203,9 +204,17 @@ class TestColumnPanels:
             assert got.shape == x.shape
             assert np.array_equal(got, literal_recurrence(atilde, x, layers, 0.3))
 
+    def test_width_rule(self):
+        """The wider of the three-arrays-in-_BLOCK_BYTES width and
+        0.6 nnz / n, and at least one column."""
+        assert propagation._panel_width(3312, 14_406) == 26  # cocite-wide: the budget's
+        assert propagation._panel_width(172_000, 3_407_396) == 11  # Trivago shape: the stream's
+        assert propagation._panel_width(10**7, 10**7) == 1
+        assert propagation._panel_width(1, 1) == propagation._BLOCK_BYTES // 24
+
     def test_single_node(self, monkeypatch):
         atilde = normalize_with_self_loops(weighted_clique_expansion(Hypergraph.from_edges([], n=1)))
-        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * 2)
+        monkeypatch.setattr(propagation, "_panel_width", lambda n, nnz: 2)
         x = np.random.default_rng(21).standard_normal((1, 5))
         for layers in range(4):
             got = propagate(atilde, x, PropagationConfig(layers=layers, alpha=0.4)).matrix
@@ -281,7 +290,7 @@ class TestInPlace:
     @pytest.mark.parametrize("layers", [0, 3])
     def test_equals_the_default(self, atilde, monkeypatch, width, layers):
         if width:
-            monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * atilde.n * width)
+            monkeypatch.setattr(propagation, "_panel_width", lambda n, nnz: width)
         x = np.random.default_rng(24).standard_normal((atilde.n, 11))
         cfg = PropagationConfig(layers=layers, alpha=0.3)
         want = propagate(atilde, x, cfg)
@@ -297,7 +306,7 @@ class TestInPlace:
     def test_hash_reads_the_features_before_any_panel_writes(self, atilde, monkeypatch):
         """A slow feature hash on four workers: the panels wait for it
         before writing, so the provenance is that of the raw features."""
-        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * atilde.n * 2)
+        monkeypatch.setattr(propagation, "_panel_width", lambda n, nnz: 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         real_hasher = propagation._feature_hasher
 
@@ -316,7 +325,7 @@ class TestInPlace:
     @pytest.mark.parametrize("width", [None, 3])
     def test_non_finite_entry_is_a_domain_error(self, atilde, monkeypatch, width):
         if width:
-            monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * atilde.n * width)
+            monkeypatch.setattr(propagation, "_panel_width", lambda n, nnz: width)
         x = np.zeros((atilde.n, 10))
         x[-1, -1] = np.nan
         with pytest.raises(DomainError, match="non-finite"):
@@ -355,7 +364,7 @@ class TestInPlace:
         ]
         h = Hypergraph.from_edges(edges, n=n)
         atilde = normalize_with_self_loops(weighted_clique_expansion(h))
-        monkeypatch.setattr(propagation, "_BLOCK_BYTES", 8 * n * (d // 64))
+        monkeypatch.setattr(propagation, "_panel_width", lambda n, nnz: d // 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = PropagationConfig(layers=2, alpha=0.3)
         peaks = []

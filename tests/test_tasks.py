@@ -798,6 +798,27 @@ class TestTrainNodeClassifier:
         with pytest.raises(DomainError):
             train_node_classifier(px, y, bad, TrainConfig(learning_rate=0.01, epochs=5))
 
+    def test_more_classes_than_labeled_nodes_is_refused_before_any_allocation(self):
+        """One stray label of 10**12 on 8 rows named 10**12 + 1 classes,
+        and the loss's (train rows x classes) scratch raised MemoryError;
+        now the count is refused, naming both numbers, before any array
+        of the head is allocated."""
+        labels = np.array([0, 1, 0, 1, 0, 1, -1, 10**12])
+        y = LabelVector(labels=labels, num_classes=10**12 + 1)
+        cfg = TrainConfig(learning_rate=0.01, epochs=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                DomainError, match="labels name 1000000000001 classes but only 7 nodes are labeled"
+            ):
+                train_node_classifier(np.zeros((8, 3)), y, make_split(8, 0), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        few = LabelVector(labels=np.array([0, 1, 2, -1]), num_classes=3)  # as many as labeled
+        tasks._check_class_count(few)
+
     def test_refuses_features_that_are_not_a_matrix(self):
         """1-d features raised a bare IndexError in init_mlp."""
         _, y, split = self.make_inputs()
