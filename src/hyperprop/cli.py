@@ -36,7 +36,7 @@ from .core import (
     load_labels,
 )
 from .errors import ConfigError, DimensionError, HyperpropError
-from .expansion import normalize_with_self_loops, weighted_clique_expansion
+from .expansion import SparseAdjacency, normalize_with_self_loops, weighted_clique_expansion
 from .nn import TrainConfig
 from .propagation import (
     PropagatedFeatures,
@@ -246,25 +246,34 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_inputs(paths: dict[str, Path]):
-    """The hypergraph and the features, refused with `propagate`'s error
-    when their node counts differ, before any operator is built."""
-    h = load_hypergraph(paths["edges"])
-    return h, _feature_matrix(load_features(paths["features"]), h.n)
-
-
-def _propagate(
-    h: Hypergraph, x: np.ndarray, cfg: PropagationConfig
-) -> tuple[PropagatedFeatures, float]:
-    """Propagate ``x`` in place over the normalized clique expansion of
-    ``h`` (see `propagate`); also returns the seconds the expansion and
-    propagation took.  scipy is imported before the clock starts, so its
-    one-time import is not counted."""
+def _operator(h: Hypergraph) -> tuple[SparseAdjacency, float]:
+    """The normalized clique expansion of ``h`` and the seconds its build
+    took.  scipy is imported before the clock starts, so its one-time
+    import is not counted."""
     import scipy.sparse  # noqa: F401
 
     tic = time.perf_counter()
-    pf = propagate(normalize_with_self_loops(weighted_clique_expansion(h)), x, cfg, out=x)
-    return pf, time.perf_counter() - tic
+    return normalize_with_self_loops(weighted_clique_expansion(h)), time.perf_counter() - tic
+
+
+def _load_inputs(paths: dict[str, Path]) -> tuple[np.ndarray, tuple[SparseAdjacency, float]]:
+    """The features, refused with `propagate`'s error unless they have
+    the hypergraph's ``n`` rows, then its `_operator`.  The hypergraph
+    dies on return: nothing holds it during propagation."""
+    h = load_hypergraph(paths["edges"])
+    return _feature_matrix(load_features(paths["features"]), h.n), _operator(h)
+
+
+def _propagate(
+    x: np.ndarray, built: tuple[SparseAdjacency, float], cfg: PropagationConfig
+) -> tuple[PropagatedFeatures, float]:
+    """Propagate ``x`` in place over ``built``'s operator (see `propagate`);
+    also returns the seconds the build and the propagation took.  Callers
+    pass ``built`` unnamed, so the operator dies when this returns."""
+    atilde, seconds = built
+    tic = time.perf_counter()
+    pf = propagate(atilde, x, cfg, out=x)
+    return pf, seconds + time.perf_counter() - tic
 
 
 def _seed_record(cfg: RunConfig, seed: int, metrics: Metrics, preprocess_seconds: float) -> dict:
@@ -286,8 +295,8 @@ def _seed_record(cfg: RunConfig, seed: int, metrics: Metrics, preprocess_seconds
 
 def cmd_precompute(cfg: RunConfig) -> float:
     """Write ``propagated.tfhn`` and ``precompute.json``; return the propagation's seconds."""
-    h, x = _load_inputs(_require_paths(cfg, "edges", "features"))
-    pf, preprocess_seconds = _propagate(h, x, cfg.propagation)
+    paths = _require_paths(cfg, "edges", "features")
+    pf, preprocess_seconds = _propagate(*_load_inputs(paths), cfg.propagation)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_file = cfg.out_dir / "propagated.tfhn"
     save_propagated(out_file, pf)
@@ -295,7 +304,7 @@ def cmd_precompute(cfg: RunConfig) -> float:
         "payload": {
             "dataset": _dataset_name(cfg),
             "provenance": pf.provenance,
-            "adjacency_hash": pf.adjacency_hash,
+            "structure": pf.structure,
             "layers": cfg.propagation.layers,
             "alpha": cfg.propagation.alpha,
             "rows": int(pf.matrix.shape[0]),
@@ -370,9 +379,9 @@ def _hp_record(cfg: RunConfig, h: Hypergraph, features: Path, seed: int) -> dict
     x = _feature_matrix(load_features(features), h.n)
     split = make_split(h.m, seed)
     data = negative_sample(h, cfg.negative["alpha"], cfg.negative["beta"], seed)
-    pf, preprocess_seconds = _propagate(_trainval_hypergraph(data, split), x, cfg.propagation)
+    pf, seconds = _propagate(x, _operator(_trainval_hypergraph(data, split)), cfg.propagation)
     _, metrics = train_hyperlink_predictor(pf, data, split, replace(cfg.train, seed=seed))
-    return _seed_record(cfg, seed, metrics, preprocess_seconds)
+    return _seed_record(cfg, seed, metrics, seconds)
 
 
 def cmd_train(cfg: RunConfig) -> int:

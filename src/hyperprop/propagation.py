@@ -53,9 +53,9 @@ __all__ = [
 
 DENSE_CAP = 2000
 
-_MAGIC = b"TFHN"
+_MAGIC = b"TFH2"
 _HEADER_BYTES = 4 + 16  # magic, u64 rows, u64 cols
-_FOOTER_BYTES = 32 + 32 + 16  # provenance, adjacency hash, u64 layers + f64 alpha
+_FOOTER_BYTES = 32 + 32 + 16  # provenance, structure digest, u64 layers + f64 alpha
 
 
 @dataclass(frozen=True)
@@ -78,21 +78,20 @@ class PropagationConfig:
 
 @dataclass(frozen=True)
 class PropagatedFeatures:
-    """Propagated feature matrix plus the config and provenance hash.
+    """Propagated feature matrix plus the config and two digests.
 
-    ``provenance`` digests the raw features, the adjacency, and the
-    config, so identical inputs always reproduce it; ``adjacency_hash``
-    is the adjacency part alone.  ``structure`` is the operator's
-    structure tag (see `SparseAdjacency`), which the hyperlink pipeline
-    reads to prove its operator saw only train+val structure.  It is
-    not serialized, so loaded features carry None.
+    ``structure`` is the operator's digest: the structure digest of the
+    hypergraph it was built from (see `SparseAdjacency`), which names
+    the fixed operator.  ``provenance`` digests the raw features, that
+    digest and the config, so identical inputs always reproduce it.  The
+    hyperlink pipeline reads ``structure`` to prove its operator saw
+    only train+val structure; both are saved in the `.tfhn` footer.
     """
 
     matrix: np.ndarray
     config: PropagationConfig
     provenance: str
-    adjacency_hash: str
-    structure: str | None = None
+    structure: str
 
 
 def _require_normalized(atilde: SparseAdjacency) -> None:
@@ -103,34 +102,22 @@ def _require_normalized(atilde: SparseAdjacency) -> None:
 
 
 def adjacency_fingerprint(a: SparseAdjacency) -> str:
-    """Order-independent sha256 of the sparse structure and values.
+    """The operator's digest: the structure digest of the hypergraph it
+    was built from, which names it, since the operator depends on that
+    hypergraph alone.  An untagged operator is a ContractViolation."""
+    if a.structure is None:
+        raise ContractViolation("propagation operator carries no structure digest")
+    return a.structure
 
-    The int64 indptr and indices and the float64 values are digested in
-    blocks of `_BLOCK_BYTES`, so no copy of a whole array is made (scipy
-    may store the indices as int32)."""
-    mat = a.matrix
-    hasher = hashlib.sha256()
-    hasher.update(struct.pack("<QQ", *mat.shape))
-    step = _BLOCK_BYTES // 8
-    for arr, dtype in ((mat.indptr, np.int64), (mat.indices, np.int64), (mat.data, np.float64)):
-        for lo in range(0, len(arr), step):
-            hasher.update(np.ascontiguousarray(arr[lo : lo + step], dtype=dtype))
+
+def _provenance(x: np.ndarray, structure: str, cfg: PropagationConfig) -> str:
+    """sha256 of the shape and raw bytes of the C-ordered float64 ``x``,
+    the 32 bytes of the operator's digest, then the layers and alpha."""
+    hasher = hashlib.sha256(struct.pack("<QQ", *x.shape))
+    hasher.update(x)
+    hasher.update(bytes.fromhex(structure))
+    hasher.update(struct.pack("<Qd", cfg.layers, cfg.alpha))
     return hasher.hexdigest()
-
-
-def _feature_hasher(x: np.ndarray) -> hashlib._Hash:
-    """sha256 state after the shape and raw bytes of ``x``, the first
-    part of the provenance digest."""
-    hasher = hashlib.sha256()
-    hasher.update(struct.pack("<QQ", *x.shape))
-    hasher.update(np.ascontiguousarray(x, dtype=np.float64))
-    return hasher
-
-
-def _provenance(feature_hasher: hashlib._Hash, adj_hash: str, cfg: PropagationConfig) -> str:
-    feature_hasher.update(bytes.fromhex(adj_hash))
-    feature_hasher.update(struct.pack("<Qd", cfg.layers, cfg.alpha))
-    return feature_hasher.hexdigest()
 
 
 def _panel_width(n: int, nnz: int) -> int:
@@ -184,11 +171,12 @@ def propagate(
     same operations in the same order per column at any width, so the
     recurrence runs on column panels `_panel_width` columns wide, all L
     steps on one panel before the next, and the result is bit-identical
-    to the expression above.  The feature hash (for the provenance) is
-    taken before any panel starts.  Each panel is then copied out of
-    ``x``, run through its steps and written into the output, on one
-    worker thread per available core; the sparse product releases the
-    GIL.  The first panel that fails cancels the panels still queued.
+    to the expression above.  An operator without a structure digest
+    is refused before ``x`` is read, and the provenance is taken before
+    any panel starts.  Each panel is then copied out of ``x``, run
+    through its steps and written into the output, on one worker thread
+    per available core; the sparse product releases the GIL.  The first
+    panel that fails cancels the panels still queued.
 
     ``out`` is None or ``x`` itself, which must then be a writable
     C-ordered float64 array.  With None the result's ``matrix`` is a new
@@ -199,29 +187,22 @@ def propagate(
     with a non-finite entry) leaves ``x`` partly overwritten.
     """
     _require_normalized(atilde)
+    structure = adjacency_fingerprint(atilde)
     if out is not None:
         _check_in_place(out, x)
     x = _feature_matrix(x, atilde.n)
-    n, d = x.shape
-    width = _panel_width(n, atilde.matrix.nnz)
+    width = _panel_width(atilde.n, atilde.matrix.nnz)
     z = np.empty_like(x) if out is None else x
-    feature_hasher = _feature_hasher(x)  # before any panel can overwrite x
+    provenance = _provenance(x, structure, cfg)  # before any panel can overwrite x
 
     def fill(cols: slice) -> None:
         z[:, cols] = _panel(atilde.matrix, x, cols, cfg)
 
     with _worker_pool() as pool:
-        filled = pool.map(fill, [slice(lo, lo + width) for lo in range(0, d, width)])
-        adj_hash = adjacency_fingerprint(atilde)
-        for _ in filled:  # the first failed panel raises and cancels the ones still queued
+        # the first failed panel raises and cancels the ones still queued
+        for _ in pool.map(fill, [slice(lo, lo + width) for lo in range(0, x.shape[1], width)]):
             pass
-    return PropagatedFeatures(
-        matrix=z,
-        config=cfg,
-        provenance=_provenance(feature_hasher, adj_hash, cfg),
-        adjacency_hash=adj_hash,
-        structure=atilde.structure,
-    )
+    return PropagatedFeatures(matrix=z, config=cfg, provenance=provenance, structure=structure)
 
 
 def _check_in_place(out, x) -> None:
@@ -321,8 +302,9 @@ def _replacing(path: str | Path):
 
 
 def save_propagated(path: str | Path, pf: PropagatedFeatures) -> None:
-    """Binary layout: magic "TFHN", u64 rows, u64 cols, row-major f64
-    payload, then a footer with both hex digests and the config.  The
+    """Binary layout: magic "TFH2", u64 rows, u64 cols, row-major f64
+    payload, then a footer with the provenance and structure digests
+    (32 bytes each) and the config.  The
     file is written beside ``path`` and renamed into place, so ``path``
     never holds a partial file."""
     mat = np.ascontiguousarray(pf.matrix, dtype=np.float64)
@@ -331,7 +313,7 @@ def save_propagated(path: str | Path, pf: PropagatedFeatures) -> None:
         fh.write(struct.pack("<QQ", mat.shape[0], mat.shape[1]))
         fh.write(mat)  # buffer protocol: the row-major bytes, no copy
         fh.write(bytes.fromhex(pf.provenance))
-        fh.write(bytes.fromhex(pf.adjacency_hash))
+        fh.write(bytes.fromhex(pf.structure))
         fh.write(struct.pack("<Qd", pf.config.layers, pf.config.alpha))
 
 
@@ -352,7 +334,7 @@ def load_propagated(path: str | Path, rows: np.ndarray | None = None) -> Propaga
         stored, cols, config, digests = _read_header(fh, path)
         mat = _read_rows(fh, path, stored, cols, np.arange(stored) if rows is None else rows)
     return PropagatedFeatures(
-        matrix=mat, config=config, provenance=digests[:32].hex(), adjacency_hash=digests[32:].hex()
+        matrix=mat, config=config, provenance=digests[:32].hex(), structure=digests[32:].hex()
     )
 
 

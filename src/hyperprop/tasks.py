@@ -379,10 +379,9 @@ def _trainval_hypergraph(data: HyperlinkDataset, split: Split) -> Hypergraph:
 
 
 def trainval_adjacency_hash(data: HyperlinkDataset, split: Split) -> str:
-    """Structure digest of the hypergraph the hyperlink pipeline's
-    operator must come from: the train+val positives only.  The clique
-    expansion tags its operator with the same digest of its input and
-    `propagate` carries the tag, so the check builds no operator."""
+    """Structure digest of the train+val positives, the hypergraph the
+    hyperlink pipeline's operator must come from.  Propagated features
+    carry their operator's digest, so the check builds no operator."""
     return _structure_digest(_trainval_hypergraph(data, split))
 
 
@@ -415,10 +414,6 @@ def train_hyperlink_predictor(
     the test pass run inside `_head_threads`, as the classifier's do.
     """
     _require_parts(split, data.positives.m, "a positive outside the dataset")
-    if features.structure is None:
-        raise ContractViolation(
-            "features carry no structure digest: propagate over a weighted_clique_expansion"
-        )
     if features.structure != trainval_adjacency_hash(data, split):
         raise ContractViolation(
             "features were propagated over an adjacency that is not the train+val positives"

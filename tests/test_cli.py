@@ -22,6 +22,7 @@ import hyperprop.cli as cli
 import hyperprop.propagation as propagation
 from hyperprop.core import (
     Hypergraph,
+    _structure_digest,
     load_features,
     load_hypergraph,
     save_features,
@@ -32,7 +33,6 @@ from hyperprop.expansion import normalize_with_self_loops, weighted_clique_expan
 from hyperprop.propagation import (
     PropagatedFeatures,
     PropagationConfig,
-    adjacency_fingerprint,
     load_propagated,
     save_propagated,
 )
@@ -465,7 +465,61 @@ class TestPrecompute:
         assert pf.config.layers == 2 and pf.config.alpha == 0.3
         meta = json.loads((pre / "precompute.json").read_text())
         assert meta["payload"]["provenance"] == pf.provenance
+        assert meta["payload"]["structure"] == pf.structure
+        assert "adjacency_hash" not in meta["payload"]
         assert "preprocess_seconds" in meta["timing"]
+
+    @pytest.mark.parametrize("route", ["precompute", "inline"])
+    def test_no_hypergraph_is_alive_while_features_propagate(self, workspace, monkeypatch, route):
+        """Once the operator is built nothing holds the hypergraph, not
+        even a call argument, so its incidence arrays are freed before
+        `propagate` starts."""
+        tmp_path, cfg_file = workspace
+        real_load, real_propagate = cli.load_hypergraph, cli.propagate
+        loaded, alive = [], []
+
+        def load_spy(path):
+            h = real_load(path)
+            loaded.append(weakref.ref(h))
+            return h
+
+        def propagate_spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in loaded])
+            return real_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_hypergraph", load_spy)
+        monkeypatch.setattr(cli, "propagate", propagate_spy)
+        out = str(tmp_path / route)
+        argv = ["precompute"] if route == "precompute" else ["train", "--inline-precompute"]
+        assert cli.main([*argv, "--config", str(cfg_file), "--out", out]) == 0
+        assert alive == [[False]]
+
+    @pytest.mark.parametrize("task", ["precompute", "hp"])
+    def test_the_operator_dies_when_propagation_returns(self, workspace, monkeypatch, task):
+        """Nothing holds the operator once `propagate` returns: it is
+        freed before the `.tfhn` is written, and before each hp seed's
+        head trains."""
+        tmp_path, cfg_file = workspace
+        real_propagate = cli.propagate
+        operators, alive = [], []
+
+        def propagate_spy(atilde, *args, **kwargs):
+            operators.append(weakref.ref(atilde))
+            return real_propagate(atilde, *args, **kwargs)
+
+        def next_step_spy(real):
+            def spy(*args, **kwargs):
+                alive.append([ref() is not None for ref in operators])
+                return real(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(cli, "propagate", propagate_spy)
+        step = "save_propagated" if task == "precompute" else "train_hyperlink_predictor"
+        monkeypatch.setattr(cli, step, next_step_spy(getattr(cli, step)))
+        argv = ["precompute"] if task == "precompute" else ["train", "--task", "hp"]
+        assert cli.main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / task)]) == 0
+        assert alive and alive == [[False] * len(seen) for seen in alive]
 
     def test_rerun_reproduces_provenance(self, workspace):
         tmp_path, cfg_file = workspace
@@ -497,9 +551,10 @@ class TestPrecompute:
         ))
         save_hypergraph(tmp_path / "edges.txt", h)
         save_features(tmp_path / "features.npy", x)
-        atilde = normalize_with_self_loops(weighted_clique_expansion(load_hypergraph(tmp_path / "edges.txt")))
+        loaded = load_hypergraph(tmp_path / "edges.txt")
+        atilde = normalize_with_self_loops(weighted_clique_expansion(loaded))
         x = load_features(tmp_path / "features.npy")
-        adj_hash = adjacency_fingerprint(atilde)
+        adj_hash = _structure_digest(loaded)
         features = hashlib.sha256(struct.pack("<QQ", *x.shape))
         features.update(x)
         alpha = 0.3

@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 import hyperprop.propagation as propagation
-from hyperprop.core import Hypergraph, khop_neighbours
+from hyperprop.core import Hypergraph, _structure_digest, khop_neighbours
 from hyperprop.errors import (
     BoundsError,
     ContractViolation,
@@ -68,9 +68,11 @@ def literal_recurrence(atilde, x, layers, alpha):
     return z
 
 
+# the normalized clique expansion of the one hyperedge {0, 1}, with its tag
 TWO_NODE = SparseAdjacency(
     sp.csr_matrix(np.array([[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])),
     normalized=True,
+    structure=_structure_digest(Hypergraph.from_edges([(0, 1)])),
 )
 
 
@@ -168,11 +170,22 @@ class TestPropagateRecurrence:
             got = propagate(atilde, x, PropagationConfig(layers=layers, alpha=alpha)).matrix
             assert np.array_equal(got, z)
 
-    def test_requires_normalized_operator(self):
-        h = Hypergraph.from_edges([(0, 1)])
-        w = weighted_clique_expansion(h)  # not normalized
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            weighted_clique_expansion(Hypergraph.from_edges([(0, 1)])),  # not normalized
+            dataclasses.replace(TWO_NODE, structure=None),  # normalized, but untagged
+        ],
+        ids=["unnormalized", "untagged"],
+    )
+    def test_requires_normalized_operator(self, operator):
+        """Either operator is refused before ``x`` is read or written,
+        so under ``out=x`` the features stay as they were."""
+        x = np.arange(6.0).reshape(2, 3)
+        before = x.copy()
         with pytest.raises(ContractViolation):
-            propagate(w, np.zeros((2, 1)), PropagationConfig(layers=1, alpha=0.3))
+            propagate(operator, x, PropagationConfig(layers=1, alpha=0.3), out=x)
+        assert np.array_equal(x, before)
 
     def test_shape_and_finiteness_checks(self):
         with pytest.raises(DimensionError):
@@ -297,24 +310,20 @@ class TestInPlace:
         got = propagate(atilde, x, cfg, out=x)
         assert got.matrix is x
         assert x.tobytes() == want.matrix.tobytes()
-        assert (got.provenance, got.adjacency_hash, got.structure) == (
-            want.provenance,
-            want.adjacency_hash,
-            want.structure,
-        )
+        assert (got.provenance, got.structure) == (want.provenance, want.structure)
 
     def test_hash_reads_the_features_before_any_panel_writes(self, atilde, monkeypatch):
         """A slow feature hash on four workers: the panels wait for it
         before writing, so the provenance is that of the raw features."""
         monkeypatch.setattr(propagation, "_panel_width", lambda n, nnz: 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        real_hasher = propagation._feature_hasher
+        real_provenance = propagation._provenance
 
-        def slow_hasher(x):
+        def slow_provenance(x, structure, cfg):
             time.sleep(0.05)
-            return real_hasher(x)
+            return real_provenance(x, structure, cfg)
 
-        monkeypatch.setattr(propagation, "_feature_hasher", slow_hasher)
+        monkeypatch.setattr(propagation, "_provenance", slow_provenance)
         x = np.random.default_rng(25).standard_normal((atilde.n, 12))
         cfg = PropagationConfig(layers=2, alpha=0.3)
         want = propagate(atilde, x, cfg)
@@ -401,7 +410,7 @@ class TestProvenance:
         a = propagate(atilde, x, cfg)
         b = propagate(atilde, x, cfg)
         assert a.provenance == b.provenance
-        assert a.adjacency_hash == b.adjacency_hash
+        assert a.structure == b.structure
         c = propagate(atilde, x, PropagationConfig(layers=2, alpha=0.4))
         assert c.provenance != a.provenance
         d = propagate(atilde, x + 1.0, cfg)
@@ -409,24 +418,19 @@ class TestProvenance:
 
     def test_digests_follow_the_documented_byte_layout(self):
         # sha256 over the shape, the raw bytes of x (a transposed view, so
-        # the digest sees its C-order copy), the adjacency digest and the
-        # config; the adjacency digest uses int64 indptr/indices.
+        # the digest sees its C-order copy), the operator's digest and the
+        # config; the operator's digest is the structure digest of the
+        # hypergraph it was built from.
         import hashlib
         import struct
 
         rng = np.random.default_rng(8)
-        _, atilde = random_atilde(rng)
+        h, atilde = random_atilde(rng)
         x = rng.standard_normal((4, atilde.n)).T
         cfg = PropagationConfig(layers=2, alpha=0.3)
         pf = propagate(atilde, x, cfg)
-        mat = atilde.matrix
-        adj = hashlib.sha256(
-            struct.pack("<QQ", *mat.shape)
-            + mat.indptr.astype(np.int64).tobytes()
-            + mat.indices.astype(np.int64).tobytes()
-            + mat.data.astype(np.float64).tobytes()
-        ).hexdigest()
-        assert pf.adjacency_hash == adj
+        adj = _structure_digest(h)
+        assert pf.structure == adj
         prov = hashlib.sha256(
             struct.pack("<QQ", *x.shape)
             + np.ascontiguousarray(x).tobytes()
@@ -597,10 +601,9 @@ class TestSerialization:
         np.testing.assert_array_equal(again.matrix, pf.matrix)
         assert again.config == pf.config
         assert again.provenance == pf.provenance
-        assert again.adjacency_hash == pf.adjacency_hash
+        assert again.structure == pf.structure
 
-    def test_structure_tag_is_carried_but_not_saved(self, tmp_path):
-        from hyperprop.core import _structure_digest
+    def test_structure_tag_is_carried_and_saved(self, tmp_path):
         from hyperprop.propagation import save_propagated
 
         h = Hypergraph.from_edges([(0, 1, 2), (2, 3)], n=4)
@@ -612,8 +615,9 @@ class TestSerialization:
         assert pf.structure == _structure_digest(h)
         path = tmp_path / "tagged.tfhn"
         save_propagated(path, pf)
-        assert load_propagated(path).structure is None
-        assert propagate(TWO_NODE, np.ones((2, 1)), pf.config).structure is None
+        assert load_propagated(path).structure == _structure_digest(h)
+        assert load_propagated(path, rows=[2]).structure == _structure_digest(h)
+        assert path.read_bytes()[-48:-16] == bytes.fromhex(_structure_digest(h))
 
     def test_round_trip_of_zero_width_features(self, tmp_path):
         from hyperprop.propagation import save_propagated
@@ -649,20 +653,24 @@ class TestSerialization:
 
         save_propagated(path, pf)
         blob = path.read_bytes()
-        assert blob[:4] == b"TFHN"
+        assert blob[:4] == b"TFH2"
         assert int.from_bytes(blob[4:12], "little") == 2
         assert int.from_bytes(blob[12:20], "little") == 3
 
-    def test_bad_magic_and_truncation(self, tmp_path):
+    @pytest.mark.parametrize("magic", [b"NOPE", b"TFHN"], ids=["garbage", "old-format"])
+    def test_bad_magic_and_truncation(self, tmp_path, magic):
+        """A file with a foreign magic, or with the magic of the format
+        whose footer held a CSR hash of the operator, is refused whole."""
         path = tmp_path / "f.tfhn"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ParseError):
-            load_propagated(path)
         pf = propagate(TWO_NODE, np.ones((2, 1)), PropagationConfig(layers=1, alpha=0.3))
         from hyperprop.propagation import save_propagated
 
         save_propagated(path, pf)
         blob = path.read_bytes()
+        for damaged in (magic + b"\x00" * 32, magic + blob[4:]):
+            path.write_bytes(damaged)
+            with pytest.raises(ParseError, match=re.escape(f"bad magic {magic!r}")):
+                load_propagated(path)
         path.write_bytes(blob[:-4])
         with pytest.raises(ParseError, match="expected"):
             load_propagated(path)
@@ -677,7 +685,7 @@ class TestSerialization:
         """The size check runs before the matrix is allocated, so a
         corrupt header cannot ask for 2**40 rows."""
         path = tmp_path / "f.tfhn"
-        path.write_bytes(b"TFHN" + struct.pack("<QQ", 2**40, 3703) + b"\x00" * 80)
+        path.write_bytes(b"TFH2" + struct.pack("<QQ", 2**40, 3703) + b"\x00" * 80)
         with pytest.raises(ParseError, match="expected"):
             load_propagated(path)
 
@@ -702,7 +710,7 @@ class TestLoadRows:
             matrix=np.random.default_rng(28).standard_normal((40, 5)),
             config=PropagationConfig(layers=2, alpha=0.3),
             provenance="ab" * 32,
-            adjacency_hash="cd" * 32,
+            structure="cd" * 32,
         )
         path = tmp_path / "f.tfhn"
         save_propagated(path, pf)
@@ -725,10 +733,10 @@ class TestLoadRows:
         assert got.matrix.flags.c_contiguous
         want = load_propagated(path).matrix[np.asarray(rows, dtype=int)]
         assert got.matrix.tobytes() == want.tobytes()
-        assert (got.config, got.provenance, got.adjacency_hash) == (
+        assert (got.config, got.provenance, got.structure) == (
             pf.config,
             pf.provenance,
-            pf.adjacency_hash,
+            pf.structure,
         )
 
     def test_zero_width_rows(self, tmp_path):
@@ -769,7 +777,7 @@ class TestLoadRows:
             matrix=rng.standard_normal((3000, 512)),
             config=PropagationConfig(layers=2, alpha=0.3),
             provenance="ab" * 32,
-            adjacency_hash="cd" * 32,
+            structure="cd" * 32,
         )
         path = tmp_path / "f.tfhn"
         save_propagated(path, pf)

@@ -34,7 +34,7 @@ from hyperprop.nn import (
     mlp_forward,
     sigmoid_bce,
 )
-from hyperprop.propagation import PropagationConfig, propagate
+from hyperprop.propagation import PropagationConfig, load_propagated, propagate, save_propagated
 from hyperprop.synthetic import PlantedConfig, generate
 from hyperprop.tasks import (
     HyperlinkDataset,
@@ -906,12 +906,30 @@ class TestTrainHyperlinkPredictor:
             train_hyperlink_predictor(huge, data, split, cfg)
 
     def test_rejects_features_without_a_structure_digest(self):
+        """No digest is no operator of the train+val positives: the one
+        comparison refuses it."""
         _, _, pf, data, split = self.make_inputs()
         untagged = dataclasses.replace(pf, structure=None)
-        with pytest.raises(ContractViolation, match="no structure digest"):
+        with pytest.raises(ContractViolation, match=r"not the train\+val positives"):
             train_hyperlink_predictor(
                 untagged, data, split, TrainConfig(learning_rate=0.01, epochs=5)
             )
+
+    def test_saved_and_loaded_features_train_as_the_in_memory_ones(self, tmp_path):
+        """The `.tfhn` footer keeps the operator's digest, so features of
+        the train+val operator read back from disk pass the leakage check
+        and give the in-memory run's metric and best parameters, byte
+        for byte."""
+        _, _, pf, data, split = self.make_inputs()
+        save_propagated(tmp_path / "trainval.tfhn", pf)
+        loaded = load_propagated(tmp_path / "trainval.tfhn")
+        cfg = TrainConfig(learning_rate=0.05, epochs=15, dropout=0.2, hidden_dims=(16,), seed=1)
+        want_params, want = train_hyperlink_predictor(pf, data, split, cfg)
+        got_params, got = train_hyperlink_predictor(loaded, data, split, cfg)
+        assert (got.auc, got.accuracy) == (want.auc, want.accuracy)
+        got_arrays = got_params.weights + got_params.biases
+        want_arrays = want_params.weights + want_params.biases
+        assert [a.tobytes() for a in got_arrays] == [b.tobytes() for b in want_arrays]
 
     def test_rejects_negative_split_indices(self):
         """-1 would wrap to the last positive: the split is refused, as
