@@ -256,24 +256,22 @@ def _operator(h: Hypergraph) -> tuple[SparseAdjacency, float]:
     return normalize_with_self_loops(weighted_clique_expansion(h)), time.perf_counter() - tic
 
 
-def _load_inputs(paths: dict[str, Path]) -> tuple[np.ndarray, tuple[SparseAdjacency, float]]:
+def _load_inputs(paths: dict[str, Path]) -> tuple[np.ndarray, SparseAdjacency, float]:
     """The features, refused with `propagate`'s error unless they have
-    the hypergraph's ``n`` rows, then its `_operator`.  The hypergraph
-    dies on return: nothing holds it during propagation."""
+    the hypergraph's ``n`` rows, then its `_operator` and build seconds.
+    The hypergraph dies on return: nothing holds it during propagation."""
     h = load_hypergraph(paths["edges"])
-    return _feature_matrix(load_features(paths["features"]), h.n), _operator(h)
+    return _feature_matrix(load_features(paths["features"]), h.n), *_operator(h)
 
 
 def _propagate(
-    x: np.ndarray, built: tuple[SparseAdjacency, float], cfg: PropagationConfig
+    x: np.ndarray, atilde: SparseAdjacency, build_seconds: float, cfg: PropagationConfig
 ) -> tuple[PropagatedFeatures, float]:
-    """Propagate ``x`` in place over ``built``'s operator (see `propagate`);
-    also returns the seconds the build and the propagation took.  Callers
-    pass ``built`` unnamed, so the operator dies when this returns."""
-    atilde, seconds = built
+    """Propagate ``x`` in place over ``atilde`` (see `propagate`); also
+    returns the seconds the build and the propagation took."""
     tic = time.perf_counter()
     pf = propagate(atilde, x, cfg, out=x)
-    return pf, seconds + time.perf_counter() - tic
+    return pf, build_seconds + time.perf_counter() - tic
 
 
 def _seed_record(cfg: RunConfig, seed: int, metrics: Metrics, preprocess_seconds: float) -> dict:
@@ -379,7 +377,7 @@ def _hp_record(cfg: RunConfig, h: Hypergraph, features: Path, seed: int) -> dict
     x = _feature_matrix(load_features(features), h.n)
     split = make_split(h.m, seed)
     data = negative_sample(h, cfg.negative["alpha"], cfg.negative["beta"], seed)
-    pf, seconds = _propagate(x, _operator(_trainval_hypergraph(data, split)), cfg.propagation)
+    pf, seconds = _propagate(x, *_operator(_trainval_hypergraph(data, split)), cfg.propagation)
     _, metrics = train_hyperlink_predictor(pf, data, split, replace(cfg.train, seed=seed))
     return _seed_record(cfg, seed, metrics, seconds)
 

@@ -28,9 +28,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # Working-set budget of one block of streamed work, about one core's L2
-# cache: `load_features` converts and checks this many bytes of file and
-# flags at a time, `propagate` sizes its column panels from it and
-# `load_propagated` reads its payload in chunks of half of it.
+# cache: `load_features` checks finiteness this many bytes of flags at a
+# time, `propagate` sizes its column panels from it and `load_propagated`
+# reads its payload in chunks of half of it.
 _BLOCK_BYTES = 2 << 20
 
 __all__ = [
@@ -345,35 +345,23 @@ def save_hypergraph(path: str | Path, h: Hypergraph) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """Load a dense feature matrix (``.npy``) as C-ordered float64,
-    checked finite in row blocks.  A float64 file is read whole and
-    checked `_BLOCK_BYTES` flags at a time.  Any other real dtype is read
-    in row blocks whose raw bytes and flags fit in `_BLOCK_BYTES`, each
-    converted into the result, so the file's own array never exists."""
+    """Load a dense feature matrix (``.npy``) as float64, checking
+    finiteness in row blocks of at most `_BLOCK_BYTES` flags, so the
+    check holds no matrix-sized temporary."""
     path = Path(path)
-    fmt = np.lib.format
     try:
         with path.open("rb") as fh:
-            version = fmt.read_magic(fh)
-            header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
-            shape, fortran, dtype = header(fh)
-            if dtype.kind not in "biuf":
-                raise ParseError(f"{path.name}: features must be real numbers, got dtype {dtype}")
-            if len(shape) != 2:
-                raise DimensionError(f"{path.name}: features must be 2-d, got {len(shape)}-d")
-            whole = dtype == np.float64 or fortran
-            if whole:
-                fh.seek(0)  # read_array reads the header again
-            arr = np.ascontiguousarray(fmt.read_array(fh), np.float64) if whole else np.empty(shape)
-            rows = max(1, _BLOCK_BYTES // max(1, shape[1] * (1 if whole else dtype.itemsize + 1)))
-            for lo in range(0, shape[0], rows):
-                block = arr[lo : lo + rows]
-                if not whole:  # a short file reads too few entries to reshape, a ValueError
-                    block[...] = np.fromfile(fh, dtype, block.size).reshape(block.shape)
-                if not np.isfinite(block).all():
-                    raise DomainError(f"{path.name}: features contain non-finite entries")
-    except ValueError as exc:  # bad magic or header, short file
+            arr = np.lib.format.read_array(fh)
+    except ValueError as exc:  # bad magic, short file, pickled objects
         raise ParseError(f"{path.name}: not a readable .npy file: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ParseError(f"{path.name}: features must be real numbers, got dtype {arr.dtype}")
+    if arr.ndim != 2:
+        raise DimensionError(f"{path.name}: features must be 2-d, got {arr.ndim}-d")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    rows = max(1, _BLOCK_BYTES // max(1, arr.shape[1]))
+    if not all(np.isfinite(arr[lo : lo + rows]).all() for lo in range(0, len(arr), rows)):
+        raise DomainError(f"{path.name}: features contain non-finite entries")
     return arr
 
 

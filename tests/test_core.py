@@ -470,21 +470,16 @@ class TestFeatureAndLabelFiles:
         with pytest.raises(DomainError):
             load_features(tmp_path / "bad2.npy")
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_finiteness_is_checked_in_row_blocks(self, tmp_path, monkeypatch, dtype):
-        """With 48 KiB blocks, loading a 2000 x 512 matrix allocates the
-        float64 result plus at most one block and 64 KiB for the header.
-        A float64 file is read whole and checked 48 KiB of flags at a
-        time, where one `isfinite` over the whole matrix takes 1 MB more.
-        A float32 file is read 48 KiB of raw bytes and flags at a time and
-        converted into the result, where converting it whole holds its
-        4 MB array beside the result.  An infinity in the last entry,
-        inside the last, partial block, is still found."""
-        block = 3 << 14
+    def test_finiteness_is_checked_in_row_blocks(self, tmp_path, monkeypatch):
+        """With 64 KiB of flags per block, loading a 2000 x 512 matrix
+        allocates the matrix plus at most one block and 64 KiB for the
+        header, where one `isfinite` over the whole matrix takes 1 MB
+        more.  An infinity in the last entry, inside the last, partial
+        block, is still found."""
+        block = 1 << 16
         monkeypatch.setattr(core, "_BLOCK_BYTES", block)
-        x = np.random.default_rng(1).standard_normal((2000, 512)).astype(dtype)
-        entry_bytes = 1 if dtype == np.float64 else 4 + 1  # flags, or raw bytes and flags
-        assert x.shape[0] % (block // (entry_bytes * x.shape[1])) != 0
+        x = np.random.default_rng(1).standard_normal((2000, 512))
+        assert x.size > block and x.shape[0] % (block // x.shape[1]) != 0
         np.save(tmp_path / "x.npy", x)
         tracemalloc.start()
         try:
@@ -492,43 +487,12 @@ class TestFeatureAndLabelFiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
-        assert got.tobytes() == x.astype(np.float64).tobytes()
-        assert peak <= got.nbytes + block + (1 << 16), (peak - got.nbytes) / block
+        assert got.tobytes() == x.tobytes()
+        assert peak <= x.nbytes + block + (1 << 16), (peak - x.nbytes) / block
         x[-1, -1] = np.inf
         np.save(tmp_path / "x.npy", x)
         with pytest.raises(DomainError, match="non-finite"):
             load_features(tmp_path / "x.npy")
-
-    @pytest.mark.parametrize(
-        "arr",
-        [
-            np.arange(12, dtype=np.int32).reshape(3, 4),
-            np.arange(12, dtype=np.uint8).reshape(3, 4),
-            np.array([[True, False]]),
-            np.linspace(0, 1, 12, dtype=">f8").reshape(3, 4),
-            np.asfortranarray(np.arange(12, dtype=np.float32).reshape(3, 4)),
-            np.zeros((0, 5), dtype=np.float32),
-            np.zeros((4, 0), dtype=np.int64),
-        ],
-        ids=["int32", "uint8", "bool", "big-endian", "fortran", "no-rows", "no-cols"],
-    )
-    def test_any_real_dtype_loads_as_its_float64_conversion(self, tmp_path, arr):
-        np.save(tmp_path / "x.npy", arr)
-        got = load_features(tmp_path / "x.npy")
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.tobytes() == np.ascontiguousarray(arr, dtype=np.float64).tobytes()
-
-    def test_a_short_or_foreign_file_is_a_parse_error(self, tmp_path):
-        np.save(tmp_path / "x.npy", np.ones((3, 4), dtype=np.float32))
-        blob = (tmp_path / "x.npy").read_bytes()
-        for damaged in (blob[:-5], blob[:9], b"", b"not a .npy file\n"):
-            (tmp_path / "bad.npy").write_bytes(damaged)
-            with pytest.raises(ParseError, match="not a readable .npy file"):
-                load_features(tmp_path / "bad.npy")
-        np.save(tmp_path / "s.npy", np.array([["a", "b"]]))
-        with pytest.raises(ParseError, match="features must be real numbers"):
-            load_features(tmp_path / "s.npy")
 
     def test_labels_round_trip_with_sentinel(self, tmp_path):
         y = LabelVector(labels=np.array([0, 2, -1, 1]), num_classes=3)
