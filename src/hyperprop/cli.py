@@ -342,9 +342,7 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
     labeled = y.labeled_indices
     records = []
     for seed in cfg.seeds:
-        idx = make_split(len(labeled), seed)
-        split = Split(train=labeled[idx.train], val=labeled[idx.val], test=labeled[idx.test])
-        inputs = _labeled_rows(propagated, y, split)
+        inputs = _labeled_rows(propagated, y, labeled, make_split(len(labeled), seed))
         _, metrics = train_node_classifier(*inputs, replace(cfg.train, seed=seed))
         del inputs  # free this seed's rows before the next seed reads its own
         records.append(_seed_record(cfg, seed, metrics, preprocess_seconds))
@@ -352,12 +350,12 @@ def _train_nc(cfg: RunConfig) -> list[dict]:
 
 
 def _labeled_rows(
-    path: Path, y: LabelVector, split: Split
+    path: Path, y: LabelVector, labeled: np.ndarray, split: Split
 ) -> tuple[np.ndarray, LabelVector, Split]:
-    """The rows of ``split`` from the `.tfhn` at ``path``, in
+    """The rows ``labeled[split]`` from the `.tfhn` at ``path``, in
     train|val|test order, with their labels and the split of those local
-    ranges."""
-    order = np.concatenate([split.train, split.val, split.test])
+    ranges.  ``split`` holds positions in the sorted ``labeled``."""
+    order = labeled[np.concatenate([split.train, split.val, split.test])]
     pf = load_propagated(path, rows=order)
     a, b = len(split.train), len(split.train) + len(split.val)
     local = Split(train=np.arange(a), val=np.arange(a, b), test=np.arange(b, len(order)))

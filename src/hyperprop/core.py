@@ -337,7 +337,12 @@ def _parse_header(line: str, where: str) -> tuple[int, int]:
 
 
 def save_hypergraph(path: str | Path, h: Hypergraph) -> None:
-    """Write the edge-list format, with an explicit dimension header."""
+    """Write the edge-list format, with an explicit dimension header.
+
+    An empty hyperedge would be a blank line, which `load_hypergraph`
+    skips, so it is a DomainError raised before the file is opened."""
+    if not (sizes := np.diff(h.indptr)).all():
+        raise DomainError(f"hyperedge {int(np.argmin(sizes))} is empty; edges.txt cannot hold it")
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"#n={h.n} m={h.m}\n")

@@ -352,9 +352,9 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
         raise DimensionError(f"logits {z.shape} vs targets {t.shape}")
     if z.size == 0:
         raise DomainError("loss over an empty batch is undefined")
-    loss = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
     e = np.exp(-np.abs(z))  # exp of a nonpositive number: never overflows
-    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    loss = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(e)))
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
     grad = (sig - t) / z.size
     return loss, grad.reshape(np.shape(logits))
 

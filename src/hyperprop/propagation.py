@@ -145,7 +145,9 @@ def _panel(a, x: np.ndarray, cols: slice, cfg: PropagationConfig) -> np.ndarray:
     The panel is copied out of ``x`` and checked for non-finite entries
     before the L steps run, in the operation order of `propagate`.  It
     holds three panel-sized arrays at most: the anchor alpha * X, Z^{l-1}
-    and Z^l (the copied columns are Z^0).
+    and Z^l (the copied columns are Z^0).  It is the package's one
+    evaluation of the recurrence: `reference.run_linearized` runs it
+    whole-width over a model's base W.
     """
     z = x[:, cols].copy()
     if not np.isfinite(z).all():
@@ -376,18 +378,8 @@ def _read_rows(fh, path: Path, stored: int, cols: int, rows) -> np.ndarray:
     chunk = np.empty((min(step, stored), cols), dtype="<f8")
     for lo in range(0, stored, step):
         block = chunk[: min(step, stored - lo)]
-        _read_exactly(fh, block.reshape(-1).view(np.uint8), path)
+        if (got := fh.readinto(block)) != block.nbytes:  # a buffered file fills it or is at EOF
+            raise ParseError(f"{path.name}: file ended {block.nbytes - got} bytes early")
         first, last = np.searchsorted(ascending, (lo, lo + len(block)))
         mat[order[first:last]] = block[ascending[first:last] - lo]
     return mat
-
-
-def _read_exactly(fh, buffer, path: Path) -> None:
-    """Fill ``buffer`` from ``fh``; a file that ends first is a ParseError."""
-    view = memoryview(buffer)
-    filled = 0
-    while filled < len(view):
-        got = fh.readinto(view[filled:])
-        if not got:
-            raise ParseError(f"{path.name}: file ended {len(view) - filled} bytes early")
-        filled += got

@@ -6,9 +6,10 @@ learned weights, reduce to the same template
     X^L = (1 - g)^L W^L X + g * sum_{l=0}^{L-1} (1 - g)^l W^l X
 
 for a model-specific expansion W and residual weight g.
-``run_linearized`` executes each model's own layer recursion;
-``unified_equivalent`` returns the (W, g) pair that reproduces it, so
-the two routes can be checked against each other.
+``run_linearized`` steps each model's layer recursion, which is
+`propagation`'s recurrence over the model's own W and g;
+``unified_equivalent`` returns the (W, g) pair whose closed polynomial
+reproduces it, so the two routes can be checked against each other.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .core import Hypergraph, _feature_matrix, _positive_integers
 from .errors import DomainError
 from .expansion import SparseAdjacency, _deephgnn_base, _star_base, _unignn_base
+from .propagation import PropagationConfig, _panel
 
 __all__ = ["ModelKind", "LinearizedModelSpec", "run_linearized", "unified_equivalent"]
 
@@ -85,21 +87,20 @@ def _base_matrix(build, h: Hypergraph) -> SparseAdjacency:
 
 
 def run_linearized(spec: LinearizedModelSpec, h: Hypergraph, x: np.ndarray) -> np.ndarray:
-    """Run the model's own layer recursion for ``spec.layers`` steps.
+    """Run the model's layer recursion for ``spec.layers`` steps.
 
     UniGCNII / DeepHGNN / ED-HNN:  X^l = (1-g) W X^{l-1} + g X^0
     AllDeepSets:                   X^l = W X^{l-1}
 
     where W is the model's unscaled expansion; the (1-g) factor the
-    papers fold into W is applied here exactly once per layer.
+    papers fold into W is applied exactly once per layer.  This is
+    `propagate`'s recurrence with W for A~ and g for alpha, so it runs
+    as one whole-width `propagation._panel`: a non-finite feature is
+    propagate's DomainError.
     """
-    x = _feature_matrix(x, h.n)
     w = _base_matrix(_BASES[spec.kind], h).matrix
-    g = spec.gamma
-    z = x.copy()
-    for _ in range(spec.layers):
-        z = (1.0 - g) * (w @ z) + g * x
-    return z
+    cfg = PropagationConfig(layers=spec.layers, alpha=spec.gamma)
+    return _panel(w, _feature_matrix(x, h.n), slice(None), cfg)
 
 
 def unified_equivalent(spec: LinearizedModelSpec, h: Hypergraph) -> tuple[SparseAdjacency, float]:

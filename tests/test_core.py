@@ -386,6 +386,15 @@ class TestEdgeListLoader:
         again = load_hypergraph(path)
         assert again.n == h.n and again.edges == h.edges
 
+    def test_empty_hyperedge_is_refused_before_the_file_is_written(self, tmp_path):
+        """An empty hyperedge would be a blank line, which the loader
+        skips; the saved file would then miscount its hyperedges."""
+        h = Hypergraph(n=3, indptr=np.array([0, 2, 2, 2]), indices=np.array([0, 1]))
+        path = tmp_path / "edges.txt"
+        with pytest.raises(DomainError, match=re.escape("hyperedge 1 is empty")):
+            save_hypergraph(path, h)
+        assert not path.exists()
+
     def test_plain_file_without_header(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1 2\n\n0 1\n")

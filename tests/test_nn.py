@@ -287,6 +287,19 @@ class TestSigmoidBce:
         with pytest.raises(DimensionError):
             sigmoid_bce(np.zeros(3), np.zeros(2))
 
+    def test_bits_equal_the_two_exp_expression(self):
+        """One exp serves the loss and the sigmoid, with the bits of
+        taking it once for each."""
+        rng = np.random.default_rng(61)
+        edges = [0.0, -0.0, 1e-3, -1e-3, 30.0, -30.0, 800.0, -800.0]
+        z = np.concatenate([edges, rng.standard_normal(200) * 10, rng.standard_normal(50) * 1e-6])
+        t = rng.integers(0, 2, size=z.size).astype(float)
+        want_loss = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
+        e = np.exp(-np.abs(z))
+        want_grad = (np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - t) / z.size
+        loss, grad = sigmoid_bce(z, t)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
 
 class TestBackprop:
     def test_parameter_gradients_match_finite_differences(self):

@@ -1,7 +1,6 @@
 """Tests for the propagation operator, its recurrence, and its limits."""
 
 import dataclasses
-import io
 import os
 import re
 import struct
@@ -689,14 +688,33 @@ class TestSerialization:
         with pytest.raises(ParseError, match="expected"):
             load_propagated(path)
 
-    def test_short_read_is_a_parse_error(self):
-        from hyperprop.propagation import _read_exactly
+    def test_short_read_is_a_parse_error(self, tmp_path, monkeypatch):
+        """A payload that ends before its chunk is full is a ParseError,
+        even when the file's reported size passes the size check, as for
+        a file cut after that check.  The file loses 83 payload bytes
+        while `os.fstat` reports its full size; the footer's 80 bytes take
+        the payload's place, so the one chunk comes up 3 bytes short."""
+        from hyperprop.propagation import save_propagated
 
-        buffer = bytearray(8)
-        _read_exactly(io.BytesIO(bytes(range(8))), buffer, Path("f.tfhn"))
-        assert buffer == bytes(range(8))
-        with pytest.raises(ParseError, match="3 bytes early"):
-            _read_exactly(io.BytesIO(b"12345"), bytearray(8), Path("f.tfhn"))
+        path = tmp_path / "cut.tfhn"
+        pf = PropagatedFeatures(
+            matrix=np.arange(12.0).reshape(4, 3),
+            config=PropagationConfig(layers=1, alpha=0.5),
+            provenance="ab" * 32,
+            structure="cd" * 32,
+        )
+        save_propagated(path, pf)
+        blob = path.read_bytes()
+        full = len(blob)
+        path.write_bytes(blob[: 4 + 16 + 96 - 83] + blob[-80:])
+        real = os.fstat
+        monkeypatch.setattr(
+            propagation.os, "fstat", lambda fd: os.stat_result((*real(fd)[:6], full, *real(fd)[7:]))
+        )
+        with pytest.raises(ParseError, match=re.escape("cut.tfhn: file ended 3 bytes early")):
+            load_propagated(path)
+        path.write_bytes(blob)  # the whole file, under the same patch, loads
+        assert load_propagated(path).matrix.tobytes() == pf.matrix.tobytes()
 
 
 class TestLoadRows:

@@ -1,8 +1,9 @@
 """Every function of the package is used inside it: each function named
 in a module's ``__all__``, and each module-level ``_`` helper, is loaded
-somewhere in ``src/hyperprop`` besides its own ``def``.  And the dtype
+somewhere in ``src/hyperprop`` besides its own ``def``.  The dtype
 rule of an input array is spelled in ``core`` alone, not in the package's
-other modules nor in ``scripts/``."""
+other modules nor in ``scripts/``, and a loop over the layers runs in
+``propagation`` alone."""
 
 import ast
 from collections import Counter
@@ -96,3 +97,28 @@ def test_only_core_reads_a_dtype_kind():
         if module != "core" and (lines := dtype_kind_reads(tree))
     }
     assert not elsewhere, f"dtype.kind read outside core at {elsewhere}"
+
+
+def layer_loops(tree) -> list[int]:
+    """Line of each ``for`` over a ``range`` of ``layers`` or
+    ``<expr>.layers`` in ``tree``, as a statement or in a comprehension."""
+    loops = [sub for sub in ast.walk(tree) if isinstance(sub, (ast.For, ast.comprehension))]
+    return [
+        loop.iter.lineno
+        for loop in loops
+        if isinstance(loop.iter, ast.Call) and getattr(loop.iter.func, "id", "") == "range"
+        and any("layers" in (getattr(a, "id", ""), getattr(a, "attr", "")) for a in loop.iter.args)
+    ]
+
+
+def test_only_propagation_loops_over_the_layers():
+    """`propagation._panel` is the one evaluation of the recurrence
+    Z^l = (1 - alpha) W Z^{l-1} + alpha X; the reference models call it
+    with their own W and gamma rather than keep a copy of its loop."""
+    assert layer_loops(TREES["propagation"])  # the scan sees the loop where it lives
+    elsewhere = {
+        module: lines
+        for module, tree in {**TREES, **SCRIPTS}.items()
+        if module != "propagation" and (lines := layer_loops(tree))
+    }
+    assert not elsewhere, f"loop over the layers outside propagation at {elsewhere}"

@@ -116,6 +116,17 @@ class TestRunLinearized:
         spec = LinearizedModelSpec(kind=ModelKind.EDHNN, layers=0, gamma=0.4)
         np.testing.assert_array_equal(run_linearized(spec, TWO_EDGES, x), x)
 
+    def test_non_finite_features_are_refused_as_in_propagate(self):
+        """The models run `propagate`'s recurrence, and its check: a NaN
+        feature is a DomainError, not a NaN in the output."""
+        for value in (np.nan, np.inf):
+            x = np.ones((3, 2))
+            x[1, 0] = value
+            for kind in ModelKind:
+                spec = LinearizedModelSpec(kind=kind, layers=1)
+                with pytest.raises(DomainError, match="features contain non-finite entries"):
+                    run_linearized(spec, TWO_EDGES, x)
+
     def test_each_model_matches_its_published_recursion(self):
         """Every kind, run through the library, equals a dense loop
         implementation of that model's own layer equation."""
