@@ -7,8 +7,8 @@ three read their settings from a strict JSON config; flags win over the
 file (``--out`` for all three, ``--seed`` for ``generate`` and ``train``,
 ``--task`` for ``train``).  ``verify`` takes only ``--cases`` and ``--seed``.
 
-Exit codes: 0 success, 1 usage, 2 bad data or config, 3 verification
-failure.
+Exit codes: 0 success, 1 usage, 2 bad data or config (or a run too
+large for the machine's memory), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -73,19 +73,13 @@ _SECTION_KEYS = {
         "p_in": float, "feature_dim": int, "feature_noise": float, "seed": int,
     },
     "propagation": {"layers": int, "alpha": float},
-    "train": {
-        "learning_rate": float, "epochs": int, "dropout": float, "weight_decay": float,
-        "hidden_dims": list,
-    },
+    "train": {"learning_rate": float, "epochs": int, "dropout": float, "hidden_dims": list},
     "negative": {"alpha": float, "beta": int},
 }
 # What an omitted key of a section resolves to (the README's defaults).
 _SECTION_DEFAULTS = {
     "propagation": {"layers": 2, "alpha": 0.3},
-    "train": {
-        "learning_rate": 0.01, "epochs": 100, "dropout": 0.0, "weight_decay": 0.0,
-        "hidden_dims": [64],
-    },
+    "train": {"learning_rate": 0.01, "epochs": 100, "dropout": 0.0, "hidden_dims": [64]},
     "negative": {"alpha": 0.5, "beta": 5},
 }
 _TOP_KEYS = {**dict.fromkeys(_SECTION_KEYS, dict), "task": str, "seeds": list, "out_dir": str}
@@ -480,7 +474,7 @@ def main(argv=None) -> int:
             cmd_precompute(cfg)
             return 0
         return cmd_train(cfg)
-    except (HyperpropError, OSError) as exc:
+    except (HyperpropError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,10 @@
 """Minimal dense network used as the task head.
 
 Everything is plain numpy: rectifier hidden layers, identity output,
-inverted dropout, numerically stabilized losses, and Adam with
-decoupled weight decay.  Gradients are exact (verified against finite
-differences in the test suite), and every stochastic choice flows from
-an explicit generator, so training is bit-reproducible per seed.
+inverted dropout, numerically stabilized losses, and bias-corrected
+Adam.  Gradients are exact (verified against finite differences in the
+test suite), and every stochastic choice flows from an explicit
+generator, so training is bit-reproducible per seed.
 Inside a head run (`_head_threads`) the wide products run in fixed row
 panels (`_matmul`) on one worker per core, with the bits of one call.
 """
@@ -81,7 +81,6 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     dropout: float = 0.0
-    weight_decay: float = 0.0
     hidden_dims: tuple[int, ...] = (64,)
     seed: int = 0
 
@@ -92,11 +91,11 @@ class TrainConfig:
             raise DomainError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not self.weight_decay >= 0.0:
-            raise DomainError(f"weight decay must be nonnegative, got {self.weight_decay}")
         if not _positive_integers(self.hidden_dims):
             widths = list(self.hidden_dims)
             raise DomainError(f"hidden widths must be positive integers, got {widths}")
+        if not _positive_integers([self.seed], 0):
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -360,15 +359,13 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
 
 
 def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainConfig):
-    """One bias-corrected Adam update with decoupled weight decay.
+    """One bias-corrected Adam update of every weight and bias.
 
-    Weight decay subtracts lr * wd * param directly (biases included),
-    independent of the moment estimates.  Mutates params/state in place
-    and returns them.  Each parameter is updated through two scratch
-    buffers, in the operation order of
+    Mutates params/state in place and returns them.  Each parameter is
+    updated through two scratch buffers, in the operation order of
 
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-        p -= lr (m / corr1) / (sqrt(v / corr2) + eps);  p -= lr wd p
+        p -= lr (m / corr1) / (sqrt(v / corr2) + eps)
 
     so the result is bit-identical to evaluating those expressions.
     """
@@ -376,7 +373,6 @@ def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainC
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
-    decay = cfg.learning_rate * cfg.weight_decay
     for p, g, m, v in zip(params.weights + params.biases, [*grads_w, *grads_b], state.m, state.v):
         update, denom = np.empty_like(p), np.empty_like(p)
         m *= b1
@@ -393,7 +389,4 @@ def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainC
         update /= denom
         update *= cfg.learning_rate
         p -= update
-        if cfg.weight_decay > 0.0:
-            np.multiply(decay, p, out=update)
-            p -= update
     return params, state

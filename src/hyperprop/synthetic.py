@@ -51,6 +51,8 @@ class PlantedConfig:
             )
         if not self.feature_noise >= 0.0:
             raise ConfigError(f"feature noise must be nonnegative, got {self.feature_noise}")
+        if not _positive_integers([self.seed], 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         # every class must be able to host a pure hyperedge of max size
         smallest_class = self.n // self.classes
         if hi > smallest_class:

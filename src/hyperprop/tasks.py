@@ -78,6 +78,8 @@ def make_split(size: int, seed: int) -> Split:
     """
     if not _positive_integers([size]):
         raise DomainError(f"split size must be a positive integer, got {size!r}")
+    if not _positive_integers([seed], 0):
+        raise DomainError(f"split seed must be a nonnegative integer, got {seed!r}")
     n_val = n_test = size // 4
     n_train = size - n_val - n_test
     perm = np.random.default_rng(seed).permutation(size)
@@ -116,12 +118,16 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     round(alpha * |e|) members survive (round-half-to-even); the rest
     are redrawn uniformly from outside the hyperedge, without
     replacement.  A draw that equals a real hyperedge (one of its own
-    size) is retried up to 100 times before giving up.  Edges of one
+    size) is retried up to 100 times before giving up; a hyperedge
+    whose every member survives (an empty one included) has no
+    corruption, and is refused before any draw.  Edges of one
     size are corrupted together, so the cost is O(sum |e| * beta),
     independent of n.  Negatives come out edge-major, then by draw, and
     each group's draws are written straight into their hypergraph's arrays.
     """
     _check_corruption(alpha, beta)
+    if not _positive_integers([seed], 0):
+        raise DomainError(f"sampling seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     sizes = np.diff(h.indptr)
     source = np.repeat(np.arange(h.m, dtype=np.int64), beta)
@@ -130,8 +136,11 @@ def negative_sample(h: Hypergraph, alpha: float, beta: int, seed: int) -> Hyperl
     for size in np.unique(sizes).tolist():
         ids = np.flatnonzero(sizes == size)
         keep = int(round(alpha * size))
+        edge = int(ids[0])
+        if keep == size:
+            failures[edge] = f"hyperedge {edge}: alpha {alpha} keeps all {size} members"
+            continue
         if h.n - size < size - keep:
-            edge = int(ids[0])
             failures[edge] = (
                 f"hyperedge {edge}: only {h.n - size} replacement nodes for {size - keep} slots"
             )
@@ -192,9 +201,7 @@ def _corrupt(rows: np.ndarray, keep: int, n: int, rng: np.random.Generator):
 
 def _collides(cands: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Whether each row of ``cands`` equals a row of ``members``, compared
-    as one bytes key per row; a row of width 0 is the empty hyperedge."""
-    if cands.shape[1] == 0:
-        return np.ones(len(cands), dtype=bool)
+    as one bytes key per row."""
     key = np.dtype((np.void, cands.itemsize * cands.shape[1]))
     return np.isin(cands.view(key).ravel(), members.view(key).ravel())
 

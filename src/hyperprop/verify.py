@@ -3,8 +3,9 @@
 Each suite draws seeded random hypergraphs and compares two
 independently implemented routes:
 
-* unification -- every linearized reference model, run via its own
-  layer recursion, equals the unified polynomial evaluated densely;
+* unification -- every linearized reference model, stepped by
+  `propagate`'s recurrence (``propagation._panel``) over the model's
+  own base W, equals the unified polynomial evaluated densely;
 * receptive field -- the dense operator's support equals breadth-first
   k-hop neighbourhoods on the incidence structure;
 * oversmoothing -- deep propagation converges to the closed-form
@@ -90,7 +91,8 @@ def check_unification(
     gammas=(0.1, 0.3, 0.5),
     tol: float = 1e-9,
 ) -> PropertyReport:
-    """Layer recursions against the dense unified polynomial."""
+    """Each model's recurrence, stepped by ``propagation._panel`` over its
+    base W, against the dense unified polynomial."""
     rng = np.random.default_rng(seed)
     failures, worst = 0, 0.0
     for _ in range(cases):

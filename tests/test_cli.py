@@ -224,17 +224,16 @@ class TestUsageAndConfigErrors:
     @pytest.mark.parametrize(
         "command, section, key, text",
         [
-            ("train", "train", "weight_decay", "NaN"),
             ("train", "train", "learning_rate", "Infinity"),
             ("train", "propagation", "alpha", "-Infinity"),
             ("train", "negative", "alpha", "1e400"),
             ("generate", "synthetic", "feature_noise", "NaN"),
         ],
-        ids=["weight_decay-nan", "lr-inf", "alpha-minus-inf", "negative-alpha-1e400", "noise-nan"],
+        ids=["lr-inf", "alpha-minus-inf", "negative-alpha-1e400", "noise-nan"],
     )
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, section, key, text):
         """JSON as Python reads it takes NaN, Infinity and 1e400 (inf);
-        a NaN weight decay would train with no decay and exit 0."""
+        each is refused by name, before a range check compares it."""
         file = write_config(tmp_path)
         cfg = json.loads(file.read_text())
         cfg.setdefault(section, {})[key] = "@"
@@ -336,10 +335,9 @@ class TestUsageAndConfigErrors:
             ({"learning_rate": -1}, "learning rate must be positive, got -1.0"),
             ({"epochs": 0}, "epochs must be a positive integer, got 0"),
             ({"dropout": 1}, "dropout must lie in [0, 1), got 1.0"),
-            ({"weight_decay": -0.5}, "weight decay must be nonnegative, got -0.5"),
             ({"hidden_dims": [16, 0]}, "hidden widths must be positive integers, got [16, 0]"),
         ],
-        ids=["lr", "epochs", "dropout", "weight_decay", "hidden_dims"],
+        ids=["lr", "epochs", "dropout", "hidden_dims"],
     )
     @pytest.mark.parametrize(
         "command",
@@ -413,13 +411,77 @@ class TestUsageAndConfigErrors:
         file = tmp_path / "readme.json"
         file.write_text(block)
         load = cli.load_config
-        assert load(str(file), argparse.Namespace()).hash() == "00a28ef622b11442"
-        assert load(str(file), argparse.Namespace(task="hp")).hash() == "34b9e50126abcb34"
-        assert load(None, argparse.Namespace()).hash() == "d126ff84526bb8cf"
+        assert load(str(file), argparse.Namespace()).hash() == "b50502f56d1b5bd1"
+        assert load(str(file), argparse.Namespace(task="hp")).hash() == "11a8a5f4469b3cc0"
+        assert load(None, argparse.Namespace()).hash() == "114049ff37ace119"
         raw = json.loads(block)
-        ints = {"dropout": 0, "weight_decay": 0}
+        ints = {"dropout": 0}
         file.write_text(json.dumps({**raw, "train": {**raw["train"], **ints}}))
-        assert load(str(file), argparse.Namespace()).hash() == "00a28ef622b11442"
+        assert load(str(file), argparse.Namespace()).hash() == "b50502f56d1b5bd1"
+
+    def test_weight_decay_is_an_unknown_key(self, tmp_path, capsys):
+        """Adam has no weight decay, so the key is refused like any typo."""
+        file = write_config(tmp_path, train={"learning_rate": 0.01, "weight_decay": 0.0})
+        assert cli.main(["train", "--config", str(file)]) == 2
+        assert capsys.readouterr().err == "error: unknown key(s) in train: weight_decay\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config root must be a JSON object"),
+            ('{"task": "lp"}', "task must be 'nc' or 'hp', got 'lp'"),
+            ('{"seeds": []}', "seeds must be a nonempty list of integers, got []"),
+        ],
+        ids=["root-list", "unknown-task", "empty-seeds"],
+    )
+    def test_bad_config_shape_is_config_error(self, tmp_path, capsys, text, message):
+        file = tmp_path / "c.json"
+        file.write_text(text)
+        assert cli.main(["train", "--config", str(file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_dataset_key_is_config_error(self, tmp_path, capsys):
+        file = write_config(tmp_path)
+        assert cli.main(["precompute", "--config", str(file)]) == 2
+        assert capsys.readouterr().err == "error: dataset.edges is required for this command\n"
+
+    def test_generate_without_a_synthetic_section_is_config_error(self, tmp_path, capsys):
+        file = tmp_path / "c.json"
+        file.write_text("{}")
+        assert cli.main(["generate", "--config", str(file), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: generate needs a 'synthetic' config section\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_incomplete_synthetic_section_is_config_error(self, tmp_path, capsys):
+        file = write_config(tmp_path, synthetic={"n": 60})
+        assert cli.main(["generate", "--config", str(file), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: synthetic section is incomplete: ")
+        assert "'m' and 'classes'" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_run_too_large_for_memory_is_data_error(self, workspace, capsys):
+        """10**12 negatives for each of the 40 hyperedges is a 320 TB
+        source array, more than a process can map, so numpy's allocation
+        fails before anything is written."""
+        tmp_path, cfg_file = workspace
+        cfg = json.loads(cfg_file.read_text())
+        cfg_file.write_text(json.dumps({**cfg, "negative": {"beta": 10**12}}))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg_file), "--task", "hp", "--out", str(out)]) == 2
+        assert re.fullmatch(r"error: Unable to allocate .*\n", capsys.readouterr().err)
+        assert not (out / "metrics.jsonl").exists()
+
+    def test_config_tables_name_the_library_settings(self):
+        """The train section's keys are `TrainConfig`'s fields but the
+        seed (which the seed list sets), and the propagation section's
+        are `PropagationConfig`'s; each section's defaults name its keys."""
+        fields = [f.name for f in dataclasses.fields(cli.TrainConfig)]
+        assert list(cli._SECTION_KEYS["train"]) == [f for f in fields if f != "seed"]
+        fields = [f.name for f in dataclasses.fields(PropagationConfig)]
+        assert list(cli._SECTION_KEYS["propagation"]) == fields
+        for section, defaults in cli._SECTION_DEFAULTS.items():
+            assert list(defaults) == list(cli._SECTION_KEYS[section])
 
     def test_bad_synthetic_range_is_data_error(self, tmp_path, capsys):
         file = write_config(tmp_path)
@@ -751,10 +813,7 @@ class TestTrain:
                 **base,
                 "synthetic": {**base["synthetic"], "feature_noise": spell(1)},
                 "propagation": {"layers": 2, "alpha": spell(0)},
-                "train": {
-                    **base["train"], "learning_rate": spell(1), "dropout": spell(0),
-                    "weight_decay": spell(0),
-                },
+                "train": {**base["train"], "learning_rate": spell(1), "dropout": spell(0)},
                 "negative": {"alpha": spell(1), "beta": 2},
             }
             file = tmp_path / f"{spell.__name__}.json"

@@ -511,6 +511,17 @@ class TestFeatureAndLabelFiles:
         assert again.num_classes == 3
         np.testing.assert_array_equal(again.labeled_indices, [0, 1, 3])
 
+    def test_comment_lines_are_skipped_but_counted(self, tmp_path):
+        """A `#` line holds no label, and a later error still names the
+        file's own line number."""
+        (tmp_path / "y.txt").write_text("# labels\n0\n-1\n# more\n1\n")
+        y = load_labels(tmp_path / "y.txt")
+        np.testing.assert_array_equal(y.labels, [0, -1, 1])
+        assert y.num_classes == 2
+        (tmp_path / "y.txt").write_text("# labels\n0\n# more\nfoo\n")
+        with pytest.raises(ParseError, match="^y.txt:4: malformed label 'foo'$"):
+            load_labels(tmp_path / "y.txt")
+
     def test_malformed_label_reports_line(self, tmp_path):
         (tmp_path / "y.txt").write_text("0\nfoo\n")
         with pytest.raises(ParseError, match=":2"):

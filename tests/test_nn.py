@@ -39,8 +39,6 @@ def adam_textbook_step(p, g, m, v, step, cfg):
     v += (1.0 - b2) * g * g
     update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
     p -= cfg.learning_rate * update
-    if cfg.weight_decay > 0.0:
-        p -= cfg.learning_rate * cfg.weight_decay * p
 
 
 def reference_forward(params, x, dropout=0.0, rng=None):
@@ -675,14 +673,6 @@ class TestAdam:
         np.testing.assert_allclose(params.weights[0], [[0.9]], atol=1e-6)
         assert state.step == 1
 
-    def test_decoupled_weight_decay_with_zero_gradient(self):
-        params = MlpParams(weights=[np.array([[2.0]])], biases=[np.array([0.0])])
-        state = AdamState.like(params)
-        cfg = TrainConfig(learning_rate=0.1, epochs=1, weight_decay=0.5)
-        adam_step(params, [np.zeros((1, 1))], [np.zeros(1)], state, cfg)
-        # pure decay: 2.0 - 0.1 * 0.5 * 2.0 = 1.9
-        np.testing.assert_allclose(params.weights[0], [[1.9]], rtol=1e-12)
-
     def test_two_steps_track_reference_formula(self):
         """Independent recomputation of the moment recursions for two
         steps on a scalar parameter."""
@@ -698,15 +688,14 @@ class TestAdam:
             p -= lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
         np.testing.assert_allclose(params.weights[0], [[p]], rtol=1e-12)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_bit_identical_to_textbook_expressions(self, weight_decay):
+    def test_bit_identical_to_textbook_expressions(self):
         rng = np.random.default_rng(11)
         params = init_mlp([37, 9, 3], rng)
         want = params.copy()
         state = AdamState.like(params)
         want_m = [np.zeros_like(p) for p in want.weights + want.biases]
         want_v = [np.zeros_like(p) for p in want.weights + want.biases]
-        cfg = TrainConfig(learning_rate=0.03, epochs=1, weight_decay=weight_decay)
+        cfg = TrainConfig(learning_rate=0.03, epochs=1)
         for step in range(1, 8):
             grads_w = [rng.standard_normal(w.shape) for w in params.weights]
             grads_b = [rng.standard_normal(b.shape) for b in params.biases]
@@ -733,10 +722,18 @@ class TestAdam:
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=0.1, epochs=10, dropout=1.0)
 
-    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "dropout"])
+    @pytest.mark.parametrize("seed", [True, -1, 1.5], ids=["bool", "negative", "float"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        """True trained as seed 1; -1 and 1.5 failed inside numpy's
+        generator, once training began."""
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            TrainConfig(learning_rate=0.1, epochs=1, seed=seed)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "dropout"])
     def test_nan_setting_is_refused(self, field):
         """NaN fails every comparison, so each range check is written to
-        fail on it; a NaN weight decay would otherwise switch decay off."""
+        fail on it rather than pass a NaN setting to the epoch loop."""
         with pytest.raises(DomainError):
             TrainConfig(**{"learning_rate": 0.1, "epochs": 1, field: float("nan")})
 

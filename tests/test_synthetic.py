@@ -1,5 +1,7 @@
 """Tests for the planted-partition generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ class TestConfigValidation:
         TypeError or ValueError inside `generate`."""
         with pytest.raises(ConfigError, match="integer"):
             base_cfg(**{field: (2, value) if field == "size_range" else value})
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5], ids=["bool", "negative", "float"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        """True generated seed 1's instance; -1 and 1.5 failed inside
+        numpy's generator, in `generate`."""
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            base_cfg(seed=seed)
 
     def test_nan_feature_noise_is_refused(self):
         """NaN fails every comparison, so the check is written to fail on

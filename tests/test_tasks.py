@@ -83,6 +83,13 @@ class TestMakeSplit:
             with pytest.raises(DomainError, match=re.escape(message)):
                 make_split(size, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5], ids=["bool", "negative", "float"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        """True split as seed 1; -1 and 1.5 failed inside numpy's generator."""
+        message = f"split seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            make_split(10, seed)
+
     def test_split_rejects_overlap(self):
         with pytest.raises(DomainError):
             Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]))
@@ -166,7 +173,8 @@ def reference_negative_sample(h, alpha, beta, seed):
     """The sampler written out, with a set of member tuples as the
     collision test: hyperedges of one size are corrupted together by
     `_corrupt`, the rows equal to a real hyperedge are redrawn up to 99
-    more times, and the lowest failing hyperedge is named.  Returns the
+    more times, a size whose every member is kept is refused undrawn,
+    and the lowest failing hyperedge is named.  Returns the
     negatives' (indptr, indices, source)."""
     rng = np.random.default_rng(seed)
     sizes = np.diff(h.indptr)
@@ -176,6 +184,9 @@ def reference_negative_sample(h, alpha, beta, seed):
     for size in sorted(set(sizes.tolist())):
         ids = [k for k in range(h.m) if sizes[k] == size]
         keep = int(round(alpha * size))
+        if keep == size:
+            failures[ids[0]] = f"hyperedge {ids[0]}: alpha {alpha} keeps all {size} members"
+            continue
         if h.n - size < size - keep:
             failures[ids[0]] = (
                 f"hyperedge {ids[0]}: only {h.n - size} replacement nodes for {size - keep} slots"
@@ -258,8 +269,26 @@ class TestNegativeSample:
 
     def test_full_alpha_always_collides(self):
         h = Hypergraph.from_edges([(0, 1, 2)], n=5)
-        with pytest.raises(SamplingError, match="hyperedge 0"):
+        with pytest.raises(SamplingError, match="hyperedge 0: alpha 1.0 keeps all 3 members"):
             negative_sample(h, alpha=1.0, beta=1, seed=0)
+
+    def test_alpha_that_keeps_a_whole_edge_is_refused_before_any_draw(self, monkeypatch):
+        """0.75 * 2 = 1.5 rounds to 2, so every corruption of the 2-node
+        edge is the edge itself: the sampler says so instead of drawing
+        it 100 times.  The 4-node edge, which keeps 3, is still drawn."""
+        h = Hypergraph.from_edges([(0, 1, 2, 3), (4, 5)], n=12)
+        widths = []
+        real = tasks._corrupt
+
+        def spy(rows, *args):
+            widths.append(rows.shape[1])
+            return real(rows, *args)
+
+        monkeypatch.setattr(tasks, "_corrupt", spy)
+        with pytest.raises(SamplingError) as exc:
+            negative_sample(h, alpha=0.75, beta=3, seed=0)
+        assert str(exc.value) == "hyperedge 1: alpha 0.75 keeps all 2 members"
+        assert widths == [4]
 
     def test_impossible_replacement_pool(self):
         h = Hypergraph.from_edges([(0, 1, 2, 3)], n=5)  # pool {4}, need 2
@@ -313,19 +342,29 @@ class TestNegativeSample:
             with pytest.raises(DomainError, match=re.escape(message)):
                 negative_sample(h, 0.5, beta, 0)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5], ids=["bool", "negative", "float"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        """True sampled as seed 1; -1 and 1.5 failed inside numpy's
+        generator."""
+        h = Hypergraph.from_edges([(0, 1), (1, 2, 3)], n=6)
+        message = f"sampling seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            negative_sample(h, 0.5, 5, seed)
+
     def test_empty_hyperedge_has_no_corruption(self):
         # the only set of size 0 is the empty hyperedge itself
         h = Hypergraph.from_edges([(0, 1), (), (2, 3, 4)], n=8)
-        with pytest.raises(SamplingError, match="hyperedge 1: no collision-free corruption in 100"):
+        with pytest.raises(SamplingError, match="hyperedge 1: alpha 0.5 keeps all 0 members"):
             negative_sample(h, 0.5, 2, 0)
 
     def test_matches_the_reference_sampler(self):
         """Bit-equal negatives and sources, or the same SamplingError, on
         tiny hypergraphs with mixed sizes, forced collisions (every pair of
-        a few nodes is a hyperedge, or alpha = 1) and empty hyperedges."""
+        a few nodes is a hyperedge), sizes that alpha keeps whole (alpha =
+        1, or 0.75 on 2-node edges) and empty hyperedges."""
         rng = np.random.default_rng(5)
         outcomes = collections.Counter()
-        for case in range(150):
+        for case in range(300):
             n = int(rng.integers(2, 9))
             sizes = rng.integers(1, min(n, 5) + 1, size=int(rng.integers(1, 7)))
             edges = [tuple(rng.choice(n, size=int(s), replace=False).tolist()) for s in sizes]
@@ -352,7 +391,7 @@ class TestNegativeSample:
                 assert got_array.dtype == want_array.dtype
                 np.testing.assert_array_equal(got_array, want_array)
             outcomes["sampled"] += 1
-        assert min(outcomes[k] for k in ("sampled", "no", "only")) >= 20, outcomes
+        assert min(outcomes[k] for k in ("sampled", "no", "only", "alpha")) >= 20, outcomes
 
 
 class TestHyperlinkDataset:
@@ -865,13 +904,10 @@ class TestTrainHyperlinkPredictor:
         assert a.auc == b.auc
 
     def test_matches_the_reference_loop_bit_for_bit(self):
-        """With dropout, weight decay and two hidden layers; the best
-        validation epoch (27 of 60 here) is not the last one."""
+        """With dropout and two hidden layers; the best validation epoch
+        (27 of 60 here) is not the last one."""
         _, _, pf, data, split = self.make_inputs()
-        cfg = TrainConfig(
-            learning_rate=0.1, epochs=60, dropout=0.3, weight_decay=1e-4, hidden_dims=(16, 8),
-            seed=3,
-        )
+        cfg = TrainConfig(learning_rate=0.1, epochs=60, dropout=0.3, hidden_dims=(16, 8), seed=3)
         params, metrics = train_hyperlink_predictor(pf, data, split, cfg)
         want, want_auc = reference_hyperlink_predictor(pf, data, split, cfg)
         assert metrics.auc == want_auc
