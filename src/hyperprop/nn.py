@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _positive_integers, _worker_pool
+from .core import _index_vector, _positive_integers, _worker_pool
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_MASK_BLOCK = 8192  # values per dropout keep-mask draw (64 KB): no mask is batch-sized
+_MASK_BLOCK = 8192  # values per `_row_blocks` block (64 KB): the head's one scratch budget
 
 # Row panels of the head's wide products (see `_matmul`).  At one BLAS
 # thread, panels that start at multiples of the SkylakeX dgemm kernel's
@@ -85,8 +85,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise DomainError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            rule = "positive" if self.learning_rate < np.inf else "finite"
+            raise DomainError(f"learning rate must be {rule}, got {self.learning_rate}")
         if not _positive_integers([self.epochs]):
             raise DomainError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -214,6 +215,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
+def _row_blocks(a: np.ndarray):
+    """Views of ``a``'s consecutive row blocks, made one at a time: each one
+    row, or as many as fit in _MASK_BLOCK values (a 1-d row is one value)."""
+    rows = max(1, _MASK_BLOCK // (a.shape[1] if a.ndim == 2 else 1))
+    return (a[i : i + rows] for i in range(0, len(a), rows))
+
+
 @dataclass
 class _ForwardCache:
     # layer inputs a_{i-1} (dropped units 0) and 1/(1-p); the backward writes over them
@@ -267,8 +275,7 @@ def mlp_forward(
         a += b
         np.maximum(a, 0.0, out=a)
         if dropout > 0.0:
-            rows = max(1, _MASK_BLOCK // a.shape[1])
-            for block in (a[i : i + rows] for i in range(0, len(a), rows)):
+            for block in _row_blocks(a):
                 block *= rng.random(block.shape) >= dropout
             a *= fwd.scale
     fwd.inputs.append(a)
@@ -307,36 +314,33 @@ def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray)
     return grads_w, grads_b
 
 
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, scratch: np.ndarray | None = None
-):
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean NLL over every row; also the gradient w.r.t. logits.
 
-    The softmax is stabilized by row-max subtraction.  Without
-    ``scratch`` two batch-sized arrays are made: the shifted logits,
-    which become the gradient in place, and their ``exp`` for the
-    normalizer, and ``logits`` is not written.  With ``scratch``, a
-    float64 array of the logits' shape, none is: the logits are
-    shifted in place and become the returned gradient, and the ``exp``
-    goes into ``scratch``.  The bits are the same either way.
+    The softmax is stabilized by row-max subtraction, in place: the
+    shifted logits become the returned gradient, so ``logits`` must be
+    a writable float64 array, which this consumes.  The normalizer's
+    ``exp`` is summed over `_row_blocks` into one value per row, so no
+    batch-sized array is made; the gradient's ``exp`` is a second pass.
     """
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != logits.shape[:1]:
+    if getattr(logits, "dtype", None) != np.float64 or not logits.flags.writeable:
+        raise DomainError("logits must be a writable float64 array: the gradient overwrites them")
+    y = _index_vector(labels, "labels")
+    if logits.ndim != 2 or y.shape != logits.shape[:1]:
         raise DimensionError(f"logits {logits.shape} vs labels {y.shape}")
     if y.size == 0:
         raise DomainError("loss over an empty batch is undefined")
     if y.min() < 0 or y.max() >= logits.shape[1]:
         raise DomainError("labels must be valid class indices")
-    top = logits.max(axis=1, keepdims=True)
-    shifted = logits - top if scratch is None else np.subtract(logits, top, out=logits)
-    log_norm = np.log(np.exp(shifted, out=scratch).sum(axis=1))
+    logits -= logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.concatenate([np.exp(b).sum(axis=1) for b in _row_blocks(logits)]))
     rows = np.arange(len(y))
-    loss = float(np.mean(log_norm - shifted[rows, y]))
-    shifted -= log_norm[:, None]
-    np.exp(shifted, out=shifted)
-    shifted[rows, y] -= 1.0
-    shifted /= len(y)
-    return loss, shifted
+    loss = float(np.mean(log_norm - logits[rows, y]))
+    logits -= log_norm[:, None]
+    np.exp(logits, out=logits)
+    logits[rows, y] -= 1.0
+    logits /= len(y)
+    return loss, logits
 
 
 def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
@@ -362,7 +366,7 @@ def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainC
     """One bias-corrected Adam update of every weight and bias.
 
     Mutates params/state in place and returns them.  Each parameter is
-    updated through two scratch buffers, in the operation order of
+    updated in `_row_blocks` through one pair of block buffers, in the order of
 
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         p -= lr (m / corr1) / (sqrt(v / corr2) + eps)
@@ -370,23 +374,20 @@ def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainC
     so the result is bit-identical to evaluating those expressions.
     """
     state.step += 1
-    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    corr1 = 1.0 - b1 ** state.step
-    corr2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params.weights + params.biases, [*grads_w, *grads_b], state.m, state.v):
-        update, denom = np.empty_like(p), np.empty_like(p)
-        m *= b1
-        np.multiply(1.0 - b1, g, out=update)
-        m += update
-        v *= b2
-        np.multiply(1.0 - b2, g, out=update)
-        update *= g
-        v += update
-        np.divide(v, corr2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        np.divide(m, corr1, out=update)
-        update /= denom
-        update *= cfg.learning_rate
-        p -= update
+    corr1, corr2 = 1.0 - ADAM_BETA1**state.step, 1.0 - ADAM_BETA2**state.step
+    pair = np.empty((2, max(next(_row_blocks(m)).size for m in state.m)))
+    for four in zip(params.weights + params.biases, [*grads_w, *grads_b], state.m, state.v):
+        for p, g, m, v in zip(*map(_row_blocks, four)):
+            update, denom = (buf[: g.size].reshape(g.shape) for buf in pair)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=update)
+            v += np.multiply(update, g, out=update)
+            np.sqrt(np.divide(v, corr2, out=denom), out=denom)
+            denom += ADAM_EPS
+            np.divide(m, corr1, out=update)
+            update /= denom
+            update *= cfg.learning_rate
+            p -= update
     return params, state

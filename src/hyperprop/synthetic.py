@@ -49,8 +49,8 @@ class PlantedConfig:
                 f"feature_dim must be an integer >= {self.classes}, one orthogonal mean per class,"
                 f" got {self.feature_dim!r}"
             )
-        if not self.feature_noise >= 0.0:
-            raise ConfigError(f"feature noise must be nonnegative, got {self.feature_noise}")
+        if not 0.0 <= self.feature_noise < np.inf:
+            raise ConfigError(f"feature noise must be finite and >= 0, got {self.feature_noise}")
         if not _positive_integers([self.seed], 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         # every class must be able to host a pure hyperedge of max size

@@ -259,8 +259,8 @@ def _require_finite(values, what: str) -> None:
 
 def _check_class_count(labels: LabelVector) -> None:
     """Refuse more classes than labeled nodes.  The head has one output
-    column per class and the loss a (train rows x classes) scratch, so
-    one stray large label would otherwise be a huge allocation."""
+    column per class, so its logits buffer is (rows x classes) and one
+    stray large label would otherwise be a huge allocation."""
     labeled = int(np.count_nonzero(labels.labels != -1))
     if labels.num_classes > labeled:
         raise DomainError(
@@ -346,13 +346,12 @@ def train_node_classifier(
     if np.any(y[np.concatenate([split.train, split.val, split.test])] == -1):
         raise DomainError("split contains unlabeled nodes")
     y_train, y_val = y[split.train], y[split.val]
-    scratch = np.empty((len(y_train), labels.num_classes))  # the loss's exp, for every epoch
     with _head_threads():
         best_params, seconds = _fit(
             _take_rows(x, split.train),
             _take_rows(x, split.val),
             labels.num_classes,
-            lambda logits: softmax_cross_entropy(logits, y_train, scratch),
+            lambda logits: softmax_cross_entropy(logits, y_train),
             lambda logits: float(np.mean(logits.argmax(axis=1) == y_val)),
             cfg,
         )

@@ -163,6 +163,23 @@ def masked_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: n
     return loss, grad
 
 
+def two_array_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean NLL over every row and its gradient, as the package's loss
+    computed them with two batch-sized arrays (the shifted logits, which
+    become the gradient, and their ``exp``); ``logits`` is not written.
+    The in-place, block-wise loss must match it bit for bit."""
+    y = np.asarray(labels, dtype=np.int64)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(len(y))
+    loss = float(np.mean(log_norm - shifted[rows, y]))
+    shifted -= log_norm[:, None]
+    np.exp(shifted, out=shifted)
+    shifted[rows, y] -= 1.0
+    shifted /= len(y)
+    return loss, shifted
+
+
 def finite_difference_grads(loss_fn, params, h: float = 1e-5):
     """Central differences of ``loss_fn()`` w.r.t. every entry of every
     array in ``params`` (mutated in place and restored)."""

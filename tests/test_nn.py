@@ -26,7 +26,11 @@ from hyperprop.nn import (
     softmax_cross_entropy,
 )
 
-from oracles import finite_difference_grads, masked_softmax_cross_entropy
+from oracles import (
+    finite_difference_grads,
+    masked_softmax_cross_entropy,
+    two_array_softmax_cross_entropy,
+)
 
 
 def adam_textbook_step(p, g, m, v, step, cfg):
@@ -209,12 +213,53 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DimensionError):
             softmax_cross_entropy(np.zeros((3, 2)), np.array([0, 1]))
 
-    def test_inputs_are_not_written(self):
+    def test_logits_become_the_gradient_and_labels_are_not_written(self):
         logits = np.random.default_rng(3).standard_normal((4, 3))
         labels = np.array([2, 0, 1, 2])
-        before = logits.copy()
-        softmax_cross_entropy(logits, labels)
-        assert np.array_equal(logits, before)
+        _, grad = softmax_cross_entropy(logits, labels)
+        assert grad is logits
+        assert np.array_equal(labels, [2, 0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "logits",
+        [np.zeros((2, 3), dtype=np.float32), np.zeros((2, 3), dtype=int), [[0.0] * 3] * 2,
+         np.broadcast_to(0.0, (2, 3))],
+        ids=["float32", "int", "list", "read-only"],
+    )
+    def test_refuses_logits_it_cannot_write_over(self, logits):
+        with pytest.raises(DomainError, match="logits must be a writable float64 array"):
+            softmax_cross_entropy(logits, np.array([0, 1]))
+
+    @pytest.mark.parametrize(
+        "labels", [[0.9, 1.0], [True, False], [0, "1"]], ids=["float", "bool", "str"]
+    )
+    def test_labels_must_hold_integers(self, labels):
+        """0.9 was scored as class 0, and bools and digit strings were
+        converted, before the labels took the package's index rule."""
+        with pytest.raises(DomainError, match="labels must hold integers"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
+
+    def test_int32_labels_give_the_int64_bits(self):
+        logits = np.random.default_rng(6).standard_normal((50, 7))
+        labels = np.random.default_rng(7).integers(0, 7, size=50)
+        want_loss, want_grad = softmax_cross_entropy(logits.copy(), labels)
+        loss, grad = softmax_cross_entropy(logits.copy(), labels.astype(np.int32))
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(20_000, 160), (1656, 6), (12_345, 7), (1, 5), (3, 9000)],
+        ids=["wide", "cocite", "odd", "one-row", "row-past-a-block"],
+    )
+    def test_blocks_match_the_two_array_loss_bit_for_bit(self, shape):
+        """The normalizer summed over 64 KB row blocks gives the loss and
+        gradient of one ``exp`` over the whole batch, bit for bit; more
+        than 8192 classes make each row its own block."""
+        rng = np.random.default_rng(shape[0])
+        logits = 4.0 * rng.standard_normal(shape)
+        labels = rng.integers(0, shape[1], size=shape[0])
+        want_loss, want_grad = two_array_softmax_cross_entropy(logits, labels)
+        loss, grad = softmax_cross_entropy(logits, labels)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -222,8 +267,8 @@ class TestSoftmaxCrossEntropy:
         labels = rng.integers(0, 4, size=6)
         mask = np.array([0, 2, 3, 5])
         z, y = logits[mask], labels[mask]
-        _, grad = softmax_cross_entropy(z, y)
-        fd = finite_difference_grads(lambda: softmax_cross_entropy(z, y)[0], [z])[0]
+        _, grad = softmax_cross_entropy(z.copy(), y)
+        fd = finite_difference_grads(lambda: softmax_cross_entropy(z.copy(), y)[0], [z])[0]
         np.testing.assert_allclose(grad, fd, atol=1e-9)
 
     def test_gathered_rows_match_the_masked_copy_bit_for_bit(self):
@@ -247,14 +292,10 @@ class TestSoftmaxCrossEntropy:
             cases.append((logits, labels, mask))
         for logits, labels, mask in cases:
             want_loss, want_grad = masked_softmax_cross_entropy(logits, labels, mask)
-            loss, grad = softmax_cross_entropy(logits[mask], labels[mask])
-            assert loss == want_loss
-            assert grad.dtype == want_grad.dtype and grad.shape == (len(mask), logits.shape[1])
-            assert grad.tobytes() == want_grad[mask].tobytes()
-            gathered = logits[mask]  # in place: the gradient is written over the logits
-            scratch = np.full_like(gathered, np.nan)
-            loss, grad = softmax_cross_entropy(gathered, labels[mask], scratch)
+            gathered = logits[mask]  # in place: the gradient is written over the gathered copy
+            loss, grad = softmax_cross_entropy(gathered, labels[mask])
             assert loss == want_loss and grad is gathered
+            assert grad.dtype == want_grad.dtype and grad.shape == (len(mask), logits.shape[1])
             assert grad.tobytes() == want_grad[mask].tobytes()
 
 
@@ -519,24 +560,23 @@ class TestInPlaceHead:
             tracemalloc.stop()
         assert peak <= 0.5 * rows * width * 8, peak / (rows * width * 8)
 
-    def test_loss_peak_memory_is_about_two_batch_arrays(self):
+    def test_loss_peak_memory_is_a_tenth_of_a_batch_array(self):
         """One `softmax_cross_entropy` call at B = 20 000 rows and 160
-        classes allocates at most 2.5 arrays of B x 160 float64 at its
-        peak: the shifted logits (which become the gradient) and their
-        exp, plus small change.  Given a scratch array for the exp, it
-        shifts in the logits and allocates at most a tenth of one."""
+        classes allocates at most a tenth of an array of B x 160 float64
+        at its peak: it shifts in the logits, which become the gradient,
+        and takes the normalizer's exp in one 64 KB block at a time, so
+        what is left is vectors of one value per row."""
         rows, classes = 20_000, 160
         rng = np.random.default_rng(14)
         logits = rng.standard_normal((rows, classes))
         labels = rng.integers(0, classes, size=rows)
-        for scratch, bound in ((None, 2.5), (np.empty_like(logits), 0.1)):
-            tracemalloc.start()
-            try:
-                softmax_cross_entropy(logits, labels, scratch)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound * rows * classes * 8, peak / (rows * classes * 8)
+        tracemalloc.start()
+        try:
+            softmax_cross_entropy(logits, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * rows * classes * 8, peak / (rows * classes * 8)
 
 
 class TestRowPanels:
@@ -710,6 +750,48 @@ class TestAdam:
         for got, ref in zip(state.v, want_v):
             assert np.array_equal(got, ref)
 
+    def test_blocks_match_the_textbook_step_in_any_layout(self):
+        """A 3703 x 64 weight (29 row blocks, the last partial), a 64-value
+        bias (one block), a 9000-value bias (two), a transposed and a
+        strided parameter: five steps equal the textbook expressions bit
+        for bit, written into the arrays given."""
+        rng = np.random.default_rng(12)
+        strided = rng.standard_normal((40, 99))[:, ::3]
+        params = MlpParams(
+            weights=[rng.standard_normal((3703, 64)), rng.standard_normal((64, 3703)).T, strided],
+            biases=[rng.standard_normal(64), rng.standard_normal(9000)],
+        )
+        given = params.weights + params.biases
+        want = [p.copy() for p in given]
+        state = AdamState.like(params)
+        want_m, want_v = [np.zeros_like(p) for p in want], [np.zeros_like(p) for p in want]
+        cfg = TrainConfig(learning_rate=0.02, epochs=1)
+        for step in range(1, 6):
+            grads = [rng.standard_normal(p.shape) for p in given]
+            adam_step(params, grads[:3], grads[3:], state, cfg)
+            for p, g, m, v in zip(want, grads, want_m, want_v):
+                adam_textbook_step(p, g, m, v, step, cfg)
+        assert all(a is b for a, b in zip(params.weights + params.biases, given))
+        for got, ref in zip(given + state.m + state.v, want + want_m + want_v):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_step_allocates_two_blocks(self):
+        """One step on a 3703 x 64 weight and its bias allocates one pair
+        of 64 KB block buffers, plus small change, not two weight-sized
+        arrays."""
+        rng = np.random.default_rng(15)
+        params = MlpParams(weights=[rng.standard_normal((3703, 64))], biases=[np.zeros(64)])
+        state = AdamState.like(params)
+        grads = [rng.standard_normal((3703, 64))], [rng.standard_normal(64)]
+        cfg = TrainConfig(learning_rate=0.01, epochs=1)
+        tracemalloc.start()
+        try:
+            adam_step(params, *grads, state, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * nn._MASK_BLOCK * 8, peak / (nn._MASK_BLOCK * 8)
+
     def test_config_domains(self):
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=0.0, epochs=10)
@@ -729,6 +811,12 @@ class TestAdam:
         message = f"seed must be a nonnegative integer, got {seed!r}"
         with pytest.raises(DomainError, match=re.escape(message)):
             TrainConfig(learning_rate=0.1, epochs=1, seed=seed)
+
+    def test_infinite_learning_rate_is_refused(self):
+        """It was accepted, and the run then died at its first
+        validation pass with a NumericalError that blamed the head."""
+        with pytest.raises(DomainError, match="learning rate must be finite, got inf"):
+            TrainConfig(learning_rate=float("inf"), epochs=1)
 
     @pytest.mark.parametrize("field", ["learning_rate", "dropout"])
     def test_nan_setting_is_refused(self, field):

@@ -2,13 +2,14 @@
 in a module's ``__all__``, and each module-level ``_`` helper, is loaded
 somewhere in ``src/hyperprop`` besides its own ``def``.  The dtype
 rule of an input array is spelled in ``core`` alone, not in the package's
-other modules nor in ``scripts/``, and a loop over the layers runs in
-``propagation`` alone."""
+other modules nor in ``scripts/``, and neither is a cast to an integer
+dtype; a loop over the layers runs in ``propagation`` alone."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,6 +98,59 @@ def test_only_core_reads_a_dtype_kind():
         if module != "core" and (lines := dtype_kind_reads(tree))
     }
     assert not elsewhere, f"dtype.kind read outside core at {elsewhere}"
+
+
+CONVERSIONS = {"asarray": 1, "array": 1, "ascontiguousarray": 1, "astype": 0}
+
+
+def is_integer_dtype(node) -> bool:
+    """Whether ``node`` spells an integer dtype: ``np.<name>``, ``int``
+    or a string that ``np.dtype`` reads as one."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "np":
+        name = node.attr
+    elif isinstance(node, ast.Name) and node.id == "int":
+        name = "int"
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    else:
+        return False
+    try:
+        return np.dtype(name).kind in "iu"
+    except TypeError:
+        return False
+
+
+def integer_casts(tree) -> list[int]:
+    """Line of each ``np.asarray``, ``np.array`` or ``np.ascontiguousarray``
+    call, or ``<expr>.astype`` call, to an integer dtype in ``tree``."""
+    lines = []
+    for call in (sub for sub in ast.walk(tree) if isinstance(sub, ast.Call)):
+        func = call.func
+        if not isinstance(func, ast.Attribute) or func.attr not in CONVERSIONS:
+            continue
+        if func.attr != "astype" and getattr(func.value, "id", "") != "np":
+            continue
+        at = CONVERSIONS[func.attr]
+        dtypes = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[at : at + 1]
+        if any(map(is_integer_dtype, dtypes)):
+            lines.append(call.lineno)
+    return lines
+
+
+def test_only_core_casts_to_an_integer_dtype():
+    """An index array goes through `core._index_vector`, which refuses
+    bools, floats and strings by name; a cast elsewhere would convert
+    them silently (labels of 0.9 were scored as class 0).  Creating an
+    integer array (``np.arange``, ``np.empty``, ``np.zeros``) is no cast."""
+    assert integer_casts(TREES["core"])  # the scan sees the rule where it lives
+    assert integer_casts(ast.parse("np.asarray(y, dtype=np.int64); y.astype('i4')")) == [1, 1]
+    assert not integer_casts(ast.parse("np.arange(3, dtype=np.int64); np.asarray(x, float)"))
+    elsewhere = {
+        module: lines
+        for module, tree in {**TREES, **SCRIPTS}.items()
+        if module != "core" and (lines := integer_casts(tree))
+    }
+    assert not elsewhere, f"cast to an integer dtype outside core at {elsewhere}"
 
 
 def layer_loops(tree) -> list[int]:

@@ -55,6 +55,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             base_cfg(seed=seed)
 
+    def test_infinite_feature_noise_is_refused(self):
+        """It was accepted, and `generate` returned non-finite features,
+        which `save_features` wrote and `load_features` later refused."""
+        with pytest.raises(ConfigError, match="feature noise must be finite and >= 0, got inf"):
+            base_cfg(feature_noise=float("inf"))
+
     def test_nan_feature_noise_is_refused(self):
         """NaN fails every comparison, so the check is written to fail on
         it; otherwise `generate` writes all-NaN features."""

@@ -1025,12 +1025,13 @@ class TestEpochWorkspace:
     def test_no_epoch_after_the_first_allocates_a_batch_array(self, head, dropout, monkeypatch):
         """At the default head (hidden [64]), every batch array is at
         least rows x 64 float64: the hidden layer, its delta, and for nc
-        (64 classes here) the logits and the loss's exp.  The spy marks
-        each Adam step, so one interval holds an epoch's validation pass
-        and the next epoch's training pass, loss and backward.  What each
-        allocates beyond what it began with stays under half such an
-        array: the rectifier mask (an eighth), vectors of one value per
-        row and, under dropout, one 64 KB block of the keep mask."""
+        (64 classes here) the logits, which the loss turns into its
+        gradient in place.  The spy marks each Adam step, so one interval
+        holds an epoch's validation pass and the next epoch's training
+        pass, loss and backward.  What each allocates beyond what it
+        began with stays under half such an array: the rectifier mask
+        (an eighth), vectors of one value per row and 64 KB blocks (the
+        keep mask under dropout, the loss's exp, Adam's pair)."""
         rows, run = self.nc_run() if head == "nc" else self.hp_run()
         marks = []
 
@@ -1049,3 +1050,24 @@ class TestEpochWorkspace:
         batch = rows * 64 * 8
         grown = [(peak - held) / batch for (held, _), (_, peak) in zip(marks, marks[1:])]
         assert max(grown) < 0.5, grown
+
+    def test_nc_peak_is_its_row_copies_and_buffers(self):
+        """At 20 000 nodes, 160 features and 160 classes, with a shuffled
+        split, node classification peaks at the gathered train and val
+        rows and the run-long buffers (hidden and logits, train rows
+        each), plus under a quarter of the logits buffer: the loss keeps
+        no (train rows x classes) scratch, which was 12.8 MB more."""
+        rng = np.random.default_rng(0)
+        n, width = 20_000, 160
+        x = rng.standard_normal((n, width))
+        labels = LabelVector(labels=rng.integers(0, width, size=n), num_classes=width)
+        split = make_split(n, 0)
+        tracemalloc.start()
+        try:
+            train_node_classifier(x, labels, split, TrainConfig(learning_rate=0.01, epochs=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        logits = len(split.train) * width * 8
+        held = (len(split.train) + len(split.val)) * width * 8 + len(split.train) * (64 + width) * 8
+        assert peak <= held + 0.25 * logits, (peak - held) / logits
