@@ -8,7 +8,8 @@ file (``--out`` for all three, ``--seed`` for ``generate`` and ``train``,
 ``--task`` for ``train``).  ``verify`` takes only ``--cases`` and ``--seed``.
 
 Exit codes: 0 success, 1 usage, 2 bad data or config (or a run too
-large for the machine's memory), 3 verification failure.
+large for the machine's memory), 3 verification failure.  A reader that
+closes stdout early changes none of them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -236,7 +238,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     manifest = {key: str(p) for key, p in paths.items()}
     (cfg.out_dir / f"dataset_seed{seed}.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for key, p in paths.items():
-        print(f"{key}: {p}")
+        _say(f"{key}: {p}")
     return 0
 
 
@@ -306,9 +308,9 @@ def cmd_precompute(cfg: RunConfig) -> float:
     }
     with _replacing(cfg.out_dir / "precompute.json") as fh:
         fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
-    print(f"propagated {pf.matrix.shape[0]}x{pf.matrix.shape[1]} -> {out_file}")
-    print(f"provenance {pf.provenance}")
-    print(f"preprocess_seconds {preprocess_seconds:.4f}")
+    _say(f"propagated {pf.matrix.shape[0]}x{pf.matrix.shape[1]} -> {out_file}")
+    _say(f"provenance {pf.provenance}")
+    _say(f"preprocess_seconds {preprocess_seconds:.4f}")
     return preprocess_seconds
 
 
@@ -401,16 +403,26 @@ def cmd_train(cfg: RunConfig) -> int:
     with _replacing(out_file) as fh:
         for record in records:
             fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
-    print(f"{metric_name}: {100 * mean:.2f} +/- {100 * std:.2f} over {len(values)} seed(s)")
-    print(f"records -> {out_file}")
+    _say(f"{metric_name}: {100 * mean:.2f} +/- {100 * std:.2f} over {len(values)} seed(s)")
+    _say(f"records -> {out_file}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = run_all(cases=args.cases, seed=args.seed)
     for report in reports:
-        print(report.line())
+        _say(report.line())
     return 0 if all(r.passed for r in reports) else 3
+
+
+def _say(line: str) -> None:
+    """Print one line of a command's report.  A reader that has closed
+    stdout ends the printing, not the run: stdout then points at
+    os.devnull, so the later lines and the exit's flush cannot fail."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _int_from(low: int):

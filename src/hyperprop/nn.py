@@ -314,6 +314,12 @@ def mlp_backward(params: MlpParams, fwd: _ForwardCache, grad_logits: np.ndarray)
     return grads_w, grads_b
 
 
+def _require_writable(logits) -> None:
+    """Refuse logits that a loss cannot overwrite with its gradient."""
+    if getattr(logits, "dtype", None) != np.float64 or not logits.flags.writeable:
+        raise DomainError("logits must be a writable float64 array: the gradient overwrites them")
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean NLL over every row; also the gradient w.r.t. logits.
 
@@ -323,8 +329,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     ``exp`` is summed over `_row_blocks` into one value per row, so no
     batch-sized array is made; the gradient's ``exp`` is a second pass.
     """
-    if getattr(logits, "dtype", None) != np.float64 or not logits.flags.writeable:
-        raise DomainError("logits must be a writable float64 array: the gradient overwrites them")
+    _require_writable(logits)
     y = _index_vector(labels, "labels")
     if logits.ndim != 2 or y.shape != logits.shape[:1]:
         raise DimensionError(f"logits {logits.shape} vs labels {y.shape}")
@@ -344,22 +349,38 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
-    """Mean binary cross-entropy on raw logits, overflow-safe.
+    """Mean binary cross-entropy on raw logits, overflow-safe; also the
+    gradient w.r.t. logits.
 
     Uses max(z, 0) - z*t + log(1 + exp(-|z|)); the gradient is
-    (sigmoid(z) - t) / k, in the shape of ``logits``.
+    (sigmoid(z) - t) / k, written over ``logits`` (a writable float64
+    array, which this consumes) and returned.  Each `_row_blocks` block
+    takes one ``exp(-|z|)`` for its loss terms and its sigmoid, through
+    one pair of block buffers, so the only batch-sized array is the
+    vector of per-logit terms that the loss is the mean of.
     """
-    z = np.asarray(logits, dtype=np.float64).ravel()
-    t = np.asarray(targets, dtype=np.float64).ravel()
-    if z.shape != t.shape:
-        raise DimensionError(f"logits {z.shape} vs targets {t.shape}")
-    if z.size == 0:
+    _require_writable(logits)
+    t = np.asarray(targets, dtype=np.float64)
+    if logits.ndim == 0 or t.size != logits.size:
+        raise DimensionError(f"logits {logits.shape} vs targets {t.shape}")
+    if logits.size == 0:
         raise DomainError("loss over an empty batch is undefined")
-    e = np.exp(-np.abs(z))  # exp of a nonpositive number: never overflows
-    loss = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(e)))
-    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    grad = (sig - t) / z.size
-    return loss, grad.reshape(np.shape(logits))
+    terms = np.empty(logits.size)
+    pair = np.empty((2, next(_row_blocks(logits)).size))
+    blocks = (_row_blocks(a.reshape(logits.shape)) for a in (t, terms))
+    for z, t_block, term in zip(_row_blocks(logits), *blocks):
+        e, work = (buf[: z.size].reshape(z.shape) for buf in pair)
+        np.abs(z, out=e)
+        np.exp(np.negative(e, out=e), out=e)  # exp of a nonpositive number: never overflows
+        np.maximum(z, 0.0, out=term)
+        term -= np.multiply(z, t_block, out=work)
+        term += np.log1p(e, out=work)
+        np.add(e, 1.0, out=work)
+        np.copyto(e, 1.0, where=z >= 0)  # sigmoid(z) = where(z >= 0, 1, e) / (1 + e)
+        np.divide(e, work, out=z)
+        z -= t_block
+        z /= logits.size
+    return float(np.mean(terms)), logits
 
 
 def adam_step(params: MlpParams, grads_w, grads_b, state: AdamState, cfg: TrainConfig):

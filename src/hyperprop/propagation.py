@@ -17,6 +17,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +221,8 @@ def materialize_operator(atilde: SparseAdjacency, cfg: PropagationConfig) -> np.
     """Dense S for analysis; refuses n > DENSE_CAP to avoid O(n^2) surprises."""
     _require_normalized(atilde)
     _require_dense_size(atilde.n, "dense operator")
-    return _dense_polynomial(atilde.matrix.toarray(), cfg.alpha, cfg.layers)
+    depths = _dense_polynomial(atilde.matrix.toarray(), cfg.alpha, cfg.layers)
+    return next(islice(depths, cfg.layers, None))  # S_L; each S_l before it is dropped at once
 
 
 def _require_dense_size(n: int, what: str) -> None:
@@ -228,16 +230,18 @@ def _require_dense_size(n: int, what: str) -> None:
         raise ResourceLimitError(f"{what} for n={n} exceeds cap {DENSE_CAP}")
 
 
-def _dense_polynomial(w: np.ndarray, alpha: float, layers: int) -> np.ndarray:
-    """(1-a)^L W^L + a * sum_{l<L} (1-a)^l W^l for any dense square W,
-    evaluated term by term in increasing powers."""
+def _dense_polynomial(w: np.ndarray, alpha: float, layers: int):
+    """Yield S_0 ... S_L for any dense square W, where
+    S_l = (1-a)^l W^l + a * sum_{k<l} (1-a)^k W^k, evaluated term by term
+    in increasing powers: one pass gives every depth up to ``layers``."""
     n = w.shape[0]
     s = np.zeros((n, n))
     power = np.eye(n)
     for l in range(layers):
+        yield s + (1.0 - alpha) ** l * power
         s += alpha * (1.0 - alpha) ** l * power
         power = power @ w
-    return s + (1.0 - alpha) ** layers * power
+    yield s + (1.0 - alpha) ** layers * power
 
 
 def operator_support(s: np.ndarray) -> set[tuple[int, int]]:

@@ -428,20 +428,24 @@ def train_hyperlink_predictor(
     train_cands, train_t = _split_candidates(data, split.train)
     if train_t.all():
         raise DomainError("the train part has no negatives, so its prior log-odds is undefined")
-    val_cands, _ = _split_candidates(data, split.val)
-    # a part's candidates start with its positives, so slicing splits its scores
     with _head_threads():
+        # only the pooled rows are read, so each candidate set goes once pooled
+        x_train = pool_candidates(x, train_cands)
+        del train_cands
+        x_val = pool_candidates(x, _split_candidates(data, split.val)[0])
+        # a part's candidates start with its positives, so slicing splits its scores
         best_params, seconds = _fit(
-            pool_candidates(x, train_cands),
-            pool_candidates(x, val_cands),
+            x_train,
+            x_val,
             1,
             lambda logits: sigmoid_bce(logits, train_t),
             lambda logits: auc(logits[: len(split.val)], logits[len(split.val) :]),
             cfg,
             out_bias=np.log(len(split.train) / (len(train_t) - len(split.train))),
         )
-        test_cands, _ = _split_candidates(data, split.test)
-        test_scores = mlp_forward(best_params, pool_candidates(x, test_cands))
+        del x_train, x_val
+        x_test = pool_candidates(x, _split_candidates(data, split.test)[0])
+        test_scores = mlp_forward(best_params, x_test)
     _require_finite(test_scores, "test scores")
     test_auc = auc(test_scores[: len(split.test)], test_scores[len(split.test) :])
     return best_params, Metrics(accuracy=None, auc=test_auc, train_seconds=seconds)

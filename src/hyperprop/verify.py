@@ -99,14 +99,15 @@ def check_unification(
         h = random_hypergraph(rng)
         x = rng.standard_normal((h.n, 5))
         for kind in ModelKind:
-            for layers in depths:
-                # AllDeepSets has no residual weight, so it is checked once per depth
-                for gamma in (0.0,) if kind is ModelKind.ALLDEEPSETS else gammas:
-                    spec = LinearizedModelSpec(kind=kind, layers=layers, gamma=gamma)
-                    got = run_linearized(spec, h, x)
-                    w, alpha = unified_equivalent(spec, h)
-                    want = _dense_polynomial(w.matrix.toarray(), alpha, layers) @ x
-                    err = _rel_frobenius(got, want)
+            dense = None  # a model's base W is shared by all its depths and gammas
+            # AllDeepSets has no residual weight, so it is checked once per depth
+            for gamma in (0.0,) if kind is ModelKind.ALLDEEPSETS else gammas:
+                w, alpha = unified_equivalent(LinearizedModelSpec(kind, 0, gamma), h)
+                dense = w.matrix.toarray() if dense is None else dense
+                polynomial = list(_dense_polynomial(dense, alpha, max(depths, default=0)))
+                for layers in depths:
+                    got = run_linearized(LinearizedModelSpec(kind, layers, gamma), h, x)
+                    err = _rel_frobenius(got, polynomial[layers] @ x)
                     worst = max(worst, err)
                     if err > tol:
                         failures += 1

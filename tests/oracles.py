@@ -180,6 +180,20 @@ def two_array_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, shifted
 
 
+def copying_sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
+    """Mean BCE on raw logits and its gradient in the logits' shape, as
+    the package's loss computed them from whole-batch temporaries;
+    ``logits`` is not written.  The in-place, block-wise loss must match
+    it bit for bit."""
+    z = np.asarray(logits, dtype=np.float64).ravel()
+    t = np.asarray(targets, dtype=np.float64).ravel()
+    e = np.exp(-np.abs(z))
+    loss = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(e)))
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    grad = (sig - t) / z.size
+    return loss, grad.reshape(np.shape(logits))
+
+
 def finite_difference_grads(loss_fn, params, h: float = 1e-5):
     """Central differences of ``loss_fn()`` w.r.t. every entry of every
     array in ``params`` (mutated in place and restored)."""

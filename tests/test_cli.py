@@ -952,6 +952,41 @@ class TestVerify:
         assert cli.main(["verify", "--cases", "5"]) == 3
 
 
+class TestClosedStdout:
+    """A reader that closes stdout before the report is printed ends the
+    printing, not the run: the command keeps its exit code and writes
+    nothing to stderr."""
+
+    @staticmethod
+    def run_with_closed_stdout(argv: list[str]) -> subprocess.CompletedProcess:
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout is block-buffered, as for most readers
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: the first write fails with EPIPE
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "hyperprop.cli", *argv], env=env, stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+
+    def test_verify_keeps_its_exit_code(self):
+        proc = self.run_with_closed_stdout(["verify", "--cases", "2"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_train_keeps_its_exit_code_and_writes_every_record(self, workspace):
+        tmp_path, cfg_file = workspace
+        out = tmp_path / "hp"
+        argv = ["train", "--config", str(cfg_file), "--task", "hp", "--out", str(out)]
+        proc = self.run_with_closed_stdout(argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        again = tmp_path / "again"
+        assert cli.main([*argv[:-1], str(again)]) == 0
+        assert read_payloads(out / "metrics.jsonl") == read_payloads(again / "metrics.jsonl")
+
+
 def scipy_modules_after(statement: str) -> list[str]:
     """The ``scipy`` modules loaded in a fresh interpreter once
     ``statement`` has run."""

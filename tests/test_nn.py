@@ -27,6 +27,7 @@ from hyperprop.nn import (
 )
 
 from oracles import (
+    copying_sigmoid_bce,
     finite_difference_grads,
     masked_softmax_cross_entropy,
     two_array_softmax_cross_entropy,
@@ -315,16 +316,18 @@ class TestSigmoidBce:
         rng = np.random.default_rng(6)
         z = rng.standard_normal(8)
         t = rng.integers(0, 2, size=8).astype(float)
-        _, grad = sigmoid_bce(z, t)
-        _, column = sigmoid_bce(z[:, None], t)  # the gradient keeps the logits' shape
+        _, grad = sigmoid_bce(z.copy(), t)
+        _, column = sigmoid_bce(z[:, None].copy(), t)  # the gradient keeps the logits' shape
         assert grad.shape == (8,) and column.shape == (8, 1)
         assert column.tobytes() == grad.tobytes()
-        fd = finite_difference_grads(lambda: sigmoid_bce(z, t)[0], [z])[0]
+        fd = finite_difference_grads(lambda: sigmoid_bce(z.copy(), t)[0], [z])[0]
         np.testing.assert_allclose(grad, fd, atol=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             sigmoid_bce(np.zeros(3), np.zeros(2))
+        with pytest.raises(DimensionError):
+            sigmoid_bce(np.array(0.0), np.zeros(1))  # a 0-d logit has no rows
 
     def test_bits_equal_the_two_exp_expression(self):
         """One exp serves the loss and the sigmoid, with the bits of
@@ -338,6 +341,55 @@ class TestSigmoidBce:
         want_grad = (np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - t) / z.size
         loss, grad = sigmoid_bce(z, t)
         assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("column", [False, True], ids=["flat", "column"])
+    @pytest.mark.parametrize("k", [1, 7, 8192, 8193, 12_000, 100_000])
+    def test_blocks_match_the_copying_loss_bit_for_bit(self, k, column):
+        """One ``exp`` per 64 KB block, written over the logits, gives
+        the loss and gradient of the whole-batch expressions, bit for
+        bit, on either side of a block edge and at the extremes."""
+        rng = np.random.default_rng(k)
+        z = 10.0 * rng.standard_normal(k)
+        edges = [0.0, -0.0, 1e-300, 800.0, -800.0]
+        z[: len(edges)] = edges[:k]
+        z = z[:, None] if column else z
+        t = rng.integers(0, 2, size=k).astype(float)
+        want_loss, want_grad = copying_sigmoid_bce(z, t)
+        loss, grad = sigmoid_bce(z, t)
+        assert loss == want_loss and grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_logits_become_the_gradient_and_targets_are_not_written(self):
+        logits = np.random.default_rng(4).standard_normal((5, 1))
+        targets = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+        _, grad = sigmoid_bce(logits, targets)
+        assert grad is logits
+        assert np.array_equal(targets, [1.0, 0.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "logits",
+        [np.zeros(2, dtype=np.float32), np.zeros(2, dtype=int), [0.0, 0.0],
+         np.broadcast_to(0.0, (2,))],
+        ids=["float32", "int", "list", "read-only"],
+    )
+    def test_refuses_logits_it_cannot_write_over(self, logits):
+        with pytest.raises(DomainError, match="logits must be a writable float64 array"):
+            sigmoid_bce(logits, np.array([0.0, 1.0]))
+
+    def test_peak_memory_is_the_loss_terms_and_two_blocks(self):
+        """One call at 100 000 logits allocates at most 1.25 vectors of
+        that length at its peak: the per-logit loss terms, plus a pair of
+        64 KB blocks and a block-sized sign mask."""
+        k = 100_000
+        rng = np.random.default_rng(15)
+        logits, targets = rng.standard_normal((k, 1)), (rng.random(k) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            sigmoid_bce(logits, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * k * 8, peak / (k * 8)
 
 
 class TestBackprop:

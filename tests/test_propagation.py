@@ -497,13 +497,28 @@ class TestMaterializeOperator:
             a = atilde.matrix.toarray()
             star, _ = unified_equivalent(LinearizedModelSpec(ModelKind.ALLDEEPSETS, 1), h)
             raw = star.matrix.toarray()
-            for layers in range(6):
-                for alpha in (0.0, 0.1, 0.3, 0.7):
+            for alpha in (0.0, 0.1, 0.3, 0.7):
+                every_depth = list(_dense_polynomial(raw, alpha, 5))  # one pass, S_0 ... S_5
+                for layers in range(6):
                     got = materialize_operator(atilde, PropagationConfig(layers, alpha))
                     assert np.array_equal(got, former_materialize(a, alpha, layers))
-                    assert np.array_equal(
-                        _dense_polynomial(raw, alpha, layers), former_unified(raw, alpha, layers)
-                    )
+                    assert np.array_equal(every_depth[layers], former_unified(raw, alpha, layers))
+
+    def test_peak_is_four_dense_matrices_at_any_depth(self):
+        """The dense W, the running sum, the power and one product or
+        term: the depths before the last are dropped as they are made."""
+        n = 300
+        rng = np.random.default_rng(10)
+        h = Hypergraph.from_edges((rng.choice(n, size=4, replace=False) for _ in range(200)), n=n)
+        atilde = normalize_with_self_loops(weighted_clique_expansion(h))
+        for layers in (1, 5):
+            tracemalloc.start()
+            try:
+                materialize_operator(atilde, PropagationConfig(layers=layers, alpha=0.3))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4.1 * n * n * 8, peak / (n * n * 8)
 
     def test_operator_support_validation(self):
         with pytest.raises(DimensionError):

@@ -5,12 +5,15 @@ recursion is reproduced exactly by the shared polynomial once the
 right (W, alpha) pair is plugged in.
 """
 
+import collections
 import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hyperprop.reference as reference
+import hyperprop.verify as verify
 from hyperprop.core import Hypergraph
 from hyperprop.errors import DomainError
 from hyperprop.expansion import SparseAdjacency, _deephgnn_base, _star_base, _unignn_base
@@ -225,6 +228,26 @@ class TestBaseOperatorMemo:
         report = check_unification(cases=5, seed=seed)
         assert report == uncached_unification(cases=5, seed=seed)
         assert report.passed and report.worst > 0.0
+
+    def test_each_dense_reference_is_built_once(self, monkeypatch):
+        """At 50 cases, each of the four models' bases is densified once
+        per case (200 in all), and each (model, gamma) takes every depth
+        from one pass of the dense polynomial (10 per case, 500)."""
+        counts = collections.Counter()
+        real_toarray, real_polynomial = sp.csr_matrix.toarray, verify._dense_polynomial
+
+        def counted_toarray(self, *args, **kwargs):
+            counts["densified"] += 1
+            return real_toarray(self, *args, **kwargs)
+
+        def counted_polynomial(*args):
+            counts["passes"] += 1
+            return real_polynomial(*args)
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", counted_toarray)
+        monkeypatch.setattr(verify, "_dense_polynomial", counted_polynomial)
+        assert check_unification(cases=50).passed
+        assert counts == {"densified": 200, "passes": 500}
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_returned_operator_is_read_only(self, kind):

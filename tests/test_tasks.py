@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -985,6 +986,28 @@ class TestTrainHyperlinkPredictor:
             train_hyperlink_predictor(
                 pf, data, split, TrainConfig(learning_rate=0.01, epochs=5, hidden_dims=(8,))
             )
+
+    def test_no_candidate_set_is_alive_when_training_starts(self, monkeypatch):
+        """Only the pooled rows are read, so the train and val candidate
+        sets are freed once pooled, before the epoch loop."""
+        _, _, pf, data, split = self.make_inputs()
+        real_split, real_fit = tasks._split_candidates, tasks._fit
+        made, alive = [], []
+
+        def split_spy(data, part):
+            cands, targets = real_split(data, part)
+            made.append(weakref.ref(cands))
+            return cands, targets
+
+        def fit_spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in made])
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(tasks, "_split_candidates", split_spy)
+        monkeypatch.setattr(tasks, "_fit", fit_spy)
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, hidden_dims=(8,))
+        train_hyperlink_predictor(pf, data, split, cfg)
+        assert alive == [[False, False]]
 
     def test_negatives_follow_their_source_split(self):
         h, _, pf, data, split = self.make_inputs()
