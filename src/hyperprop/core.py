@@ -14,6 +14,7 @@ import operator
 import os
 import re
 import struct
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -288,17 +289,14 @@ def load_hypergraph(path: str | Path) -> Hypergraph:
             if lineno == 1 and line.startswith(_HEADER_PREFIX):
                 declared_n, declared_m = _parse_header(line, f"{path.name}:{lineno}")
             continue
-        tokens = line.split()
-        if not (line.isascii() and "_" not in line):
-            bad = next((tok for tok in tokens if not _DECIMAL.fullmatch(tok)), None)
-            if bad is not None:
-                raise ParseError(f"{path.name}:{lineno}: malformed node id {bad!r}")
-        members = []
-        for tok in tokens:
-            try:
-                members.append(int(tok))
-            except ValueError:
-                raise ParseError(f"{path.name}:{lineno}: malformed node id {tok!r}") from None
+        tokens, members = line.split(), []
+        try:
+            if not (line.isascii() and "_" not in line or all(map(_DECIMAL.fullmatch, tokens))):
+                raise ValueError
+            members.extend(map(int, tokens))  # on a refusal, holds the ids before it
+        except ValueError:  # a token the pattern refuses, else the one past int's digit limit
+            bad = next((t for t in tokens if not _DECIMAL.fullmatch(t)), tokens[len(members)])
+            raise ParseError(f"{path.name}:{lineno}: malformed node id {bad!r}") from None
         edges.append(members)
     if declared_m is not None and declared_m != len(edges):
         raise ParseError(
@@ -357,7 +355,11 @@ def load_features(path: str | Path) -> np.ndarray:
     try:
         with path.open("rb") as fh:
             arr = np.lib.format.read_array(fh)
-    except ValueError as exc:  # bad magic, short file, pickled objects
+            if fh.read(1):  # numpy stops reading at the array's end
+                raise ValueError("bytes follow the array")
+    except (ValueError, SyntaxError, tokenize.TokenError) as exc:
+        # bad magic, short file, pickled objects, bytes after the array; numpy
+        # lets a header that parses to no dict or dtype through as the other two
         raise ParseError(f"{path.name}: not a readable .npy file: {exc}") from None
     if arr.dtype.kind not in "biuf":
         raise ParseError(f"{path.name}: features must be real numbers, got dtype {arr.dtype}")

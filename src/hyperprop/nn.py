@@ -352,7 +352,9 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
     """Mean binary cross-entropy on raw logits, overflow-safe; also the
     gradient w.r.t. logits.
 
-    Uses max(z, 0) - z*t + log(1 + exp(-|z|)); the gradient is
+    Uses max(z, 0) - z*t + log(1 + exp(-|z|)), and at an infinite logit
+    that term's limit (0 for t = 1 at +inf or t = 0 at -inf, else +inf,
+    worked out only in a block that holds one); the gradient is
     (sigmoid(z) - t) / k, written over ``logits`` (a writable float64
     array, which this consumes) and returned.  Each `_row_blocks` block
     takes one ``exp(-|z|)`` for its loss terms and its sigmoid, through
@@ -368,18 +370,22 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray):
     terms = np.empty(logits.size)
     pair = np.empty((2, next(_row_blocks(logits)).size))
     blocks = (_row_blocks(a.reshape(logits.shape)) for a in (t, terms))
-    for z, t_block, term in zip(_row_blocks(logits), *blocks):
-        e, work = (buf[: z.size].reshape(z.shape) for buf in pair)
-        np.abs(z, out=e)
-        np.exp(np.negative(e, out=e), out=e)  # exp of a nonpositive number: never overflows
-        np.maximum(z, 0.0, out=term)
-        term -= np.multiply(z, t_block, out=work)
-        term += np.log1p(e, out=work)
-        np.add(e, 1.0, out=work)
-        np.copyto(e, 1.0, where=z >= 0)  # sigmoid(z) = where(z >= 0, 1, e) / (1 + e)
-        np.divide(e, work, out=z)
-        z -= t_block
-        z /= logits.size
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 at an infinite logit
+        for z, t_block, term in zip(_row_blocks(logits), *blocks):
+            e, work = (buf[: z.size].reshape(z.shape) for buf in pair)
+            np.abs(z, out=e)
+            infinite = e.max() == np.inf
+            np.exp(np.negative(e, out=e), out=e)  # exp of a nonpositive number: never overflows
+            np.maximum(z, 0.0, out=term)
+            term -= np.multiply(z, t_block, out=work)
+            term += np.log1p(e, out=work)
+            if infinite:  # the exact term: 0 for t = 1 at +inf or t = 0 at -inf, else +inf
+                np.copyto(term, np.where(t_block == (z > 0), 0.0, np.inf), where=np.isinf(z))
+            np.add(e, 1.0, out=work)
+            np.copyto(e, 1.0, where=z >= 0)  # sigmoid(z) = where(z >= 0, 1, e) / (1 + e)
+            np.divide(e, work, out=z)
+            z -= t_block
+            z /= logits.size
     return float(np.mean(terms)), logits
 
 

@@ -951,6 +951,15 @@ class TestVerify:
         )
         assert cli.main(["verify", "--cases", "5"]) == 3
 
+    def test_a_broken_route_exits_three(self, monkeypatch, capsys):
+        import hyperprop.verify as verify
+
+        real = verify.closed_form_limit
+        monkeypatch.setattr(verify, "closed_form_limit", lambda *args: 1.01 * real(*args))
+        assert cli.main(["verify", "--cases", "2"]) == 3
+        out = capsys.readouterr().out
+        assert "unification: ok" in out and "oversmoothing: FAIL cases=1 failures=1" in out
+
 
 class TestClosedStdout:
     """A reader that closes stdout before the report is printed ends the

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import re
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -431,6 +432,19 @@ class TestEdgeListLoader:
         with pytest.raises(ParseError, match=f":2: malformed node id {token!r}"):
             load_hypergraph(path)
 
+    @pytest.mark.parametrize("space", [" ", "\u00a0"], ids=["ascii", "no-break-space"])
+    def test_an_id_past_the_digit_limit_is_named(self, tmp_path, space):
+        """`int` refuses a decimal id of more digits than
+        ``sys.get_int_max_str_digits()``; the pattern accepts it."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter's int has no digit limit")
+        token = "9" * (limit + 1)
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1\n0{space}{token}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f":2: malformed node id '{token}'$"):
+            load_hypergraph(path)
+
     @pytest.mark.parametrize("header", ["#n=1_0 m=1", "#n=5 1"])
     def test_header_must_be_ascii_decimal(self, tmp_path, header):
         """Each dimension is an ASCII decimal after its own `n=` or `m=`."""
@@ -470,6 +484,29 @@ class TestFeatureAndLabelFiles:
         x = np.random.default_rng(0).standard_normal((5, 3))
         save_features(tmp_path / "x.npy", x)
         np.testing.assert_array_equal(load_features(tmp_path / "x.npy"), x)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b"'<f8'", b"',f8'"), (b"'shape': (", b"'shape': #n=(")],
+        ids=["dtype-syntax", "unclosed-header"],
+    )
+    def test_a_header_python_cannot_parse_is_a_parse_error(self, tmp_path, old, new):
+        """numpy lets these headers through as SyntaxError and
+        tokenize.TokenError, not ValueError."""
+        save_features(tmp_path / "x.npy", np.zeros((2, 3)))
+        data = (tmp_path / "x.npy").read_bytes()
+        (tmp_path / "x.npy").write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ParseError, match="^x.npy: not a readable .npy file"):
+            load_features(tmp_path / "x.npy")
+
+    def test_bytes_after_the_array_are_a_parse_error(self, tmp_path):
+        """Bytes inserted into the data shift every later value; numpy
+        reads the declared shape and would leave the rest unread."""
+        save_features(tmp_path / "x.npy", np.zeros((2, 3)))
+        with open(tmp_path / "x.npy", "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(ParseError, match="^x.npy: not a readable .npy file: bytes follow"):
+            load_features(tmp_path / "x.npy")
 
     def test_features_must_be_finite_2d(self, tmp_path):
         np.save(tmp_path / "bad.npy", np.array([1.0, np.inf]))

@@ -4,6 +4,7 @@ import os
 import re
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,39 @@ class TestSigmoidBce:
         loss, grad = sigmoid_bce(z, t)
         assert loss == want_loss and grad.shape == want_grad.shape
         assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("column", [False, True], ids=["flat", "column"])
+    @pytest.mark.parametrize(
+        "z, t, term",
+        [(np.inf, 1.0, 0.0), (-np.inf, 0.0, 0.0), (np.inf, 0.0, np.inf), (-np.inf, 1.0, np.inf)],
+        ids=["+inf-right", "-inf-right", "+inf-wrong", "-inf-wrong"],
+    )
+    def test_an_infinite_logit_gives_the_limit_of_its_term(self, z, t, term, column):
+        """At an infinite logit the term is its limit, without a warning,
+        in the blocks on either side of a 64 KB block edge; every finite
+        term, the gradient and a NaN logit keep their bits."""
+        k, edge = 3 * nn._MASK_BLOCK, nn._MASK_BLOCK
+        rng = np.random.default_rng(16)
+        logits = 10.0 * rng.standard_normal(k)
+        targets = rng.integers(0, 2, size=k).astype(float)
+        logits[[edge - 1, edge]], targets[[edge - 1, edge]] = z, t
+        with np.errstate(invalid="ignore"):  # the whole-batch expressions' inf - inf
+            want_terms = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-abs(logits)))
+            logits = logits[:, None] if column else logits
+            _, want_grad = copying_sigmoid_bce(logits, targets)
+        want_terms[[edge - 1, edge]] = term
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = sigmoid_bce(logits.copy(), targets)
+            logits[0] = np.nan
+            nan_loss, nan_grad = sigmoid_bce(logits.copy(), targets)
+        assert loss == float(np.mean(want_terms)) and grad.tobytes() == want_grad.tobytes()
+        assert np.isnan(nan_loss) and nan_grad[1:].tobytes() == want_grad[1:].tobytes()
+
+    def test_empty_batch_is_refused(self):
+        for logits in (np.zeros(0), np.zeros((0, 1))):
+            with pytest.raises(DomainError, match="^loss over an empty batch is undefined$"):
+                sigmoid_bce(logits, np.zeros(0))
 
     def test_logits_become_the_gradient_and_targets_are_not_written(self):
         logits = np.random.default_rng(4).standard_normal((5, 1))
@@ -754,6 +788,67 @@ class TestRowPanels:
         finally:
             set_(before)
         assert callers and threading.get_ident() not in callers
+
+
+class TestWithoutOpenblas:
+    """A numpy that links no bundled OpenBLAS (numpy 1.x has no
+    ``numpy._core``) leaves the thread count alone, and every product of
+    a head run is one call with the bits of the panels."""
+
+    @pytest.fixture
+    def real_openblas(self):
+        blas = _openblas()
+        if blas is None:
+            pytest.skip("the head's own run needs numpy's bundled OpenBLAS to compare against")
+        return blas
+
+    def test_a_library_that_does_not_load_is_none(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("cannot open shared object file")
+
+        monkeypatch.setattr(nn.ctypes, "CDLL", refuse)
+        _openblas.cache_clear()
+        try:
+            assert _openblas() is None
+        finally:
+            _openblas.cache_clear()
+
+    def test_a_head_run_pins_nothing_and_binds_no_pool(self, monkeypatch, real_openblas):
+        get, set_ = real_openblas
+        monkeypatch.setattr(nn, "_openblas", lambda: None)
+        before = get()
+        set_(2)
+        try:
+            with _head_threads():
+                assert get() == 2 and nn._PANEL_POOL.get() is None
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_an_nc_run_keeps_the_best_parameters_of_the_panels(self, monkeypatch, real_openblas):
+        from hyperprop.core import LabelVector
+        from hyperprop.tasks import make_split, train_node_classifier
+
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((2000, 1100))
+        y = LabelVector(labels=rng.integers(0, 6, 2000), num_classes=6)
+        split = make_split(2000, 0)
+        assert len(_row_panels(len(split.train), 1100, 64)) > 2
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, dropout=0.3)
+
+        def best_bytes():
+            params, _ = train_node_classifier(x, y, split, cfg)
+            return b"".join(p.tobytes() for p in params.weights + params.biases)
+
+        panels = best_bytes()
+        get, set_ = real_openblas
+        before = get()
+        monkeypatch.setattr(nn, "_openblas", lambda: None)
+        set_(1)
+        try:
+            assert best_bytes() == panels
+        finally:
+            set_(before)
 
 
 class TestAdam:

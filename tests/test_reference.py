@@ -299,3 +299,47 @@ class TestBaseOperatorMemo:
                     x = np.ones((h.n, 1))
                     spec = LinearizedModelSpec(kind=kind, layers=1)
                     assert np.array_equal(run_linearized(spec, h, x), want @ x)
+
+
+class TestFailingSuites:
+    """Each suite counts a case as failed when one of its two routes is
+    broken, and its report then does not pass."""
+
+    @staticmethod
+    def assert_failed(report: PropertyReport):
+        assert report.failures > 0 and not report.passed
+        assert "FAIL" in report.line()
+
+    def test_a_perturbed_model_fails_unification(self, monkeypatch):
+        real = verify.run_linearized
+        monkeypatch.setattr(verify, "run_linearized", lambda *args: real(*args) * (1.0 + 1e-6))
+        self.assert_failed(check_unification(cases=2))
+
+    def test_a_missing_khop_node_fails_the_receptive_field(self, monkeypatch):
+        real = verify.khop_neighbours
+
+        def one_node_short(h, source, k):
+            return set(sorted(real(h, source, k))[1:])
+
+        monkeypatch.setattr(verify, "khop_neighbours", one_node_short)
+        self.assert_failed(verify.check_receptive_field(cases=2))
+
+    def test_a_scaled_limit_fails_oversmoothing(self, monkeypatch):
+        real = verify.closed_form_limit
+        monkeypatch.setattr(verify, "closed_form_limit", lambda *args: 1.01 * real(*args))
+        report = verify.check_oversmoothing(cases=2)
+        self.assert_failed(report)
+        assert report.worst > 1e-3
+
+    def test_a_probe_below_the_limit_fails_oversmoothing(self, monkeypatch):
+        """The limit's error stays within tolerance; one probe's energy
+        beating the limit's is enough to fail the case."""
+        real, energies = verify.energy, []
+
+        def one_low_probe(*args):
+            energies.append(real(*args))  # the first call per case is the limit's
+            return energies[0] - 1.0 if len(energies) == 2 else energies[-1]
+
+        monkeypatch.setattr(verify, "energy", one_low_probe)
+        report = verify.check_oversmoothing(cases=1)
+        assert report.failures == 1 and not report.passed and report.worst <= 1e-6
