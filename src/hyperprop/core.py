@@ -144,6 +144,26 @@ def _integer(v) -> int:
     return operator.index(v)
 
 
+def _shown(value: int | str) -> str:
+    """An integer past int64, or an ASCII decimal string, as a message
+    shows it: in full up to 20 digits, else its first 20 digits and its
+    digit count.  A string is read without `int`'s digit limit."""
+    import decimal
+
+    text = str(decimal.Decimal(value))  # "+007" reads "7"
+    digits = len(text.lstrip("-"))
+    return text if digits <= 20 else f"{text[: 20 + text.startswith('-')]}... ({digits} digits)"
+
+
+def _long_decimal(token: str) -> int | None:
+    """The value of an ASCII decimal ``token`` that `int` refused for
+    its length, or None when it is past int64.  Only leading zeros can
+    take an int64 past the digit limit; the other digits are not
+    converted, which would take time quadratic in their count."""
+    digits = token.lstrip("+-").lstrip("0") or "0"
+    return int(token[:1].strip("0123456789") + digits) if len(digits) <= 19 else None
+
+
 def _positive_integers(values, low: int = 1) -> bool:
     """Whether every value is an integer (by ``_integer``) of at least
     ``low``: 1 for a count or a width, 0 for a depth or a hop count."""
@@ -294,9 +314,14 @@ def load_hypergraph(path: str | Path) -> Hypergraph:
             if not (line.isascii() and "_" not in line or all(map(_DECIMAL.fullmatch, tokens))):
                 raise ValueError
             members.extend(map(int, tokens))  # on a refusal, holds the ids before it
-        except ValueError:  # a token the pattern refuses, else the one past int's digit limit
-            bad = next((t for t in tokens if not _DECIMAL.fullmatch(t)), tokens[len(members)])
-            raise ParseError(f"{path.name}:{lineno}: malformed node id {bad!r}") from None
+        except ValueError:  # a token the pattern refuses, else one past int's digit limit
+            bad = next((t for t in tokens if not _DECIMAL.fullmatch(t)), None)
+            if bad is not None:
+                raise ParseError(f"{path.name}:{lineno}: malformed node id {bad!r}") from None
+            members = [_long_decimal(t) for t in tokens]
+            if None in members:
+                wide = tokens[members.index(None)]
+                raise _id_past_int64(path, len(edges), wide, lineno) from None
         edges.append(members)
     if declared_m is not None and declared_m != len(edges):
         raise ParseError(
@@ -305,7 +330,21 @@ def load_hypergraph(path: str | Path) -> Hypergraph:
     try:
         return Hypergraph.from_edges(edges, n=declared_n)
     except (BoundsError, DomainError) as exc:
+        # from_edges refuses an id past int64 before any other fault; its line is read only now
+        wide = next(
+            ((k, v) for k, e in enumerate(edges) for v in e if not -(2**63) <= v < 2**63), None
+        )
+        if wide is not None:
+            lineno = [no for no, line in _text_lines(path) if not line.startswith("#")][wide[0]]
+            raise _id_past_int64(path, *wide, lineno) from None
         raise type(exc)(f"{path.name}: {exc}") from None
+
+
+def _id_past_int64(path: Path, k: int, value: int | str, lineno: int) -> BoundsError:
+    return BoundsError(
+        f"{path.name}: hyperedge {k} contains node id {_shown(value)} beyond the int64 range"
+        f" (line {lineno})"
+    )
 
 
 def _text_lines(path: Path):
@@ -388,7 +427,8 @@ def load_labels(path: str | Path) -> LabelVector:
     """Read one integer label per line; -1 marks an unlabeled node.  The
     class count is one past the largest label (1 when none is set).  A
     label that is not a decimal integer is a ParseError, and one past
-    the int64 range a BoundsError, each naming its line."""
+    the int64 range a BoundsError, whatever its length, each naming its
+    line."""
     path = Path(path)
     values: list[int] = []
     for lineno, line in _text_lines(path):
@@ -398,10 +438,14 @@ def load_labels(path: str | Path) -> LabelVector:
             if not (line.isascii() and "_" not in line):
                 raise ValueError
             value = int(line)
-        except ValueError:
-            raise ParseError(f"{path.name}:{lineno}: malformed label {line!r}") from None
-        if not -(2**63) <= value < 2**63:
-            raise BoundsError(f"{path.name}:{lineno}: label {value} is beyond the int64 range")
+        except ValueError:  # not decimal, else past int's digit limit
+            if not _DECIMAL.fullmatch(line):
+                raise ParseError(f"{path.name}:{lineno}: malformed label {line!r}") from None
+            value = _long_decimal(line)
+        if value is None or not -(2**63) <= value < 2**63:
+            raise BoundsError(
+                f"{path.name}:{lineno}: label {_shown(line)} is beyond the int64 range"
+            )
         values.append(value)
     return _label_vector(np.array(values, dtype=np.int64))
 

@@ -45,8 +45,10 @@ class SparseAdjacency:
     def __post_init__(self):
         import scipy.sparse as sp
 
-        mat = sp.csr_matrix(self.matrix)
-        mat.sort_indices()
+        mat = sp.csr_matrix(self.matrix)  # a CSR input's own arrays
+        if not mat.has_sorted_indices:  # sort a copy, not the caller's matrix
+            mat = mat.copy()
+            mat.sort_indices()
         object.__setattr__(self, "matrix", mat)
         rows, cols = mat.shape
         if rows != cols:
@@ -59,15 +61,16 @@ class SparseAdjacency:
         return self.matrix.shape[0]
 
 
-def _scaled_incidence(b: sp.spmatrix, row_scale: np.ndarray, col_scale: np.ndarray) -> sp.csr_matrix:
+def _scaled_incidence(b: sp.csr_matrix, row_scale: np.ndarray, col_scale: np.ndarray) -> sp.csr_matrix:
     """diag(row_scale) @ B @ diag(col_scale) without forming diagonals,
-    for a sparse matrix B the caller has already built (an incidence
-    matrix, or the self-looped adjacency in normalization)."""
+    for a CSR matrix B the caller has already built (an incidence
+    matrix, or the self-looped adjacency in normalization).  Each entry
+    is data * (row_scale[i] * col_scale[j]); the result shares B's index
+    arrays and keeps its entry order."""
     import scipy.sparse as sp
 
-    b = b.tocoo()
-    data = b.data * (row_scale[b.row] * col_scale[b.col])
-    return sp.csr_matrix((data, (b.row, b.col)), shape=b.shape)
+    scale = np.repeat(row_scale, np.diff(b.indptr)) * col_scale[b.indices]
+    return sp.csr_matrix((b.data * scale, b.indices, b.indptr), shape=b.shape)
 
 
 def weighted_clique_expansion(h: Hypergraph) -> SparseAdjacency:
@@ -83,6 +86,7 @@ def weighted_clique_expansion(h: Hypergraph) -> SparseAdjacency:
     w = (b @ b.T).tocsr()
     w.setdiag(0.0)
     w.eliminate_zeros()
+    w.sort_indices()  # in place: the product is this function's own
     return SparseAdjacency(matrix=w, structure=_structure_digest(h))
 
 
@@ -121,10 +125,11 @@ def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
 
     Given W with zero diagonal that equals its transpose exactly (both
     are checked), form W~ = W + I and return A~ = D~^-1/2 W~ D~^-1/2
-    where D~ holds the row sums of W~.  The scale factors are paired per
-    entry so the output stays bitwise symmetric; its spectrum lies in
-    [-1, 1] with D~^1/2 1 an eigenvector for eigenvalue 1.  The structure
-    tag of ``w`` is kept.
+    where D~ holds the row sums of W~, each added in stored order
+    (``W~ @ 1``; a pairwise row sum would change bits).  The scale
+    factors are paired per entry so the output stays bitwise symmetric;
+    its spectrum lies in [-1, 1] with D~^1/2 1 an eigenvector for
+    eigenvalue 1.  The structure tag of ``w`` is kept.
     """
     import scipy.sparse as sp
 
@@ -132,8 +137,7 @@ def normalize_with_self_loops(w: SparseAdjacency) -> SparseAdjacency:
         raise ContractViolation("normalization requires a symmetric adjacency")
     if w.matrix.diagonal().any():
         raise ContractViolation("normalization requires a zero diagonal")
-    wtilde = (w.matrix + sp.identity(w.n, format="csr")).tocoo()
-    dtilde = np.asarray(wtilde.sum(axis=1)).ravel()
-    s = 1.0 / np.sqrt(dtilde)
+    wtilde = w.matrix + sp.identity(w.n, format="csr")
+    s = 1.0 / np.sqrt(wtilde @ np.ones(w.n))
     atilde = _scaled_incidence(wtilde, s, s)
     return SparseAdjacency(matrix=atilde, normalized=True, structure=w.structure)

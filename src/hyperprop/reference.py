@@ -80,7 +80,9 @@ def _base_matrix(build, h: Hypergraph) -> SparseAdjacency:
     Its arrays are read-only: a caller that writes to one gets a
     ValueError instead of changing later results.
     """
-    w = SparseAdjacency(matrix=build(h))
+    base = build(h)
+    base.sort_indices()  # in place: the product is this function's own
+    w = SparseAdjacency(matrix=base)
     for array in (w.matrix.data, w.matrix.indices, w.matrix.indptr):
         array.flags.writeable = False
     return w

@@ -435,15 +435,39 @@ class TestEdgeListLoader:
     @pytest.mark.parametrize("space", [" ", "\u00a0"], ids=["ascii", "no-break-space"])
     def test_an_id_past_the_digit_limit_is_named(self, tmp_path, space):
         """`int` refuses a decimal id of more digits than
-        ``sys.get_int_max_str_digits()``; the pattern accepts it."""
+        ``sys.get_int_max_str_digits()``; the pattern accepts it, so it
+        is a well-formed id past int64, shown by its first 20 digits."""
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
             pytest.skip("this interpreter's int has no digit limit")
         token = "9" * (limit + 1)
         path = tmp_path / "edges.txt"
         path.write_text(f"0 1\n0{space}{token}\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=f":2: malformed node id '{token}'$"):
+        shown = rf"{'9' * 20}\.\.\. \({limit + 1} digits\)"
+        message = rf"^edges.txt: hyperedge 1 contains node id {shown} beyond the int64 range"
+        with pytest.raises(BoundsError, match=message + r" \(line 2\)$"):
             load_hypergraph(path)
+
+    @pytest.mark.parametrize("digits", [300, 4301])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_long_id_is_out_of_range_in_a_short_message(self, tmp_path, digits, sign):
+        """On either side of `int`'s digit limit, an id past int64 is a
+        BoundsError naming its file, hyperedge and line (blank and
+        comment lines counted), not an echo of every digit."""
+        path = tmp_path / "edges.txt"
+        path.write_text(f"# ids\n0 1\n\n2 {sign}{'7' * digits} 3\n")
+        shown = rf"{sign}{'7' * 20}\.\.\. \({digits} digits\)"
+        message = rf"^edges.txt: hyperedge 1 contains node id {shown} beyond the int64 range"
+        with pytest.raises(BoundsError, match=message + r" \(line 4\)$") as info:
+            load_hypergraph(path)
+        assert len(str(info.value)) < 200
+
+    def test_leading_zeros_past_the_digit_limit_keep_the_value(self, tmp_path):
+        """The digit limit counts leading zeros; an id they pad is read
+        as its value, like any other zero-padded id."""
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1\n2 +{'0' * 5000}3 0004\n")
+        assert load_hypergraph(path).edges == ((0, 1), (2, 3, 4))
 
     @pytest.mark.parametrize("header", ["#n=1_0 m=1", "#n=5 1"])
     def test_header_must_be_ascii_decimal(self, tmp_path, header):
@@ -571,6 +595,23 @@ class TestFeatureAndLabelFiles:
         message = f"^labels.txt:2: label {label} is beyond the int64 range$"
         with pytest.raises(BoundsError, match=message):
             load_labels(tmp_path / "labels.txt")
+
+    @pytest.mark.parametrize("digits", [300, 4301])
+    @pytest.mark.parametrize("sign", ["", "-", "+000"])
+    def test_a_long_label_is_out_of_range_in_a_short_message(self, tmp_path, digits, sign):
+        """On either side of `int`'s digit limit, a label past int64 is a
+        BoundsError naming its line, with its first 20 digits and its
+        digit count, not every digit."""
+        (tmp_path / "labels.txt").write_text(f"0\n{sign}{'7' * digits}\n1\n")
+        shown = rf"{sign.strip('+0')}{'7' * 20}\.\.\. \({digits} digits\)"
+        message = rf"^labels.txt:2: label {shown} is beyond the int64 range$"
+        with pytest.raises(BoundsError, match=message) as info:
+            load_labels(tmp_path / "labels.txt")
+        assert len(str(info.value)) < 200
+
+    def test_a_zero_padded_label_past_the_digit_limit_keeps_its_value(self, tmp_path):
+        (tmp_path / "labels.txt").write_text(f"-{'0' * 5000}1\n{'0' * 5000}2\n")
+        np.testing.assert_array_equal(load_labels(tmp_path / "labels.txt").labels, [-1, 2])
 
     @pytest.mark.parametrize("label", ["1_0", "\u0663", "-\uff11"])
     def test_label_must_be_ascii_decimal(self, tmp_path, label):

@@ -6,7 +6,9 @@ one input file of a 60-node dataset (edges, labels, features, the
 truncation, or an inserted token, then runs ``precompute``,
 ``train --task nc`` and ``train --task hp`` in process.  Each must
 return 0 or 2 and raise nothing.  A failure names the seed, the trial,
-the file and the mutation, so it reproduces from them alone.
+the file and the mutation, so it reproduces from them alone.  The
+config names the dataset files by bare name and every run starts in the
+dataset directory, so few config mutations only break a path.
 """
 
 import json
@@ -34,16 +36,19 @@ CONFIG = {
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """The bytes of each input file, as written into ``work``."""
+    """The bytes of each input file, as written into ``work``, and the
+    arguments of a run from ``work``."""
     work = tmp_path_factory.mktemp("fuzz")
     h, x, y = generate(PlantedConfig(n=60, m=40, classes=3, feature_dim=8, seed=0))
     save_hypergraph(work / "edges.txt", h)
     save_features(work / "features.npy", x)
     save_labels(work / "labels.txt", y)
-    dataset = {name.split(".")[0]: str(work / name) for name in FILES[:4]}
+    dataset = {name.split(".")[0]: name for name in FILES[:4]}
     (work / "config.json").write_text(json.dumps({"dataset": dataset, **CONFIG}))
-    args = ["--config", str(work / "config.json"), "--out"]
-    assert cli.main(["precompute", *args, str(work)]) == 0
+    args = ["--config", "config.json", "--out"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(work)
+        assert cli.main(["precompute", *args, "."]) == 0
     return work, {name: (work / name).read_bytes() for name in FILES}, args
 
 
@@ -79,14 +84,15 @@ def mutate(data: bytes, rng: random.Random) -> tuple[bytes, str]:
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a mutated input may overflow the head
-def test_every_mutated_input_exits_zero_or_two(pristine, capsys):
+def test_every_mutated_input_exits_zero_or_two(pristine, capsys, monkeypatch):
     work, files, args = pristine
+    monkeypatch.chdir(work)
     base = json.loads(files["config.json"])
     rng = random.Random(SEED)
     runs = [
-        ["precompute", *args, str(work / "pre")],
-        ["train", "--task", "nc", *args, str(work / "runs")],
-        ["train", "--task", "hp", *args, str(work / "runs")],
+        ["precompute", *args, "pre"],
+        ["train", "--task", "nc", *args, "runs"],
+        ["train", "--task", "hp", *args, "runs"],
     ]
     escapes = []
     for trial in range(TRIALS):
